@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from pickgen.cli import main as pickgen
+from pickgen.labeling import LABEL_MODES
 
 
 def main() -> int:
@@ -22,7 +23,7 @@ def main() -> int:
     parser.add_argument("--size", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", help="JSON config forwarded to every stage")
-    parser.add_argument("--label-mode", choices=["hard", "soft"], default="hard")
+    parser.add_argument("--label-mode", choices=LABEL_MODES, default="hard")
     args = parser.parse_args()
 
     work = Path(args.work_dir)

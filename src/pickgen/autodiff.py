@@ -180,10 +180,6 @@ class Tensor:
         data = np.maximum(self.data, 0.0)
         return Tensor._make(data, (self,), lambda g: (g * (self.data > 0.0),))
 
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-        return Tensor._make(data, (self,), lambda g: (g * data,))
-
     def log(self) -> "Tensor":
         return Tensor._make(
             np.log(self.data), (self,), lambda g: (g / self.data,)

@@ -23,15 +23,13 @@ from .corpus import (
     save_corpus,
 )
 from .decoding import (
-    beam_search,
     default_max_decode_len,
-    hypothesis_text,
     load_predictions,
-    restore_corpus,
+    restore_nbest,
     save_predictions,
 )
-from .encoding import build_input
 from .labeling import (
+    LABEL_MODES,
     EmbeddingTable,
     LabelError,
     label_corpus,
@@ -361,55 +359,18 @@ def cmd_restore(args) -> int:
     _ensure_out_dir(args.out_dir)
     _write_effective_config(config, "restore", args.out_dir)
     out_path = os.path.join(args.out_dir, "predictions.jsonl")
-    if inference["nbest"] > 1:
-        _restore_nbest(
-            samples, params, vocab, lang, inference, max_len,
-            config["max_input_len"], out_path,
+    nbest = inference["nbest"]
+    rows = []
+    for sample in samples:
+        ranked = restore_nbest(
+            sample, params, vocab, lang, inference["beam_size"], max_len,
+            inference["length_penalty"], config["max_input_len"], nbest,
         )
-    else:
-        pairs = restore_corpus(
-            samples,
-            params,
-            vocab,
-            lang,
-            beam_size=inference["beam_size"],
-            max_len=max_len,
-            length_penalty=inference["length_penalty"],
-            input_max_len=config["max_input_len"],
-        )
-        save_predictions(pairs, out_path)
+        row = (sample.id, ranked[0][0])
+        rows.append(row + (ranked,) if nbest > 1 else row)
+    save_predictions(rows, out_path)
     print(f"wrote {len(samples)} predictions to {out_path}")
     return 0
-
-
-def _restore_nbest(
-    samples, params, vocab, lang, inference, max_len, input_max_len, out_path
-) -> None:
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            input_ids, _ = build_input(sample, vocab, lang, input_max_len)
-            ranked = beam_search(
-                params,
-                input_ids,
-                inference["beam_size"],
-                max_len,
-                inference["length_penalty"],
-                nbest=inference["nbest"],
-            )
-            texts = [hypothesis_text(hyp, vocab, lang) for hyp in ranked]
-            record = {
-                "id": sample.id,
-                "prediction": texts[0],
-                "nbest": [
-                    {
-                        "prediction": text,
-                        "score": hyp.score(inference["length_penalty"]),
-                    }
-                    for text, hyp in zip(texts, ranked)
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
 
 
 def cmd_evaluate(args) -> int:
@@ -478,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="create picker labels from references")
     _add_common(p)
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
-    p.add_argument("--mode", choices=["hard", "soft"], default="hard")
+    p.add_argument("--mode", choices=LABEL_MODES, default="hard")
     p.add_argument("--embeddings", help="word-vector text file")
     p.add_argument("--embedding-fallback", choices=["hash", "zero"])
     p.set_defaults(func=cmd_label)
@@ -486,9 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="joint picker/generator training")
     _add_common(p)
     p.add_argument("--in", dest="corpus", required=True, help="labeled JSONL")
-    p.add_argument(
-        "--label-mode", choices=["soft", "hard", "defined", "none"]
-    )
+    p.add_argument("--label-mode", choices=[*LABEL_MODES, "none"])
     p.add_argument("--alpha", type=float, help="picker loss weight")
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--batch-size", type=int)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import textnorm
 
@@ -97,9 +97,6 @@ class LanguageConfig:
             language=language, stopwords=stops, lemmatize=False, stem=False,
         )
 
-    def with_stopwords(self, stops: frozenset[str]) -> "LanguageConfig":
-        return replace(self, stopwords=stops)
-
 
 def tokenize(text: str, cfg: LanguageConfig) -> list[str]:
     """Split text per the configured granularity; never yields empty tokens."""
@@ -153,10 +150,8 @@ class Vocabulary:
         return Vocabulary.from_tokens(tokens)
 
 
-def load_corpus(path: str, schema: str = "jsonl") -> list[DialogueSample]:
-    """Read a corpus file, assigning sequential string ids when absent."""
-    if schema != "jsonl":
-        raise CorpusError(f"unsupported corpus schema {schema!r}")
+def load_corpus(path: str) -> list[DialogueSample]:
+    """Read a JSONL corpus file, assigning sequential string ids when absent."""
     samples: list[DialogueSample] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

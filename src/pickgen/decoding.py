@@ -22,6 +22,7 @@ from .corpus import (
     DialogueSample,
     LanguageConfig,
     Vocabulary,
+    detokenize,
     tokenize,
 )
 from .encoding import DEFAULT_MAX_LEN, build_input
@@ -114,6 +115,8 @@ def beam_search(
     """
     if beam_size < 1:
         raise InferenceError("beam_size must be >= 1")
+    if nbest < 1:
+        raise InferenceError("nbest must be >= 1")
     if enc is None:
         enc = _encode_single(params, input_ids)
     live = [BeamHypothesis((SOS_ID,), 0.0)]
@@ -160,6 +163,29 @@ def default_max_decode_len(
     return min(max(lengths) + 8, MAX_DECODE_LEN_CAP)
 
 
+def restore_nbest(
+    sample: DialogueSample,
+    params: ModelParameters,
+    vocab: Vocabulary,
+    cfg: LanguageConfig,
+    beam_size: int = DEFAULT_BEAM_SIZE,
+    max_len: int = MAX_DECODE_LEN_CAP,
+    length_penalty: float = 1.0,
+    input_max_len: int = DEFAULT_MAX_LEN,
+    nbest: int = 1,
+) -> list[tuple[str, float]]:
+    """Serialize, encode, beam-search, and detokenize one sample: its nbest
+    best restorations as (text, normalized score) pairs, best first."""
+    if params.config.vocab_size != len(vocab):
+        raise InferenceError(
+            f"checkpoint expects vocabulary of {params.config.vocab_size} "
+            f"tokens, got {len(vocab)}"
+        )
+    input_ids, _ = build_input(sample, vocab, cfg, input_max_len)
+    ranked = beam_search(params, input_ids, beam_size, max_len, length_penalty, nbest)
+    return [(hypothesis_text(h, vocab, cfg), h.score(length_penalty)) for h in ranked]
+
+
 def restore(
     sample: DialogueSample,
     params: ModelParameters,
@@ -170,23 +196,17 @@ def restore(
     length_penalty: float = 1.0,
     input_max_len: int = DEFAULT_MAX_LEN,
 ) -> str:
-    """Serialize, encode, beam-search, and detokenize one restoration."""
-    if params.config.vocab_size != len(vocab):
-        raise InferenceError(
-            f"checkpoint expects vocabulary of {params.config.vocab_size} "
-            f"tokens, got {len(vocab)}"
-        )
-    input_ids, _ = build_input(sample, vocab, cfg, input_max_len)
-    best = beam_search(params, input_ids, beam_size, max_len, length_penalty)[0]
-    return hypothesis_text(best, vocab, cfg)
+    """The best restoration of one sample."""
+    return restore_nbest(
+        sample, params, vocab, cfg, beam_size, max_len, length_penalty, input_max_len
+    )[0][0]
 
 
 def hypothesis_text(
     hyp: BeamHypothesis, vocab: Vocabulary, cfg: LanguageConfig
 ) -> str:
     """Detokenize a hypothesis, stripping SOS/EOS/PAD."""
-    tokens = [vocab.token_of(i) for i in hyp.generated() if i != PAD_ID]
-    return cfg.joiner.join(tokens)
+    return detokenize([vocab.token_of(i) for i in hyp.generated() if i != PAD_ID], cfg)
 
 
 def restore_corpus(
@@ -239,16 +259,17 @@ def predict_picker_tags(
     return rows
 
 
-def save_predictions(pairs: list[tuple[str, str]], path: str) -> None:
+def save_predictions(rows, path: str) -> None:
+    """Write one JSON line per (id, prediction) row. A row may carry a third
+    item, its ranked (text, score) list, which is written as "nbest"."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sample_id, prediction in pairs:
-            fh.write(
-                json.dumps(
-                    {"id": sample_id, "prediction": prediction},
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-            )
+        for sample_id, prediction, *ranked in rows:
+            record = {"id": sample_id, "prediction": prediction}
+            if ranked:
+                record["nbest"] = [
+                    {"prediction": text, "score": score} for text, score in ranked[0]
+                ]
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
 
 

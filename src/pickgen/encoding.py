@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import (
     EOS_ID,
+    PAD_ID,
     SOS_ID,
     X1_ID,
     X2_ID,
@@ -24,12 +25,12 @@ from .corpus import (
     ids_of,
     tokenize,
 )
-from .labeling import BIO_TO_CLASS, LabeledSample, PickerLabels
+from .labeling import BIO_TO_CLASS, PickerLabels, alignment_problem
 
 DEFAULT_MAX_LEN = 512
 
 # Picker target value marking positions excluded from the picker loss
-# (special tokens by default, padding always).
+# (special tokens and padding).
 IGNORE_MARK = -1.0
 
 
@@ -56,7 +57,7 @@ class EncodedSample:
     input_ids: tuple[int, ...]
     segments: tuple[Segment, ...]
     picker_targets: tuple[float, ...]
-    label_mode: str  # soft | hard | defined | none
+    label_mode: str  # soft | hard | none
     decoder_input: tuple[int, ...] | None = None
     decoder_target: tuple[int, ...] | None = None
 
@@ -79,10 +80,7 @@ class EncodedBatch:
     decoder_input: np.ndarray | None  # (B, T) int64
     decoder_target: np.ndarray | None  # (B, T) int64
     target_mask: np.ndarray | None  # (B, T) float64
-    input_lengths: tuple[int, ...]
-    target_lengths: tuple[int, ...] | None
     label_mode: str
-    ids: tuple[str, ...]
 
 
 def build_input(
@@ -137,26 +135,19 @@ def build_target(
     return [SOS_ID] + ids, ids + [EOS_ID]
 
 
-def align_labels(
-    labels: PickerLabels,
-    segments: list[Segment],
-    ignore_special: bool = True,
-) -> list[float]:
+def align_labels(labels: PickerLabels, segments: list[Segment]) -> list[float]:
     """Map word-level picker labels onto serialized positions.
 
-    A word serialized as several tokens (subword granularity) expands B to
-    B I I..., replicates O and soft scores; incomplete-utterance words get
-    the O class / score 0; special tokens get the ignore mark (or O/0 when
-    ignore_special is off); padding is handled at collate time.
+    Context words take their own label; incomplete-utterance words get the
+    O class / score 0; special tokens get the ignore mark; padding is
+    handled at collate time.
     """
     rows = labels.tags if labels.tags is not None else labels.scores
     soft = labels.mode == "soft"
-    special_value = IGNORE_MARK if ignore_special else 0.0
     out: list[float] = []
-    prev_key: tuple[int, int] | None = None
     for seg in segments:
         if seg.kind in ("x1", "x2", "eos"):
-            out.append(special_value)
+            out.append(IGNORE_MARK)
         elif seg.kind == "incomplete":
             out.append(0.0)
         else:
@@ -172,14 +163,7 @@ def align_labels(
                     f"word index {seg.word} out of range"
                 )
             value = row[seg.word]
-            if soft:
-                out.append(float(value))
-            else:
-                tag = value
-                if prev_key == (seg.utterance, seg.word) and tag == "B":
-                    tag = "I"  # continuation piece of a B word
-                out.append(float(BIO_TO_CLASS[tag]))
-        prev_key = (seg.utterance, seg.word)
+            out.append(float(value) if soft else float(BIO_TO_CLASS[value]))
     return out
 
 
@@ -189,62 +173,32 @@ def encode_sample(
     cfg: LanguageConfig,
     labels: PickerLabels | None = None,
     max_len: int = DEFAULT_MAX_LEN,
-    ignore_special: bool = True,
-    with_target: bool = True,
 ) -> EncodedSample:
     input_ids, segments = build_input(sample, vocab, cfg, max_len)
     if labels is not None:
-        _check_word_counts(sample, labels, cfg)
-        picker = align_labels(labels, segments, ignore_special)
+        problem = alignment_problem(sample, labels, cfg)
+        if problem:
+            raise EncodingError(f"sample {sample.id!r}: {problem}")
+        picker = align_labels(labels, segments)
         mode = labels.mode
     else:
         picker = [IGNORE_MARK] * len(input_ids)
         mode = "none"
-    dec_in = dec_out = None
-    if with_target:
-        if sample.reference is None:
-            raise EncodingError(f"sample {sample.id!r}: no reference to encode")
-        dec_in, dec_out = build_target(sample.reference, vocab, cfg)
+    if sample.reference is None:
+        raise EncodingError(f"sample {sample.id!r}: no reference to encode")
+    dec_in, dec_out = build_target(sample.reference, vocab, cfg)
     return EncodedSample(
         id=sample.id,
         input_ids=tuple(input_ids),
         segments=tuple(segments),
         picker_targets=tuple(picker),
         label_mode=mode,
-        decoder_input=tuple(dec_in) if dec_in is not None else None,
-        decoder_target=tuple(dec_out) if dec_out is not None else None,
+        decoder_input=tuple(dec_in),
+        decoder_target=tuple(dec_out),
     )
 
 
-def encode_labeled(
-    labeled: LabeledSample,
-    vocab: Vocabulary,
-    cfg: LanguageConfig,
-    max_len: int = DEFAULT_MAX_LEN,
-    ignore_special: bool = True,
-) -> EncodedSample:
-    return encode_sample(
-        labeled.sample, vocab, cfg, labeled.labels, max_len, ignore_special
-    )
-
-
-def _check_word_counts(sample, labels, cfg) -> None:
-    lengths = labels.per_utterance_lengths()
-    if len(lengths) != len(sample.context):
-        raise EncodingError(
-            f"sample {sample.id!r}: {len(lengths)} label rows for "
-            f"{len(sample.context)} context utterances"
-        )
-    for k, (utterance, n) in enumerate(zip(sample.context, lengths)):
-        words = len(tokenize(utterance, cfg))
-        if words != n:
-            raise EncodingError(
-                f"sample {sample.id!r}: utterance {k} has {words} words "
-                f"but {n} labels"
-            )
-
-
-def collate(samples: list[EncodedSample], pad_id: int = 0) -> EncodedBatch:
+def collate(samples: list[EncodedSample]) -> EncodedBatch:
     """Right-pad a homogeneous list of encoded samples into batch arrays."""
     if not samples:
         raise EncodingError("cannot collate an empty batch")
@@ -253,7 +207,7 @@ def collate(samples: list[EncodedSample], pad_id: int = 0) -> EncodedBatch:
         raise EncodingError(f"mixed label modes in one batch: {sorted(modes)}")
     batch = len(samples)
     max_in = max(len(s.input_ids) for s in samples)
-    input_ids = np.full((batch, max_in), pad_id, dtype=np.int64)
+    input_ids = np.full((batch, max_in), PAD_ID, dtype=np.int64)
     input_mask = np.zeros((batch, max_in))
     picker = np.full((batch, max_in), IGNORE_MARK)
     for i, s in enumerate(samples):
@@ -263,20 +217,18 @@ def collate(samples: list[EncodedSample], pad_id: int = 0) -> EncodedBatch:
         picker[i, :n] = s.picker_targets
     has_target = samples[0].decoder_input is not None
     dec_in = dec_out = tgt_mask = None
-    tgt_lengths = None
     if has_target:
         if any(s.decoder_input is None for s in samples):
             raise EncodingError("mixed presence of decoder targets in one batch")
         max_t = max(len(s.decoder_input) for s in samples)
-        dec_in = np.full((batch, max_t), pad_id, dtype=np.int64)
-        dec_out = np.full((batch, max_t), pad_id, dtype=np.int64)
+        dec_in = np.full((batch, max_t), PAD_ID, dtype=np.int64)
+        dec_out = np.full((batch, max_t), PAD_ID, dtype=np.int64)
         tgt_mask = np.zeros((batch, max_t))
         for i, s in enumerate(samples):
             t = len(s.decoder_input)
             dec_in[i, :t] = s.decoder_input
             dec_out[i, :t] = s.decoder_target
             tgt_mask[i, :t] = 1.0
-        tgt_lengths = tuple(len(s.decoder_input) for s in samples)
     return EncodedBatch(
         input_ids=input_ids,
         input_mask=input_mask,
@@ -284,22 +236,6 @@ def collate(samples: list[EncodedSample], pad_id: int = 0) -> EncodedBatch:
         decoder_input=dec_in,
         decoder_target=dec_out,
         target_mask=tgt_mask,
-        input_lengths=tuple(len(s.input_ids) for s in samples),
-        target_lengths=tgt_lengths,
         label_mode=samples[0].label_mode,
-        ids=tuple(s.id for s in samples),
     )
 
-
-def utterance_boundaries(segments: list[Segment]) -> dict:
-    """Recover utterance structure from a segment map: context utterance
-    index -> (start, end) position span, plus the incomplete span."""
-    spans: dict = {"context": {}, "incomplete": None}
-    for pos, seg in enumerate(segments):
-        if seg.kind == "context":
-            lo, hi = spans["context"].get(seg.utterance, (pos, pos))
-            spans["context"][seg.utterance] = (min(lo, pos), max(hi, pos + 1))
-        elif seg.kind == "incomplete":
-            lo, hi = spans["incomplete"] or (pos, pos)
-            spans["incomplete"] = (min(lo, pos), max(hi, pos + 1))
-    return spans

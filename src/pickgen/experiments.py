@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import LanguageConfig, build_vocab
+from .corpus import LanguageConfig, build_vocab, tokenize
 from .decoding import (
     default_max_decode_len,
     predict_picker_tags,
@@ -20,7 +20,6 @@ from .labeling import EmbeddingTable, label_corpus
 from .metrics import exact_match, picker_f1, restoration_f
 from .synth import generate_corpus
 from .training import TrainConfig, make_model_config, train
-from .corpus import tokenize
 
 
 @dataclass

@@ -16,13 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textnorm
-from .corpus import CorpusError, DialogueSample, LanguageConfig, sample_to_record, tokenize
+from .corpus import (
+    DialogueSample,
+    LanguageConfig,
+    _parse_record,
+    sample_to_record,
+    tokenize,
+)
 
 # Largest float64 strictly below 1.0; non-exact cosine scores are capped
 # here so that a score of exactly 1.0 always means an exact string match.
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
-LABEL_MODES = ("soft", "hard", "defined")
+LABEL_MODES = ("soft", "hard")
 BIO_TAGS = ("O", "B", "I")
 BIO_TO_CLASS = {"O": 0, "B": 1, "I": 2}
 
@@ -99,7 +105,7 @@ class ClueTokenSet:
 
 @dataclass(frozen=True)
 class PickerLabels:
-    """Per-context-word supervision: BIO tags (hard/defined) or soft scores."""
+    """Per-context-word supervision: BIO tags (hard) or soft scores."""
 
     mode: str
     tags: tuple[tuple[str, ...], ...] | None = None
@@ -236,7 +242,7 @@ def label_sample(
     cfg: LanguageConfig,
 ) -> LabeledSample:
     """Run the full labeling pipeline over one sample."""
-    if mode not in ("soft", "hard"):
+    if mode not in LABEL_MODES:
         raise LabelError(f"label_sample supports soft|hard, got {mode!r}")
     if sample.reference is None:
         raise LabelError(f"sample {sample.id!r}: labels require a reference")
@@ -306,19 +312,15 @@ def load_labeled_corpus(path: str, cfg: LanguageConfig) -> list[LabeledSample]:
             if "labels" not in record:
                 raise LabelError(f"{path}:{lineno}: missing 'labels' field")
             raw = record.pop("labels")
-            sample = _record_to_sample(record, path, lineno, default_id=len(out))
+            sample = _parse_record(record, path, lineno, default_id=len(out))
             labels = _parse_labels(raw, path, lineno)
-            _check_alignment(sample, labels, cfg, path, lineno)
+            problem = alignment_problem(sample, labels, cfg)
+            if problem:
+                raise LabelError(f"{path}:{lineno}: {problem}")
             out.append(LabeledSample(sample, labels))
     if not out:
         raise LabelError(f"{path}: labeled corpus file is empty")
     return out
-
-
-def _record_to_sample(record, path, lineno, default_id) -> DialogueSample:
-    from .corpus import _parse_record
-
-    return _parse_record(record, path, lineno, default_id)
 
 
 def _parse_labels(raw, path: str, lineno: int) -> PickerLabels:
@@ -335,20 +337,19 @@ def _parse_labels(raw, path: str, lineno: int) -> PickerLabels:
         raise LabelError(f"{path}:{lineno}: bad labels ({exc})") from exc
 
 
-def _check_alignment(sample, labels, cfg, path, lineno) -> None:
+def alignment_problem(
+    sample: DialogueSample, labels: PickerLabels, cfg: LanguageConfig
+) -> str | None:
+    """Why the label rows do not match the sample's context utterances word
+    for word, or None when they do."""
     lengths = labels.per_utterance_lengths()
     if len(lengths) != len(sample.context):
-        raise LabelError(
-            f"{path}:{lineno}: {len(lengths)} label rows for "
-            f"{len(sample.context)} context utterances"
-        )
+        return f"{len(lengths)} label rows for {len(sample.context)} context utterances"
     for k, (utterance, n) in enumerate(zip(sample.context, lengths)):
-        words = tokenize(utterance, cfg)
-        if len(words) != n:
-            raise LabelError(
-                f"{path}:{lineno}: utterance {k} has {len(words)} words "
-                f"but {n} labels"
-            )
+        words = len(tokenize(utterance, cfg))
+        if words != n:
+            return f"utterance {k} has {words} words but {n} labels"
+    return None
 
 
 def label_density(labeled: list[LabeledSample]) -> float:
@@ -368,7 +369,7 @@ def label_density(labeled: list[LabeledSample]) -> float:
 
 
 def important_token_set(labeled: LabeledSample, cfg: LanguageConfig) -> frozenset[str]:
-    """Normalized forms of the context words a hard/defined labeling marks.
+    """Normalized forms of the context words a hard labeling marks.
 
     Used by the pickup-ratio metric; soft labels threshold at > 0.5.
     """

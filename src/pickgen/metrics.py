@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import DialogueSample, LanguageConfig, tokenize
 from .labeling import EmbeddingTable, LabeledSample, important_token_set, label_sample, normalize
@@ -167,30 +167,14 @@ def length_difference(pairs: list[tuple[str, str]]) -> float:
     ) / len(pairs)
 
 
-def _validate_buckets(buckets) -> None:
-    ordered = sorted(buckets, key=lambda b: b[1])
-    if ordered[0][1] != 0:
-        raise MetricError("buckets must start at 0")
-    for (_, _, hi), (_, lo_next, _) in zip(ordered, ordered[1:]):
-        if hi is None:
-            raise MetricError("only the last bucket may be unbounded")
-        if lo_next != hi + 1:
-            raise MetricError("buckets must partition [0, inf) without overlap")
-    if ordered[-1][2] is not None:
-        raise MetricError("last bucket must be unbounded")
-
-
 def bleu_by_length(
-    triples: list[tuple[list[str], list[str], int]],
-    n: int = 2,
-    buckets=DEFAULT_BUCKETS,
+    triples: list[tuple[list[str], list[str], int]], n: int = 2
 ) -> tuple[dict[str, float], dict[str, int]]:
-    """Corpus BLEU-n per input-length bucket; triples carry the input
-    character length; empty buckets are absent from the result."""
-    _validate_buckets(buckets)
+    """Corpus BLEU-n per DEFAULT_BUCKETS input-length bucket; triples carry
+    the input character length; empty buckets are absent from the result."""
     grouped: dict[str, list[tuple[list[str], list[str]]]] = {}
     for pred, ref, length in triples:
-        for label, lo, hi in buckets:
+        for label, lo, hi in DEFAULT_BUCKETS:
             if length >= lo and (hi is None or length <= hi):
                 grouped.setdefault(label, []).append((pred, ref))
                 break
@@ -240,7 +224,6 @@ class EvalReport:
     bleu_by_length: dict[str, float]
     bucket_counts: dict[str, int]
     sample_count: int
-    extras: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -259,7 +242,6 @@ class EvalReport:
             "bleu_by_length": self.bleu_by_length,
             "bucket_counts": self.bucket_counts,
             "sample_count": self.sample_count,
-            **({"extras": self.extras} if self.extras else {}),
         }
 
     def to_json(self) -> str:
@@ -300,12 +282,11 @@ def evaluate(
     labeled: list[LabeledSample] | None = None,
     pickup_mode: str = "any",
     bucket_bleu_n: int = 2,
-    buckets=DEFAULT_BUCKETS,
     emb: EmbeddingTable | None = None,
 ) -> EvalReport:
     """Aggregate every reported metric over a prediction/gold pairing.
 
-    Pickup ratio uses the provided hard/defined labels when given;
+    Pickup ratio uses the provided labels when given;
     otherwise hard labels are derived on the fly with the (hash-fallback)
     embedding table.
     """
@@ -358,7 +339,7 @@ def evaluate(
         (pred_tokens[s.id], ref_tokens[s.id], input_char_length(s, cfg))
         for s in gold
     ]
-    bucket_scores, bucket_counts = bleu_by_length(triples, bucket_bleu_n, buckets)
+    bucket_scores, bucket_counts = bleu_by_length(triples, bucket_bleu_n)
     return EvalReport(
         rouge1=100.0 * rouge1,
         rouge2=100.0 * rouge2,

@@ -23,7 +23,7 @@ from .encoding import (
     collate,
     encode_sample,
 )
-from .labeling import LabeledSample
+from .labeling import LABEL_MODES, LabeledSample
 from .model import (
     ModelConfig,
     ModelParameters,
@@ -58,7 +58,7 @@ class TrainConfig:
     batch_size: int = 12
     epochs: int = 6
     seed: int = 0
-    label_mode: str = "hard"  # soft | hard | defined | none
+    label_mode: str = "hard"  # one of LABEL_MODES, or "none"
     subsample_fraction: float = 1.0
     checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = off
     grad_clip: float = 1.0  # global-norm cap; 0 disables clipping
@@ -71,26 +71,8 @@ class TrainConfig:
             raise TrainingError("subsample_fraction must lie in (0, 1]")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
-        if self.label_mode not in ("soft", "hard", "defined", "none"):
+        if self.label_mode not in (*LABEL_MODES, "none"):
             raise TrainingError(f"unknown label mode {self.label_mode!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "picker_weight": self.picker_weight,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "weight_decay": self.weight_decay,
-            "adam_eps": self.adam_eps,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "label_mode": self.label_mode,
-            "subsample_fraction": self.subsample_fraction,
-            "checkpoint_every": self.checkpoint_every,
-            "grad_clip": self.grad_clip,
-            "max_len": self.max_len,
-        }
 
 
 @dataclass
@@ -255,9 +237,7 @@ def _as_items(corpus, cfg: TrainConfig):
                     f"sample {sample.id!r} lacks labels required by "
                     f"label mode {cfg.label_mode!r}"
                 )
-            if labels.mode != cfg.label_mode and not (
-                cfg.label_mode == "defined" and labels.mode in ("hard", "defined")
-            ):
+            if labels.mode != cfg.label_mode:
                 raise TrainingError(
                     f"sample {sample.id!r} carries {labels.mode!r} labels, "
                     f"config wants {cfg.label_mode!r}"
@@ -268,8 +248,8 @@ def _as_items(corpus, cfg: TrainConfig):
 def _validate_model_cfg(cfg: TrainConfig, model_cfg: ModelConfig) -> None:
     if cfg.label_mode == "soft" and model_cfg.picker_arity != 1:
         raise TrainingError("soft labels need picker_arity 1")
-    if cfg.label_mode in ("hard", "defined") and model_cfg.picker_arity != 3:
-        raise TrainingError("hard/defined labels need picker_arity 3")
+    if cfg.label_mode == "hard" and model_cfg.picker_arity != 3:
+        raise TrainingError("hard labels need picker_arity 3")
 
 
 def train(
@@ -280,8 +260,6 @@ def train(
     lang_cfg: LanguageConfig,
     out_dir: str | None = None,
     vocab_sha256: str | None = None,
-    initial: ModelParameters | None = None,
-    ignore_special: bool = True,
 ) -> TrainResult:
     """Joint training: shuffled seeded mini-batches, forward, joint loss,
     exact backward, clipped AdamW steps; emits a per-step loss log and
@@ -300,11 +278,10 @@ def train(
             lang_cfg,
             labels=labels if use_picker else None,
             max_len=cfg.max_len,
-            ignore_special=ignore_special,
         )
         for sample, labels in items
     ]
-    params = initial if initial is not None else init_parameters(model_cfg)
+    params = init_parameters(model_cfg)
     state = TrainState.fresh(params)
     shuffle_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))

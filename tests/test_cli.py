@@ -12,8 +12,10 @@ import sys
 import pytest
 
 from pickgen.cli import main
-from pickgen.corpus import save_corpus
+from pickgen.corpus import RESERVED_TOKENS, Vocabulary, save_corpus
+from pickgen.model import init_parameters, save_checkpoint
 from pickgen.synth import generate_corpus
+from pickgen.training import make_model_config
 
 TINY_CONFIG = {
     "vocab_size": 300,
@@ -332,6 +334,32 @@ class TestRestoreAndEvaluate:
             "--out-dir", str(tmp_path / "out"), "--config", config,
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("nbest", ["1", "2"])
+    def test_restore_checks_vocab_size_at_any_nbest(self, tmp_path, nbest,
+                                                     capsys):
+        # no recorded vocab digest, so only the size check can catch this
+        corpus = run_synth(tmp_path)
+        params = init_parameters(make_model_config(
+            45, "hard", d_model=8, num_layers=1, num_heads=2, ffn_dim=16,
+            picker_hidden=(4,), rel_pos_buckets=8, rel_pos_max_distance=16,
+            dropout=0.0))
+        train_dir = tmp_path / "train"
+        train_dir.mkdir()
+        save_checkpoint(params, str(train_dir / "checkpoint.bin"), None)
+        words = [f"w{i}" for i in range(20 - len(RESERVED_TOKENS))]
+        Vocabulary.from_tokens([*RESERVED_TOKENS, *words]).save(
+            str(train_dir / "vocab.json"))
+        out_dir = tmp_path / "restore"
+        code = main([
+            "restore", "--in", str(corpus),
+            "--checkpoint", str(train_dir / "checkpoint.bin"),
+            "--out-dir", str(out_dir), "--nbest", nbest,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint expects vocabulary of 45 tokens, got 20" in err
+        assert not (out_dir / "predictions.jsonl").exists()
 
     def test_evaluate_on_labeled_gold(self, pipeline, capsys):
         tmp_path, config, corpus, labeled, train_dir = pipeline

@@ -190,6 +190,10 @@ class TestBeamMechanics:
         with pytest.raises(InferenceError):
             beam_search(toy_params(0), [4, 5, 3], beam_size=0)
 
+    def test_bad_nbest(self):
+        with pytest.raises(InferenceError, match="nbest"):
+            beam_search(toy_params(0), [4, 5, 3], beam_size=2, nbest=0)
+
 
 class TestDefaultMaxDecodeLen:
     def test_from_reference_lengths(self):

@@ -1,6 +1,8 @@
 """Tests for input serialization, teacher forcing, label alignment, and
 batch collation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +26,7 @@ from pickgen.encoding import (
     build_input,
     build_target,
     collate,
-    encode_labeled,
     encode_sample,
-    utterance_boundaries,
 )
 from pickgen.labeling import EmbeddingTable, PickerLabels, label_sample
 
@@ -142,22 +142,6 @@ class TestAlignLabels:
         out = align_labels(labels, self._segments())
         assert out == [0.9, 0.2, IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
-    def test_specials_scored_zero_when_not_ignored(self):
-        labels = PickerLabels("hard", tags=(("B", "O"),))
-        out = align_labels(labels, self._segments(), ignore_special=False)
-        assert out == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-
-    def test_multi_token_word_expands_b_to_b_i(self):
-        # a word serialized as three pieces: B becomes B I I
-        segments = [
-            Segment("context", 0, 0), Segment("context", 0, 0),
-            Segment("context", 0, 0), Segment("context", 0, 1),
-            Segment("x2", -1, -1), Segment("eos", -1, -1),
-        ]
-        labels = PickerLabels("hard", tags=(("B", "O"),))
-        out = align_labels(labels, segments)
-        assert out[:4] == [1.0, 2.0, 2.0, 0.0]
-
     def test_multi_token_word_replicates_soft(self):
         segments = [
             Segment("context", 0, 0), Segment("context", 0, 0),
@@ -190,7 +174,7 @@ class TestEncodeSample:
         sample = self._sample()
         vocab = build_vocab([sample], 100, ENGLISH)
         labeled = label_sample(sample, "hard", EmbeddingTable(), ENGLISH)
-        enc = encode_labeled(labeled, vocab, ENGLISH)
+        enc = encode_sample(sample, vocab, ENGLISH, labeled.labels)
         assert enc.id == "7"
         assert enc.label_mode == "hard"
         assert enc.picker_targets[:5] == (1.0, 0.0, 0.0, 0.0, IGNORE_MARK)
@@ -206,17 +190,11 @@ class TestEncodeSample:
         assert enc.label_mode == "none"
         assert set(enc.picker_targets) == {IGNORE_MARK}
 
-    def test_without_target(self):
-        sample = DialogueSample(("a",), "u", None, "0")
-        vocab = build_vocab([sample], 100, ENGLISH)
-        enc = encode_sample(sample, vocab, ENGLISH, with_target=False)
-        assert enc.decoder_input is None
-
     def test_missing_reference_rejected(self):
         sample = DialogueSample(("a",), "u", None, "0")
         vocab = build_vocab([sample], 100, ENGLISH)
         with pytest.raises(EncodingError, match="no reference"):
-            encode_sample(sample, vocab, ENGLISH, with_target=True)
+            encode_sample(sample, vocab, ENGLISH)
 
     def test_label_word_count_mismatch_names_utterance(self):
         sample = DialogueSample(("a b", "c"), "u", "a u", "0")
@@ -250,8 +228,6 @@ class TestCollate:
         assert batch.input_mask[0, :n].tolist() == [1.0] * n
         assert (batch.input_mask[0, n:] == 0.0).all()
         assert (batch.picker_targets[0, n:] == IGNORE_MARK).all()
-        assert batch.input_lengths == (n, len(b.input_ids))
-        assert batch.ids == ("a", "b")
 
     def test_mixed_label_modes_rejected(self):
         sample = DialogueSample(("a",), "u", "a u", "0")
@@ -276,17 +252,7 @@ class TestCollate:
         sample = DialogueSample(("a",), "u", "a u", "0")
         vocab = build_vocab([sample], 100, ENGLISH)
         with_t = encode_sample(sample, vocab, ENGLISH)
-        without = encode_sample(sample, vocab, ENGLISH, with_target=False)
+        without = replace(with_t, decoder_input=None, decoder_target=None)
         with pytest.raises(EncodingError, match="mixed presence"):
             collate([with_t, without])
 
-
-class TestUtteranceBoundaries:
-    def test_spans(self):
-        sample = DialogueSample(("a b", "c"), "d e", "c d e", "0")
-        vocab = build_vocab([sample], 100, ENGLISH)
-        _, segments = build_input(sample, vocab, ENGLISH)
-        spans = utterance_boundaries(segments)
-        assert spans["context"][0] == (0, 2)
-        assert spans["context"][1] == (3, 4)
-        assert spans["incomplete"] == (5, 7)

@@ -319,6 +319,17 @@ class TestLabeledIO:
         with pytest.raises(LabelError, match="1 labels"):
             load_labeled_corpus(path, ENGLISH)
 
+    def test_defined_mode_rejected_with_line(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"context": ["a"], "utterance": "u", "reference": "r",'
+            ' "labels": {"mode": "hard", "tags": [["O"]]}}\n'
+            '{"context": ["a"], "utterance": "u", "reference": "a u",'
+            ' "labels": {"mode": "defined", "tags": [["B"]]}}\n',
+            encoding="utf-8")
+        with pytest.raises(LabelError, match=r"old\.jsonl:2: .*'defined'"):
+            load_labeled_corpus(path, ENGLISH)
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(

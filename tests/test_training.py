@@ -283,7 +283,7 @@ class TestMakeModelConfig:
         assert cfg.picker_widths[-1] == 1
 
     def test_hard_mode_gets_arity_three(self):
-        for mode in ("hard", "defined", "none"):
+        for mode in ("hard", "none"):
             cfg = make_model_config(100, mode)
             assert cfg.picker_arity == 3
 
@@ -387,12 +387,9 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match="arity"):
             train(data, TrainConfig(label_mode="soft"), mcfg, vocab, ENGLISH)
 
-    def test_defined_mode_accepts_hard_labels(self):
-        data, vocab, mcfg = _tiny_setup("hard")
-        result = train(data, TrainConfig(epochs=1, batch_size=4,
-                                         label_mode="defined"),
-                       mcfg, vocab, ENGLISH)
-        assert result.trained_samples == 4
+    def test_defined_mode_rejected(self):
+        with pytest.raises(TrainingError, match="unknown label mode"):
+            TrainConfig(label_mode="defined")
 
     def test_empty_corpus_rejected(self):
         _, vocab, mcfg = _tiny_setup()
@@ -415,13 +412,6 @@ class TestTrainLoop:
         loaded, manifest = load_checkpoint(tmp_path / "checkpoint.bin")
         assert manifest["vocab_sha256"] == "ff" * 32
 
-    def test_resume_from_initial_parameters(self):
-        data, vocab, mcfg = _tiny_setup()
-        first = train(data, TrainConfig(epochs=1, batch_size=4), mcfg,
-                      vocab, ENGLISH)
-        second = train(data, TrainConfig(epochs=1, batch_size=4), mcfg,
-                       vocab, ENGLISH, initial=first.state.params)
-        assert second.state.step == 1
 
 
 class TestLossLog:
