@@ -180,16 +180,13 @@ class Tensor:
         data = np.maximum(self.data, 0.0)
         return Tensor._make(data, (self,), lambda g: (g * (self.data > 0.0),))
 
-    def log(self) -> "Tensor":
-        return Tensor._make(
-            np.log(self.data), (self,), lambda g: (g / self.data,)
-        )
-
-    def sigmoid(self) -> "Tensor":
+    def softplus(self) -> "Tensor":
+        """log(1 + exp(x)), finite at any x; its derivative is sigmoid(x)."""
         x = self.data
-        data = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return Tensor._make(data, (self,), lambda g: (g * data * (1.0 - data),))
+        e = np.exp(-np.abs(x))
+        data = np.maximum(x, 0.0) + np.log1p(e)
+        sig = np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+        return Tensor._make(data, (self,), lambda g: (g * sig,))
 
     def softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
@@ -202,10 +199,16 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward_fn)
 
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        data = np.clip(self.data, lo, hi)
-        mask = (self.data >= lo) & (self.data <= hi)
-        return Tensor._make(data, (self,), lambda g: (g * mask,))
+    def log_softmax(self, axis: int = -1) -> "Tensor":
+        """log(softmax(x)) by max-shift, finite however far a logit lies
+        below the maximum."""
+        shifted = self.data - self.data.max(axis=axis, keepdims=True)
+        data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+        def backward_fn(g):
+            return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)
+
+        return Tensor._make(data, (self,), backward_fn)
 
     # -- indexing -----------------------------------------------------------
 

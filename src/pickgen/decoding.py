@@ -70,9 +70,8 @@ def _next_log_probs(
     ids = np.asarray(prefixes, dtype=np.int64)
     tiled = _tile_encoder(enc, len(prefixes))
     with no_grad():
-        dists = decode_forward(tiled, ids, params)
-    last = dists.data[:, -1, :]
-    return np.log(np.maximum(last, 1e-300))
+        logits = decode_forward(tiled, ids, params)
+        return Tensor(logits.data[:, -1, :]).log_softmax().data
 
 
 def greedy_decode(
@@ -250,8 +249,7 @@ def predict_picker_tags(
     mask = np.ones_like(ids, dtype=np.float64)
     with no_grad():
         enc = encode(ids, mask, params)
-        probs = picker_forward(enc, params).data[0]  # (L, 3)
-    classes = probs.argmax(axis=-1)
+        classes = picker_forward(enc, params).data[0].argmax(axis=-1)  # (L,)
     rows = [["O"] * len(tokenize(u, cfg)) for u in sample.context]
     for pos, seg in enumerate(segments):
         if seg.kind == "context":
@@ -279,7 +277,12 @@ def load_predictions(path: str) -> dict[str, str]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InferenceError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise InferenceError(f"{path}:{lineno}: record must be a JSON object")
             if "id" not in record or "prediction" not in record:
                 raise InferenceError(f"{path}:{lineno}: need 'id' and 'prediction'")
             if record["id"] in out:

@@ -58,8 +58,8 @@ class EncodedSample:
     segments: tuple[Segment, ...]
     picker_targets: tuple[float, ...]
     label_mode: str  # soft | hard | none
-    decoder_input: tuple[int, ...] | None = None
-    decoder_target: tuple[int, ...] | None = None
+    decoder_input: tuple[int, ...]
+    decoder_target: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.input_ids) != len(self.segments):
@@ -77,9 +77,9 @@ class EncodedBatch:
     input_ids: np.ndarray  # (B, L) int64
     input_mask: np.ndarray  # (B, L) float64, 1.0 on real tokens
     picker_targets: np.ndarray  # (B, L) float64 with IGNORE_MARK holes
-    decoder_input: np.ndarray | None  # (B, T) int64
-    decoder_target: np.ndarray | None  # (B, T) int64
-    target_mask: np.ndarray | None  # (B, T) float64
+    decoder_input: np.ndarray  # (B, T) int64
+    decoder_target: np.ndarray  # (B, T) int64
+    target_mask: np.ndarray  # (B, T) float64
     label_mode: str
 
 
@@ -210,25 +210,19 @@ def collate(samples: list[EncodedSample]) -> EncodedBatch:
     input_ids = np.full((batch, max_in), PAD_ID, dtype=np.int64)
     input_mask = np.zeros((batch, max_in))
     picker = np.full((batch, max_in), IGNORE_MARK)
+    max_t = max(len(s.decoder_input) for s in samples)
+    dec_in = np.full((batch, max_t), PAD_ID, dtype=np.int64)
+    dec_out = np.full((batch, max_t), PAD_ID, dtype=np.int64)
+    tgt_mask = np.zeros((batch, max_t))
     for i, s in enumerate(samples):
         n = len(s.input_ids)
         input_ids[i, :n] = s.input_ids
         input_mask[i, :n] = 1.0
         picker[i, :n] = s.picker_targets
-    has_target = samples[0].decoder_input is not None
-    dec_in = dec_out = tgt_mask = None
-    if has_target:
-        if any(s.decoder_input is None for s in samples):
-            raise EncodingError("mixed presence of decoder targets in one batch")
-        max_t = max(len(s.decoder_input) for s in samples)
-        dec_in = np.full((batch, max_t), PAD_ID, dtype=np.int64)
-        dec_out = np.full((batch, max_t), PAD_ID, dtype=np.int64)
-        tgt_mask = np.zeros((batch, max_t))
-        for i, s in enumerate(samples):
-            t = len(s.decoder_input)
-            dec_in[i, :t] = s.decoder_input
-            dec_out[i, :t] = s.decoder_target
-            tgt_mask[i, :t] = 1.0
+        t = len(s.decoder_input)
+        dec_in[i, :t] = s.decoder_input
+        dec_out[i, :t] = s.decoder_target
+        tgt_mask[i, :t] = 1.0
     return EncodedBatch(
         input_ids=input_ids,
         input_mask=input_mask,

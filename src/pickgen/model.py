@@ -317,10 +317,10 @@ def encode(
 
 
 def picker_forward(enc: EncoderOutput, params: ModelParameters) -> Tensor:
-    """Per-position importance prediction over the encoder output.
+    """Per-position importance logits over the encoder output.
 
-    Hard mode (arity 3): softmax over O/B/I classes, shape (B, L, 3).
-    Soft mode (arity 1): probability in (0, 1), shape (B, L).
+    Hard mode (arity 3): one logit per O/B/I class, shape (B, L, 3).
+    Soft mode (arity 1): one logit per position, shape (B, L).
     """
     cfg = params.config
     y = enc.hidden
@@ -330,8 +330,8 @@ def picker_forward(enc: EncoderOutput, params: ModelParameters) -> Tensor:
         if j < n_layers - 1:
             y = y.relu()
     if cfg.picker_arity == 1:
-        return y.sigmoid().reshape(y.shape[:-1])
-    return y.softmax(axis=-1)
+        return y.reshape(y.shape[:-1])
+    return y
 
 
 def decode_forward(
@@ -340,8 +340,8 @@ def decode_forward(
     params: ModelParameters,
     dropout_rng=None,
 ) -> Tensor:
-    """Per-step vocabulary distributions under teacher forcing; causal self
-    attention, cross attention over unmasked encoder positions."""
+    """Per-step vocabulary logits (B, T, V) under teacher forcing; causal
+    self attention, cross attention over unmasked encoder positions."""
     cfg = params.config
     ids = np.asarray(decoder_input_ids, dtype=np.int64)
     y = _dropout(embed(ids, params), cfg.dropout, dropout_rng)
@@ -363,8 +363,7 @@ def decode_forward(
         y = y + _dropout(f, cfg.dropout, dropout_rng)
         _check_finite(y, f"decoder layer {i}")
     y = _rmsnorm(y, params["dec_final_norm"])
-    logits = y @ params["lm_head"]
-    return logits.softmax(axis=-1)
+    return y @ params["lm_head"]
 
 
 def backward(loss: Tensor, params: ModelParameters) -> dict[str, np.ndarray]:

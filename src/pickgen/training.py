@@ -38,8 +38,6 @@ from .model import (
 
 logger = logging.getLogger("pickgen")
 
-PROB_FLOOR = 1e-9
-
 LOSS_LOG_HEADER = "epoch,step,picker_loss,generator_loss,joint_loss"
 
 
@@ -96,17 +94,17 @@ class TrainState:
 
 
 # ---------------------------------------------------------------------------
-# Losses. Predictions are probability tensors (picker_forward /
-# decode_forward outputs); probabilities are floored at PROB_FLOOR inside
-# the logs so a confident wrong prediction cannot produce infinities.
+# Losses. Both take logits (picker_forward / decode_forward outputs) and
+# work in log space, so a confidently wrong prediction still gets a finite
+# loss and a gradient.
 
 def picker_loss(
-    predictions: Tensor, targets: np.ndarray, mask: np.ndarray | None = None
+    logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None
 ) -> Tensor:
     """Mean picker loss over positions not carrying the ignore mark.
 
-    3-D predictions (B, L, 3): cross-entropy against BIO class ids.
-    2-D predictions (B, L): binary cross-entropy against soft scores.
+    3-D logits (B, L, 3): cross-entropy against BIO class ids.
+    2-D logits (B, L): binary cross-entropy with logits against soft scores.
     """
     targets = np.asarray(targets, dtype=np.float64)
     valid = (targets != IGNORE_MARK).astype(np.float64)
@@ -115,30 +113,25 @@ def picker_loss(
     count = valid.sum()
     if count == 0.0:
         return Tensor(0.0)
-    if predictions.data.ndim == 3:
+    if logits.data.ndim == 3:
         classes = np.where(valid > 0.0, targets, 0.0).astype(np.int64)
-        p_target = predictions.gather_index(classes)
-        per_pos = -(p_target.clip(PROB_FLOOR, 1.0).log())
+        per_pos = -logits.log_softmax().gather_index(classes)
     else:
         q = np.where(valid > 0.0, targets, 0.0)
-        p = predictions
-        per_pos = -(
-            Tensor(q) * p.clip(PROB_FLOOR, 1.0).log()
-            + Tensor(1.0 - q) * (1.0 - p).clip(PROB_FLOOR, 1.0).log()
-        )
+        per_pos = logits.softplus() - Tensor(q) * logits
     return (per_pos * Tensor(valid)).sum() * (1.0 / count)
 
 
 def generator_loss(
-    step_distributions: Tensor, target_ids: np.ndarray, mask: np.ndarray
+    step_logits: Tensor, target_ids: np.ndarray, mask: np.ndarray
 ) -> Tensor:
     """Mean negative log-likelihood of the target token over real steps."""
     mask = np.asarray(mask, dtype=np.float64)
     count = mask.sum()
     if count == 0.0:
         return Tensor(0.0)
-    p_target = step_distributions.gather_index(np.asarray(target_ids, dtype=np.int64))
-    per_step = -(p_target.clip(PROB_FLOOR, 1.0).log())
+    targets = np.asarray(target_ids, dtype=np.int64)
+    per_step = -step_logits.log_softmax().gather_index(targets)
     return (per_step * Tensor(mask)).sum() * (1.0 / count)
 
 
@@ -302,8 +295,8 @@ def train(
         for lo in range(0, len(encoded), cfg.batch_size):
             batch = collate([encoded[i] for i in order[lo : lo + cfg.batch_size]])
             enc = encode(batch.input_ids, batch.input_mask, params, dropout_rng)
-            dists = decode_forward(enc, batch.decoder_input, params, dropout_rng)
-            lg = generator_loss(dists, batch.decoder_target, batch.target_mask)
+            logits = decode_forward(enc, batch.decoder_input, params, dropout_rng)
+            lg = generator_loss(logits, batch.decoder_target, batch.target_mask)
             if use_picker:
                 preds = picker_forward(enc, params)
                 lp = picker_loss(preds, batch.picker_targets, batch.input_mask)

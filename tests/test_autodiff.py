@@ -69,34 +69,21 @@ class TestElementwiseGrads:
         a = RNG.uniform(0.5, 2.0, size=6)
         check_unary(lambda t: t.pow_const(3.0), a)
 
-    def test_log(self):
-        check_unary(lambda t: t.log(), RNG.uniform(0.1, 3.0, size=(2, 3)))
+    def test_softplus(self):
+        check_unary(lambda t: t.softplus(), RNG.standard_normal((3, 3)) * 3)
 
-    def test_sigmoid(self):
-        check_unary(lambda t: t.sigmoid(), RNG.standard_normal((3, 3)) * 3)
-
-    def test_sigmoid_extreme_inputs_stable(self):
-        t = Tensor(np.array([-1000.0, 1000.0]))
-        y = t.sigmoid().data
-        assert np.isfinite(y).all()
-        assert y[0] == pytest.approx(0.0, abs=1e-12)
-        assert y[1] == pytest.approx(1.0, abs=1e-12)
+    def test_softplus_extreme_inputs_stable(self):
+        t = parameter(np.array([-1000.0, 1000.0]))
+        y = t.softplus()
+        y.sum().backward()
+        assert y.data.tolist() == [0.0, 1000.0]
+        assert t.grad.tolist() == [0.0, 1.0]
 
     def test_relu(self):
         # keep inputs away from the kink where the derivative jumps
         a = RNG.standard_normal((4, 4))
         a[np.abs(a) < 0.05] = 0.5
         check_unary(lambda t: t.relu(), a)
-
-    def test_clip(self):
-        a = np.array([-2.0, -0.3, 0.4, 2.5])
-        w = np.array([1.5, -2.0, 3.0, 0.5])
-        check_unary(lambda t: t.clip(-1.0, 1.0) * Tensor(w), a, tol=1e-5)
-
-    def test_clip_boundary_passes_gradient(self):
-        t = parameter(np.array([1.0]))
-        t.clip(0.0, 1.0).sum().backward()
-        assert t.grad.tolist() == [1.0]
 
 
 class TestMatmulAndShapes:
@@ -191,6 +178,26 @@ class TestSoftmax:
         y = Tensor(np.array([0.0, -1e9])).softmax().data
         assert y[1] == 0.0
         assert y[0] == 1.0
+
+
+class TestLogSoftmax:
+    def test_grad_matches_finite_differences(self):
+        a = RNG.standard_normal((3, 5))
+        w = RNG.standard_normal((3, 5))
+        check_unary(lambda t: t.log_softmax() * Tensor(w), a)
+
+    def test_equals_log_of_softmax(self):
+        a = RNG.standard_normal((4, 7)) * 5
+        np.testing.assert_allclose(Tensor(a).log_softmax().data,
+                                   np.log(Tensor(a).softmax().data),
+                                   atol=1e-12)
+
+    def test_extreme_inputs_stay_finite(self):
+        t = parameter(np.array([[-1000.0, 1000.0, 0.0]]))
+        y = t.log_softmax()
+        (y * Tensor(np.array([[1.0, -2.0, 0.5]]))).sum().backward()
+        assert y.data.tolist() == [[-2000.0, 0.0, -1000.0]]
+        np.testing.assert_allclose(t.grad, [[1.0, -1.5, 0.5]], atol=1e-12)
 
 
 class TestIndexing:
@@ -320,11 +327,11 @@ class TestCompositeExpressions:
 
         def run(v):
             h = (Tensor(v) @ Tensor(w1)).relu()
-            return (h @ Tensor(w2)).sigmoid()
+            return (h @ Tensor(w2)).softplus()
 
         t = parameter(x.copy())
         h = (t @ Tensor(w1)).relu()
-        out = (h @ Tensor(w2)).sigmoid().sum()
+        out = (h @ Tensor(w2)).softplus().sum()
         out.backward()
         expected = numeric_grad(lambda v: run(v).sum().item(), x.copy())
         np.testing.assert_allclose(t.grad, expected, atol=1e-6)

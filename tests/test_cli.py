@@ -407,6 +407,25 @@ class TestRestoreAndEvaluate:
         assert code == 2
         assert "missing prediction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_line,problem", [
+        ("not json", "invalid JSON"),
+        ("5", "must be a JSON object"),
+    ])
+    def test_evaluate_bad_prediction_line(self, pipeline, capsys, bad_line,
+                                          problem):
+        tmp_path, _, corpus, _, _ = pipeline
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "0", "prediction": "x"}\n' + bad_line + "\n",
+                         encoding="utf-8")
+        code = main([
+            "evaluate", "--predictions", str(preds),
+            "--gold", str(corpus), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{preds}:2: " in err
+        assert problem in err
+
 
 class TestPipelineDeterminism:
     def test_two_runs_byte_identical(self, tmp_path, tiny_config):

@@ -165,9 +165,9 @@ class TestBeamMechanics:
                                nbest=4):
             enc = _encode_single(params, input_ids)
             with no_grad():
-                dists = decode_forward(
+                logits = decode_forward(
                     enc, np.asarray([hyp.ids[:-1]], dtype=np.int64), params)
-            logs = np.log(np.maximum(dists.data[0], 1e-300))
+            logs = logits.log_softmax().data[0]
             total = sum(float(logs[t, hyp.ids[t + 1]])
                         for t in range(len(hyp.ids) - 1))
             assert total == pytest.approx(hyp.logp, abs=1e-5)

@@ -1,8 +1,6 @@
 """Tests for input serialization, teacher forcing, label alignment, and
 batch collation."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,12 +245,3 @@ class TestCollate:
         batch = collate([a])
         assert batch.decoder_input.shape == batch.decoder_target.shape
         assert batch.target_mask.sum() == len(a.decoder_input)
-
-    def test_mixed_target_presence_rejected(self):
-        sample = DialogueSample(("a",), "u", "a u", "0")
-        vocab = build_vocab([sample], 100, ENGLISH)
-        with_t = encode_sample(sample, vocab, ENGLISH)
-        without = replace(with_t, decoder_input=None, decoder_target=None)
-        with pytest.raises(EncodingError, match="mixed presence"):
-            collate([with_t, without])
-

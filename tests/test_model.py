@@ -212,31 +212,34 @@ class TestPickerForward:
         enc = encode(np.array([[6, 7, 3]]), np.ones((1, 3)), params)
         out = picker_forward(enc, params)
         assert out.shape == (1, 3, 3)
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones((1, 3)),
-                                   atol=1e-12)
+        np.testing.assert_allclose(out.softmax().data.sum(axis=-1),
+                                   np.ones((1, 3)), atol=1e-12)
 
     def test_soft_outputs_probabilities(self):
         p = init_parameters(tiny_config(picker_widths=(6, 1), picker_arity=1))
         enc = encode(np.array([[6, 7, 3]]), np.ones((1, 3)), p)
         out = picker_forward(enc, p)
         assert out.shape == (1, 3)
-        assert ((out.data > 0) & (out.data < 1)).all()
+        probs = np.exp(out.data - out.softplus().data)  # sigmoid of the logits
+        assert ((probs > 0) & (probs < 1)).all()
 
     def test_zero_weights_give_uniform_classes(self, params):
         for name in params.picker_names():
             params[name].data[:] = 0.0
         enc = encode(np.array([[6, 7, 3]]), np.ones((1, 3)), params)
         out = picker_forward(enc, params)
-        np.testing.assert_array_equal(out.data, np.full((1, 3, 3), 1.0 / 3.0))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 3, 3)))
+        np.testing.assert_array_equal(out.softmax().data,
+                                      np.full((1, 3, 3), 1.0 / 3.0))
 
 
 class TestDecodeForward:
     def test_distributions_sum_to_one(self, params):
         enc = encode(np.array([[6, 7, 3]]), np.ones((1, 3)), params)
-        dists = decode_forward(enc, np.array([[2, 6, 7]]), params)
-        assert dists.shape == (1, 3, 12)
-        np.testing.assert_allclose(dists.data.sum(axis=-1), np.ones((1, 3)),
-                                   atol=1e-12)
+        logits = decode_forward(enc, np.array([[2, 6, 7]]), params)
+        assert logits.shape == (1, 3, 12)
+        np.testing.assert_allclose(logits.softmax().data.sum(axis=-1),
+                                   np.ones((1, 3)), atol=1e-12)
 
     def test_causality_exact(self, params):
         enc = encode(np.array([[6, 7, 3]]), np.ones((1, 3)), params)

@@ -44,84 +44,102 @@ def single_param_state(data: np.ndarray, name: str = "w") -> TrainState:
 
 class TestPickerLoss:
     def test_uniform_hard_gives_log3(self):
-        preds = Tensor(np.full((1, 3, 3), 1.0 / 3.0))
+        logits = Tensor(np.zeros((1, 3, 3)))
         targets = np.array([[0.0, 1.0, 2.0]])
-        loss = picker_loss(preds, targets)
+        loss = picker_loss(logits, targets)
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_ignore_marks_excluded(self):
-        preds = Tensor(np.stack([np.array([[1.0, 0.0, 0.0],
-                                           [1.0 / 3, 1.0 / 3, 1.0 / 3]])]))
+        logits = Tensor(np.array([[[0.0, -800.0, -800.0],
+                                   [0.0, 0.0, 0.0]]]))
         targets = np.array([[0.0, IGNORE_MARK]])
-        loss = picker_loss(preds, targets)
+        loss = picker_loss(logits, targets)
         # only the perfect position counts: -log(1) = 0
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_mask_excludes_padding(self):
-        preds = Tensor(np.full((1, 2, 3), 1.0 / 3.0))
+        logits = Tensor(np.zeros((1, 2, 3)))
         targets = np.array([[0.0, 0.0]])
         mask = np.array([[1.0, 0.0]])
-        loss = picker_loss(preds, targets, mask)
+        loss = picker_loss(logits, targets, mask)
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_all_ignored_gives_zero(self):
-        preds = Tensor(np.full((1, 2, 3), 1.0 / 3.0))
+        logits = Tensor(np.zeros((1, 2, 3)))
         targets = np.full((1, 2), IGNORE_MARK)
-        loss = picker_loss(preds, targets)
+        loss = picker_loss(logits, targets)
         assert loss.item() == 0.0
 
     def test_soft_bce_hand_value(self):
-        preds = Tensor(np.array([[0.5]]))
+        logits = Tensor(np.array([[0.0]]))
         targets = np.array([[0.5]])
-        loss = picker_loss(preds, targets)
+        loss = picker_loss(logits, targets)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_soft_perfect_confidence(self):
-        preds = Tensor(np.array([[1.0 - 1e-9, 1e-9]]))
+        logits = Tensor(np.array([[40.0, -40.0]]))
         targets = np.array([[1.0, 0.0]])
-        loss = picker_loss(preds, targets)
-        assert loss.item() == pytest.approx(1e-9, abs=1e-10)
-
-    def test_probability_floor_keeps_loss_finite(self):
-        preds = Tensor(np.array([[[1e-300, 1.0, 0.0]]]))
-        targets = np.array([[0.0]])
-        loss = picker_loss(preds, targets)
-        assert loss.item() == pytest.approx(-math.log(1e-9), rel=1e-12)
+        loss = picker_loss(logits, targets)
+        assert 0.0 <= loss.item() < 1e-17
 
     def test_gradient_flows(self):
-        preds = Tensor(np.full((1, 2, 3), 1.0 / 3.0))
         logits = parameter(np.zeros((1, 2, 3)))
-        loss = picker_loss(logits.softmax(), np.array([[1.0, 0.0]]))
+        loss = picker_loss(logits, np.array([[1.0, 0.0]]))
         loss.backward()
         assert (logits.grad != 0.0).any()
+
+    def test_confidently_wrong_hard_still_learns(self):
+        # target class 0 sits 40 below the maximum logit
+        logits = parameter(np.array([[[0.0, 40.0, 0.0]]]))
+        loss = picker_loss(logits, np.array([[0.0]]))
+        loss.backward()
+        assert loss.item() == pytest.approx(40.0, abs=1e-12)
+        assert logits.grad[0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert logits.grad[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_confidently_wrong_soft_still_learns(self):
+        logits = parameter(np.array([[-40.0]]))
+        loss = picker_loss(logits, np.array([[1.0]]))
+        loss.backward()
+        assert loss.item() == pytest.approx(40.0, abs=1e-12)
+        assert logits.grad[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestGeneratorLoss:
     def test_hand_value(self):
-        dists = Tensor(np.array([[[0.5, 0.5, 0.0, 0.0],
-                                  [0.25, 0.25, 0.25, 0.25]]]))
+        logits = Tensor(np.array([[[0.0, 0.0, -800.0, -800.0],
+                                   [0.0, 0.0, 0.0, 0.0]]]))
         targets = np.array([[0, 3]])
         mask = np.ones((1, 2))
-        loss = generator_loss(dists, targets, mask)
+        loss = generator_loss(logits, targets, mask)
         expected = (math.log(2.0) + math.log(4.0)) / 2.0
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
     def test_perfect_prediction_is_zero(self):
-        dists = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
-        loss = generator_loss(dists, np.array([[0, 1]]), np.ones((1, 2)))
+        logits = Tensor(np.array([[[0.0, -800.0], [-800.0, 0.0]]]))
+        loss = generator_loss(logits, np.array([[0, 1]]), np.ones((1, 2)))
         assert loss.item() == 0.0
 
     def test_padding_steps_excluded(self):
-        dists = Tensor(np.array([[[0.5, 0.5], [1e-12, 1.0]]]))
+        logits = Tensor(np.array([[[0.0, 0.0], [-800.0, 0.0]]]))
         mask = np.array([[1.0, 0.0]])
-        loss = generator_loss(dists, np.array([[0, 0]]), mask)
+        loss = generator_loss(logits, np.array([[0, 0]]), mask)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_empty_mask_gives_zero(self):
-        dists = Tensor(np.full((1, 2, 3), 1.0 / 3.0))
-        loss = generator_loss(dists, np.zeros((1, 2), dtype=int),
+        logits = Tensor(np.zeros((1, 2, 3)))
+        loss = generator_loss(logits, np.zeros((1, 2), dtype=int),
                               np.zeros((1, 2)))
         assert loss.item() == 0.0
+
+    def test_confidently_wrong_target_still_learns(self):
+        # target token 0 sits 40 below the maximum logit
+        logits = parameter(np.array([[[0.0, 40.0, 0.0]]]))
+        loss = generator_loss(logits, np.array([[0]]), np.ones((1, 1)))
+        loss.backward()
+        assert loss.item() == pytest.approx(40.0, abs=1e-12)
+        assert logits.grad[0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert logits.grad[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestJointLoss:
