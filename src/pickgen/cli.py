@@ -25,7 +25,7 @@ from .corpus import (
 from .decoding import (
     default_max_decode_len,
     load_predictions,
-    restore_nbest,
+    restore_ranked,
     save_predictions,
 )
 from .labeling import (
@@ -360,14 +360,14 @@ def cmd_restore(args) -> int:
     _write_effective_config(config, "restore", args.out_dir)
     out_path = os.path.join(args.out_dir, "predictions.jsonl")
     nbest = inference["nbest"]
-    rows = []
-    for sample in samples:
-        ranked = restore_nbest(
-            sample, params, vocab, lang, inference["beam_size"], max_len,
-            inference["length_penalty"], config["max_input_len"], nbest,
-        )
-        row = (sample.id, ranked[0][0])
-        rows.append(row + (ranked,) if nbest > 1 else row)
+    ranked = restore_ranked(
+        samples, params, vocab, lang, inference["beam_size"], max_len,
+        inference["length_penalty"], config["max_input_len"], nbest,
+    )
+    rows = [
+        (sample.id, best[0][0], best) if nbest > 1 else (sample.id, best[0][0])
+        for sample, best in zip(samples, ranked)
+    ]
     save_predictions(rows, out_path)
     print(f"wrote {len(samples)} predictions to {out_path}")
     return 0

@@ -1,10 +1,15 @@
-"""Restoration at inference time: greedy and beam-search decoding, plus the
-picker's tag readout.
+"""Restoration at inference time: batched beam search (greedy decoding is
+its beam-1 case) and the picker's tag readout.
 
 Scores are length-normalized cumulative log-probabilities
 (logp / generated_length ** penalty). Ties break on (score, ids) so decoding
-is fully deterministic; with beam size 1 the search reduces to greedy
-decoding exactly, including tie handling (lowest token id wins).
+is fully deterministic; with beam size 1 the search is greedy decoding,
+lowest token id first on ties.
+
+Every entry point runs the one search, `_search`: it encodes a batch of
+inputs padded to one length, then decodes every live hypothesis of the
+batch in one cached decoder call per step and picks each input's survivors
+from its whole (live x vocabulary) score matrix in numpy.
 """
 
 from __future__ import annotations
@@ -27,10 +32,13 @@ from .corpus import (
 )
 from .encoding import DEFAULT_MAX_LEN, build_input
 from .labeling import BIO_TAGS
-from .model import EncoderOutput, ModelParameters, decode_forward, encode, picker_forward
+from .model import DecoderCache, ModelParameters, decode_forward, encode, picker_forward
 
 DEFAULT_BEAM_SIZE = 8
 MAX_DECODE_LEN_CAP = 64
+# Samples encoded and decoded together when restoring a corpus. Larger
+# batches save little time and cost memory (keys and values grow with it).
+RESTORE_CHUNK = 32
 
 
 class InferenceError(ValueError):
@@ -55,44 +63,95 @@ class BeamHypothesis:
         return self.logp / length**length_penalty
 
 
-def _tile_encoder(enc: EncoderOutput, count: int) -> EncoderOutput:
-    if count == 1:
-        return enc
-    hidden = Tensor(np.repeat(enc.hidden.data, count, axis=0))
-    mask = np.repeat(enc.mask, count, axis=0)
-    return EncoderOutput(hidden=hidden, mask=mask)
+def _survivors(
+    scores: np.ndarray, prefixes: np.ndarray, source: np.ndarray, beam_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, token) of the best beam_size candidates of every source, grouped
+    by source and best first within it.
+
+    Candidates rank by score, then by their ids. All candidates of a round
+    have the same length, so the ids order is that of the parent prefix,
+    then of the token. A candidate below its row's beam_size-th best score
+    cannot survive, so only the others are sorted.
+    """
+    k = min(beam_size, scores.shape[1])
+    kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1 : k]
+    rows, tokens = np.nonzero(scores >= kth)
+    parent_rank = np.empty(len(prefixes), dtype=np.int64)
+    parent_rank[np.lexsort(prefixes.T[::-1])] = np.arange(len(prefixes))
+    order = np.lexsort((tokens, parent_rank[rows], -scores[rows, tokens], source[rows]))
+    rows, tokens = rows[order], tokens[order]
+    group = source[rows]
+    keep = np.arange(len(rows)) - np.searchsorted(group, group) < beam_size
+    return rows[keep], tokens[keep]
 
 
-def _next_log_probs(
-    params: ModelParameters, enc: EncoderOutput, prefixes: list[tuple[int, ...]]
-) -> np.ndarray:
-    """Log-probabilities of the next token for each prefix: (k, V)."""
-    ids = np.asarray(prefixes, dtype=np.int64)
-    tiled = _tile_encoder(enc, len(prefixes))
+def _search(
+    params: ModelParameters,
+    inputs: list[list[int]],
+    beam_size: int,
+    max_len: int,
+    length_penalty: float,
+    nbest: int,
+) -> list[list[BeamHypothesis]]:
+    """Breadth-limited best-first decoding of every input at once.
+
+    Each live hypothesis expands over the whole vocabulary; the top
+    beam_size candidates of each input by normalized score survive the
+    round. Candidates that just emitted EOS are set aside as finished (the
+    live set shrinks). Returns, per input, its nbest best hypotheses:
+    finished ones if any exist, else the best live ones at the cutoff.
+    """
+    if beam_size < 1:
+        raise InferenceError("beam_size must be >= 1")
+    if nbest < 1:
+        raise InferenceError("nbest must be >= 1")
+    count = len(inputs)
+    ids = np.full((count, max(map(len, inputs))), PAD_ID, dtype=np.int64)
+    mask = np.zeros(ids.shape)
+    for row, seq in enumerate(inputs):
+        ids[row, : len(seq)] = seq
+        mask[row, : len(seq)] = 1.0
+    finished: list[list[BeamHypothesis]] = [[] for _ in inputs]
     with no_grad():
-        logits = decode_forward(tiled, ids, params)
-        return Tensor(logits.data[:, -1, :]).log_softmax().data
+        enc = encode(ids, mask, params)
+        cache = DecoderCache(source=np.arange(count))
+        prefixes = np.full((count, 1), SOS_ID, dtype=np.int64)  # live ids, (R, t)
+        logp = np.zeros(count)
+        for step in range(max_len):
+            if not len(prefixes):
+                break
+            logits = decode_forward(enc, prefixes[:, -1:], params, cache=cache)
+            total = logp[:, None] + Tensor(logits.data[:, -1, :]).log_softmax().data
+            scores = total / (step + 1) ** length_penalty
+            rows, tokens = _survivors(scores, prefixes, cache.source, beam_size)
+            for row in rows[tokens == EOS_ID]:
+                finished[cache.source[row]].append(BeamHypothesis(
+                    (*prefixes[row].tolist(), EOS_ID), float(total[row, EOS_ID]), True
+                ))
+            live = tokens != EOS_ID
+            rows, tokens = rows[live], tokens[live]
+            logp = total[rows, tokens]
+            prefixes = np.concatenate([prefixes[rows], tokens[:, None]], axis=1)
+            cache.reorder(rows)
+    results = []
+    for source, done in enumerate(finished):
+        pool = done or [
+            BeamHypothesis(tuple(prefix.tolist()), float(lp))
+            for prefix, lp, row_source in zip(prefixes, logp, cache.source)
+            if row_source == source
+        ]
+        pool.sort(key=lambda h: (-h.score(length_penalty), h.ids))
+        results.append(pool[:nbest])
+    return results
 
 
 def greedy_decode(
-    params: ModelParameters,
-    input_ids: list[int],
-    max_len: int,
-    enc: EncoderOutput | None = None,
+    params: ModelParameters, input_ids: list[int], max_len: int
 ) -> list[int]:
-    """Argmax decoding (ties -> lowest id) until EOS or max_len tokens."""
-    if enc is None:
-        enc = _encode_single(params, input_ids)
-    prefix: tuple[int, ...] = (SOS_ID,)
-    out: list[int] = []
-    for _ in range(max_len):
-        log_p = _next_log_probs(params, enc, [prefix])[0]
-        token = int(np.argmax(log_p))
-        if token == EOS_ID:
-            break
-        out.append(token)
-        prefix = prefix + (token,)
-    return out
+    """Argmax decoding (ties -> lowest id) until EOS or max_len tokens: the
+    beam search at beam size 1."""
+    return list(beam_search(params, input_ids, 1, max_len)[0].generated())
 
 
 def beam_search(
@@ -102,52 +161,9 @@ def beam_search(
     max_len: int = MAX_DECODE_LEN_CAP,
     length_penalty: float = 1.0,
     nbest: int = 1,
-    enc: EncoderOutput | None = None,
 ) -> list[BeamHypothesis]:
-    """Breadth-limited best-first decoding.
-
-    Each live hypothesis expands over the whole vocabulary; the top
-    beam_size candidates by normalized score survive the round. Candidates
-    that just emitted EOS are set aside as finished (the live set shrinks).
-    Returns the nbest best hypotheses: finished ones if any exist, else the
-    best live ones at the cutoff.
-    """
-    if beam_size < 1:
-        raise InferenceError("beam_size must be >= 1")
-    if nbest < 1:
-        raise InferenceError("nbest must be >= 1")
-    if enc is None:
-        enc = _encode_single(params, input_ids)
-    live = [BeamHypothesis((SOS_ID,), 0.0)]
-    finished: list[BeamHypothesis] = []
-    for _ in range(max_len):
-        if not live:
-            break
-        log_p = _next_log_probs(params, enc, [h.ids for h in live])
-        candidates: list[BeamHypothesis] = []
-        for parent, row in zip(live, log_p):
-            for token, lp in enumerate(row):
-                candidates.append(
-                    BeamHypothesis(
-                        parent.ids + (token,),
-                        parent.logp + float(lp),
-                        finished=token == EOS_ID,
-                    )
-                )
-        candidates.sort(key=lambda h: (-h.score(length_penalty), h.ids))
-        survivors = candidates[:beam_size]
-        live = [h for h in survivors if not h.finished]
-        finished.extend(h for h in survivors if h.finished)
-    pool = finished if finished else live
-    pool = sorted(pool, key=lambda h: (-h.score(length_penalty), h.ids))
-    return pool[:nbest]
-
-
-def _encode_single(params: ModelParameters, input_ids: list[int]) -> EncoderOutput:
-    ids = np.asarray([input_ids], dtype=np.int64)
-    mask = np.ones_like(ids, dtype=np.float64)
-    with no_grad():
-        return encode(ids, mask, params)
+    """The nbest best hypotheses for one input, best first (see _search)."""
+    return _search(params, [input_ids], beam_size, max_len, length_penalty, nbest)[0]
 
 
 def default_max_decode_len(
@@ -162,6 +178,36 @@ def default_max_decode_len(
     return min(max(lengths) + 8, MAX_DECODE_LEN_CAP)
 
 
+def restore_ranked(
+    samples: list[DialogueSample],
+    params: ModelParameters,
+    vocab: Vocabulary,
+    cfg: LanguageConfig,
+    beam_size: int = DEFAULT_BEAM_SIZE,
+    max_len: int = MAX_DECODE_LEN_CAP,
+    length_penalty: float = 1.0,
+    input_max_len: int = DEFAULT_MAX_LEN,
+    nbest: int = 1,
+) -> list[list[tuple[str, float]]]:
+    """Serialize, encode, beam-search and detokenize samples, RESTORE_CHUNK
+    at a time: per sample, its nbest best restorations as (text, normalized
+    score) pairs, best first."""
+    if params.config.vocab_size != len(vocab):
+        raise InferenceError(
+            f"checkpoint expects vocabulary of {params.config.vocab_size} "
+            f"tokens, got {len(vocab)}"
+        )
+    ranked = []
+    for start in range(0, len(samples), RESTORE_CHUNK):
+        chunk = samples[start : start + RESTORE_CHUNK]
+        inputs = [build_input(s, vocab, cfg, input_max_len)[0] for s in chunk]
+        for hyps in _search(params, inputs, beam_size, max_len, length_penalty, nbest):
+            ranked.append(
+                [(hypothesis_text(h, vocab, cfg), h.score(length_penalty)) for h in hyps]
+            )
+    return ranked
+
+
 def restore_nbest(
     sample: DialogueSample,
     params: ModelParameters,
@@ -173,16 +219,11 @@ def restore_nbest(
     input_max_len: int = DEFAULT_MAX_LEN,
     nbest: int = 1,
 ) -> list[tuple[str, float]]:
-    """Serialize, encode, beam-search, and detokenize one sample: its nbest
-    best restorations as (text, normalized score) pairs, best first."""
-    if params.config.vocab_size != len(vocab):
-        raise InferenceError(
-            f"checkpoint expects vocabulary of {params.config.vocab_size} "
-            f"tokens, got {len(vocab)}"
-        )
-    input_ids, _ = build_input(sample, vocab, cfg, input_max_len)
-    ranked = beam_search(params, input_ids, beam_size, max_len, length_penalty, nbest)
-    return [(hypothesis_text(h, vocab, cfg), h.score(length_penalty)) for h in ranked]
+    """The nbest best restorations of one sample (see restore_ranked)."""
+    return restore_ranked(
+        [sample], params, vocab, cfg, beam_size, max_len, length_penalty,
+        input_max_len, nbest,
+    )[0]
 
 
 def restore(
@@ -221,16 +262,10 @@ def restore_corpus(
     """Restorations for a corpus, order-preserving, as (id, text) pairs."""
     if max_len is None:
         max_len = default_max_decode_len(samples, cfg)
-    return [
-        (
-            sample.id,
-            restore(
-                sample, params, vocab, cfg, beam_size, max_len,
-                length_penalty, input_max_len,
-            ),
-        )
-        for sample in samples
-    ]
+    ranked = restore_ranked(
+        samples, params, vocab, cfg, beam_size, max_len, length_penalty, input_max_len
+    )
+    return [(sample.id, best[0][0]) for sample, best in zip(samples, ranked)]
 
 
 def predict_picker_tags(

@@ -308,7 +308,12 @@ def load_labeled_corpus(path: str, cfg: LanguageConfig) -> list[LabeledSample]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LabelError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise LabelError(f"{path}:{lineno}: record must be a JSON object")
             if "labels" not in record:
                 raise LabelError(f"{path}:{lineno}: missing 'labels' field")
             raw = record.pop("labels")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,6 +182,28 @@ class EncoderOutput:
     mask: np.ndarray  # (B, L), 1.0 on real tokens
 
 
+@dataclass
+class DecoderCache:
+    """Attention keys and values of the positions decoded so far, so that
+    each decoding step feeds only the newest token of every row.
+
+    Decoder rows are hypotheses; source[r] is the encoder row that row r
+    decodes, non-decreasing over r. Self-attention keys and values are held
+    per decoder row, cross-attention ones once per encoder row.
+    """
+
+    source: np.ndarray  # (R,)
+    length: int = 0  # decoder positions held
+    self_kv: list = field(default_factory=list)  # per layer, (R, H, T, dk) arrays
+    cross_kv: list = field(default_factory=list)  # per layer, (S, H, L, dk) tensors
+
+    def reorder(self, rows: np.ndarray) -> None:
+        """Keep decoder rows `rows` (repeats allowed), in that order; their
+        sources must stay non-decreasing."""
+        self.source = self.source[rows]
+        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+
+
 # ---------------------------------------------------------------------------
 # Building blocks
 
@@ -229,13 +251,41 @@ def relative_position_bucket(
 
 
 def _rel_bias(table: Tensor, q_len: int, k_len: int, bidirectional: bool,
-              cfg: ModelConfig) -> Tensor:
-    positions = np.arange(k_len)[None, :] - np.arange(q_len)[:, None]
+              cfg: ModelConfig, offset: int = 0) -> Tensor:
+    """Bias for queries at positions offset..offset+q_len-1 over keys at
+    0..k_len-1."""
+    positions = np.arange(k_len)[None, :] - np.arange(offset, offset + q_len)[:, None]
     idx = relative_position_bucket(
         positions, bidirectional, cfg.rel_pos_buckets, cfg.rel_pos_max_distance
     )
     bias = table.lookup(idx)  # (Lq, Lk, H)
     return bias.permute(2, 0, 1)  # (H, Lq, Lk)
+
+
+def _heads(x: Tensor, w: Tensor, cfg: ModelConfig) -> Tensor:
+    """Project (B, L, d_model) to per-head (B, H, L, head_dim)."""
+    b, length, _ = x.shape
+    return (x @ w).reshape(b, length, cfg.num_heads, cfg.head_dim).permute(0, 2, 1, 3)
+
+
+def _attend(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    wo: Tensor,
+    cfg: ModelConfig,
+    extra_bias: Tensor | None,
+    key_mask_bias: np.ndarray | None,
+) -> Tensor:
+    b, _, q_len, dk = q.shape
+    logits = (q @ k.swap_last()) * (1.0 / math.sqrt(dk))  # (B, H, Lq, Lk)
+    if extra_bias is not None:
+        logits = logits + extra_bias
+    if key_mask_bias is not None:
+        logits = logits + constant(key_mask_bias)
+    out = logits.softmax(axis=-1) @ v  # (B, H, Lq, dk)
+    out = out.permute(0, 2, 1, 3).reshape(b, q_len, cfg.d_model)
+    return out @ wo
 
 
 def _attention(
@@ -246,20 +296,10 @@ def _attention(
     extra_bias: Tensor | None,
     key_mask_bias: np.ndarray | None,
 ) -> Tensor:
-    b, q_len, d = x_q.shape
-    k_len = x_kv.shape[1]
-    heads, dk = cfg.num_heads, cfg.head_dim
-    q = (x_q @ weights["wq"]).reshape(b, q_len, heads, dk).permute(0, 2, 1, 3)
-    k = (x_kv @ weights["wk"]).reshape(b, k_len, heads, dk).permute(0, 2, 1, 3)
-    v = (x_kv @ weights["wv"]).reshape(b, k_len, heads, dk).permute(0, 2, 1, 3)
-    logits = (q @ k.swap_last()) * (1.0 / math.sqrt(dk))  # (B, H, Lq, Lk)
-    if extra_bias is not None:
-        logits = logits + extra_bias
-    if key_mask_bias is not None:
-        logits = logits + constant(key_mask_bias)
-    out = logits.softmax(axis=-1) @ v  # (B, H, Lq, dk)
-    out = out.permute(0, 2, 1, 3).reshape(b, q_len, d)
-    return out @ weights["wo"]
+    q = _heads(x_q, weights["wq"], cfg)
+    k = _heads(x_kv, weights["wk"], cfg)
+    v = _heads(x_kv, weights["wv"], cfg)
+    return _attend(q, k, v, weights["wo"], cfg, extra_bias, key_mask_bias)
 
 
 def _attn_weights(params: ModelParameters, prefix: str) -> dict[str, Tensor]:
@@ -271,23 +311,24 @@ def _key_mask_bias(mask: np.ndarray) -> np.ndarray:
     return (1.0 - mask)[:, None, None, :] * MASK_NEG
 
 
-def _causal_bias(t: int) -> np.ndarray:
-    return np.triu(np.full((t, t), MASK_NEG), k=1)[None, None, :, :]
+def _causal_bias(q_len: int, k_len: int) -> np.ndarray:
+    # the queries are the last q_len of the k_len positions
+    return np.triu(np.full((q_len, k_len), MASK_NEG), k=k_len - q_len + 1)[None, None]
 
 
-def embed(input_ids: np.ndarray, params: ModelParameters) -> Tensor:
-    """Word embedding rows, plus a learned absolute positional term when
-    the literal-PE flag is on."""
+def embed(input_ids: np.ndarray, params: ModelParameters, offset: int = 0) -> Tensor:
+    """Word embedding rows, plus a learned absolute positional term (for
+    positions offset onwards) when the literal-PE flag is on."""
     ids = np.asarray(input_ids, dtype=np.int64)
     cfg = params.config
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ModelError("token id out of vocabulary range")
     x = params["embedding"].lookup(ids)
     if cfg.literal_pe:
-        length = ids.shape[-1]
+        length = offset + ids.shape[-1]
         if length > cfg.max_positions:
             raise ModelError(f"sequence length {length} exceeds max_positions")
-        x = x + params["pe_table"].lookup(np.arange(length))
+        x = x + params["pe_table"].lookup(np.arange(offset, length))
     return x
 
 
@@ -334,34 +375,88 @@ def picker_forward(enc: EncoderOutput, params: ModelParameters) -> Tensor:
     return y
 
 
+def _cached_self_attention(
+    cache: DecoderCache, layer: int, h: Tensor, weights: dict[str, Tensor],
+    cfg: ModelConfig, rel: Tensor, self_bias: np.ndarray,
+) -> Tensor:
+    q = _heads(h, weights["wq"], cfg)
+    k = _heads(h, weights["wk"], cfg).data
+    v = _heads(h, weights["wv"], cfg).data
+    if cache.length:
+        old_k, old_v = cache.self_kv[layer]
+        k = np.concatenate([old_k, k], axis=2)
+        v = np.concatenate([old_v, v], axis=2)
+        cache.self_kv[layer] = (k, v)
+    else:
+        cache.self_kv.append((k, v))
+    return _attend(q, Tensor(k), Tensor(v), weights["wo"], cfg, rel, self_bias)
+
+
+def _cached_cross_attention(
+    cache: DecoderCache, layer: int, h: Tensor, enc: EncoderOutput,
+    weights: dict[str, Tensor], cfg: ModelConfig, key_bias: np.ndarray,
+) -> Tensor:
+    if not cache.length:
+        cache.cross_kv.append(
+            (_heads(enc.hidden, weights["wk"], cfg), _heads(enc.hidden, weights["wv"], cfg))
+        )
+    k, v = cache.cross_kv[layer]
+    # The rows decoding one encoder row become the query positions of one
+    # attention over that row's keys, so keys are never copied per row.
+    rows, t, d = h.shape
+    sources = enc.hidden.shape[0]
+    slot = np.arange(rows) - np.searchsorted(cache.source, cache.source)
+    grouped = np.zeros((sources, int(slot.max()) + 1, t, d))
+    grouped[cache.source, slot] = h.data
+    q = _heads(Tensor(grouped.reshape(sources, -1, d)), weights["wq"], cfg)
+    out = _attend(q, k, v, weights["wo"], cfg, None, key_bias).data
+    return Tensor(out.reshape(grouped.shape)[cache.source, slot])
+
+
 def decode_forward(
     enc: EncoderOutput,
     decoder_input_ids: np.ndarray,
     params: ModelParameters,
     dropout_rng=None,
+    cache: DecoderCache | None = None,
 ) -> Tensor:
-    """Per-step vocabulary logits (B, T, V) under teacher forcing; causal
-    self attention, cross attention over unmasked encoder positions."""
+    """Per-step vocabulary logits (B, T, V): causal self attention, cross
+    attention over unmasked encoder positions.
+
+    Without a cache the ids are whole prefixes (teacher forcing). With one,
+    they are the next ids of the cache's rows, at the positions after those
+    it holds, and the cache grows by them; cached keys and values are plain
+    arrays, so that path is for inference only.
+    """
     cfg = params.config
     ids = np.asarray(decoder_input_ids, dtype=np.int64)
-    y = _dropout(embed(ids, params), cfg.dropout, dropout_rng)
+    past = 0 if cache is None else cache.length
+    y = _dropout(embed(ids, params, past), cfg.dropout, dropout_rng)
     t = y.shape[1]
-    rel = _rel_bias(params["dec_rel_bias"], t, t, False, cfg)
-    self_bias = _causal_bias(t)
+    rel = _rel_bias(params["dec_rel_bias"], t, past + t, False, cfg, past)
+    self_bias = _causal_bias(t, past + t)
     cross_bias = _key_mask_bias(enc.mask)
     for i in range(cfg.num_layers):
         h = _rmsnorm(y, params[f"dec{i}.norm1"])
-        a = _attention(h, h, _attn_weights(params, f"dec{i}.self"), cfg, rel,
-                       self_bias)
+        weights = _attn_weights(params, f"dec{i}.self")
+        if cache is None:
+            a = _attention(h, h, weights, cfg, rel, self_bias)
+        else:
+            a = _cached_self_attention(cache, i, h, weights, cfg, rel, self_bias)
         y = y + _dropout(a, cfg.dropout, dropout_rng)
         h = _rmsnorm(y, params[f"dec{i}.norm2"])
-        a = _attention(h, enc.hidden, _attn_weights(params, f"dec{i}.cross"),
-                       cfg, None, cross_bias)
+        weights = _attn_weights(params, f"dec{i}.cross")
+        if cache is None:
+            a = _attention(h, enc.hidden, weights, cfg, None, cross_bias)
+        else:
+            a = _cached_cross_attention(cache, i, h, enc, weights, cfg, cross_bias)
         y = y + _dropout(a, cfg.dropout, dropout_rng)
         h = _rmsnorm(y, params[f"dec{i}.norm3"])
         f = (h @ params[f"dec{i}.ffn.w1"]).relu() @ params[f"dec{i}.ffn.w2"]
         y = y + _dropout(f, cfg.dropout, dropout_rng)
         _check_finite(y, f"decoder layer {i}")
+    if cache is not None:
+        cache.length += t
     y = _rmsnorm(y, params["dec_final_norm"])
     return y @ params["lm_head"]
 

@@ -1,13 +1,19 @@
 """Independent reference implementations used to check derived behavior.
 
-These deliberately avoid the library's own code paths: the beam oracle
-enumerates every decodable output; the n-gram oracles enumerate n-grams
-positionally instead of via Counter arithmetic.
+These deliberately avoid the library's own code paths: the decoding
+oracles re-run the uncached decoder over every whole prefix of one
+unpadded input, and the beam oracles build and sort every candidate in
+Python or enumerate every decodable output; the n-gram oracles enumerate
+n-grams positionally instead of via Counter arithmetic.
 """
 
+import numpy as np
+
+from pickgen.autodiff import Tensor, no_grad
 from pickgen.corpus import EOS_ID, SOS_ID, tokenize
-from pickgen.decoding import _encode_single, _next_log_probs
+from pickgen.decoding import BeamHypothesis
 from pickgen.labeling import normalize, to_bio
+from pickgen.model import EncoderOutput, decode_forward, encode
 
 
 def oracle_hard_rows(sample, cfg):
@@ -28,10 +34,57 @@ def oracle_hard_rows(sample, cfg):
     return tuple(rows)
 
 
+def encode_single(params, input_ids):
+    """Encoder output of one unpadded input."""
+    ids = np.asarray([input_ids], dtype=np.int64)
+    mask = np.ones_like(ids, dtype=np.float64)
+    with no_grad():
+        return encode(ids, mask, params)
+
+
+def next_log_probs(params, enc, prefixes):
+    """Log-probabilities of the next token for each prefix, (k, V), from the
+    uncached decoder run over the whole prefix."""
+    ids = np.asarray(prefixes, dtype=np.int64)
+    tiled = EncoderOutput(
+        hidden=Tensor(np.repeat(enc.hidden.data, len(prefixes), axis=0)),
+        mask=np.repeat(enc.mask, len(prefixes), axis=0),
+    )
+    with no_grad():
+        logits = decode_forward(tiled, ids, params)
+        return Tensor(logits.data[:, -1, :]).log_softmax().data
+
+
+def reference_beam_search(params, input_ids, beam_size, max_len,
+                          length_penalty=1.0, nbest=1):
+    """Beam search that builds every candidate as a BeamHypothesis and sorts
+    them all on (-score, ids) each round."""
+    enc = encode_single(params, input_ids)
+    live = [BeamHypothesis((SOS_ID,), 0.0)]
+    finished = []
+    for _ in range(max_len):
+        if not live:
+            break
+        log_p = next_log_probs(params, enc, [h.ids for h in live])
+        candidates = []
+        for parent, row in zip(live, log_p):
+            for token, lp in enumerate(row):
+                candidates.append(BeamHypothesis(
+                    parent.ids + (token,), parent.logp + float(lp),
+                    finished=token == EOS_ID,
+                ))
+        candidates.sort(key=lambda h: (-h.score(length_penalty), h.ids))
+        survivors = candidates[:beam_size]
+        live = [h for h in survivors if not h.finished]
+        finished.extend(h for h in survivors if h.finished)
+    pool = sorted(finished or live, key=lambda h: (-h.score(length_penalty), h.ids))
+    return pool[:nbest]
+
+
 def exhaustive_best_hypothesis(params, input_ids, max_len, penalty=1.0):
     """Global argmax over every EOS-terminated output of at most max_len
     generated tokens: returns (score, full id tuple including SOS/EOS)."""
-    enc = _encode_single(params, input_ids)
+    enc = encode_single(params, input_ids)
     vocab = params.config.vocab_size
     best = None
 
@@ -41,7 +94,7 @@ def exhaustive_best_hypothesis(params, input_ids, max_len, penalty=1.0):
             best = (score, ids)
 
     def expand(prefix, logp):
-        row = _next_log_probs(params, enc, [prefix])[0]
+        row = next_log_probs(params, enc, [prefix])[0]
         ids = prefix + (EOS_ID,)
         consider((logp + float(row[EOS_ID])) / (len(ids) - 1) ** penalty, ids)
         if len(prefix) < max_len:

@@ -12,8 +12,15 @@ import sys
 import pytest
 
 from pickgen.cli import main
-from pickgen.corpus import RESERVED_TOKENS, Vocabulary, save_corpus
-from pickgen.model import init_parameters, save_checkpoint
+from pickgen.corpus import (
+    RESERVED_TOKENS,
+    LanguageConfig,
+    Vocabulary,
+    build_vocab,
+    save_corpus,
+)
+from pickgen.decoding import restore_nbest
+from pickgen.model import init_parameters, load_checkpoint, save_checkpoint
 from pickgen.synth import generate_corpus
 from pickgen.training import make_model_config
 
@@ -242,6 +249,23 @@ class TestTrain:
         )
         assert effective["train"]["epochs"] == 20
 
+    @pytest.mark.parametrize("bad_line,problem", [
+        ("not json", "invalid JSON"),
+        ("5", "record must be a JSON object"),
+    ])
+    def test_bad_labeled_line(self, tmp_path, tiny_config, capsys, bad_line,
+                              problem):
+        labeled = run_label(tmp_path, run_synth(tmp_path, size=2))
+        first = labeled.read_text(encoding="utf-8").splitlines()[0]
+        labeled.write_text(first + "\n" + bad_line + "\n", encoding="utf-8")
+        code = main([
+            "train", "--in", str(labeled), "--out-dir", str(tmp_path / "train"),
+            "--config", tiny_config,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{labeled}:2: {problem}" in err
+
     def test_unlabeled_mode_trains_from_raw_corpus(self, tmp_path, tiny_config):
         corpus = run_synth(tmp_path)
         out_dir = run_train(
@@ -307,8 +331,6 @@ class TestRestoreAndEvaluate:
         other = generate_corpus(30, seed=99)
         other_path = tmp_path / "other.jsonl"
         save_corpus(other, other_path)
-        from pickgen.corpus import LanguageConfig, build_vocab
-
         vocab = build_vocab(other, 50, LanguageConfig.for_language("english"))
         foreign = tmp_path / "foreign-vocab.json"
         vocab.save(str(foreign))
@@ -334,6 +356,40 @@ class TestRestoreAndEvaluate:
             "--out-dir", str(tmp_path / "out"), "--config", config,
         ])
         assert code == 1
+
+    def test_restore_nbest_matches_per_sample(self, tmp_path, tiny_config):
+        # 70 samples of mixed input length span three decoding chunks
+        corpus = generate_corpus(70, seed=5)
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, corpus_path)
+        lang = LanguageConfig.for_language("english")
+        vocab = build_vocab(corpus, 300, lang)
+        train_dir = tmp_path / "train"
+        train_dir.mkdir()
+        vocab.save(str(train_dir / "vocab.json"))
+        save_checkpoint(init_parameters(make_model_config(
+            len(vocab), "hard", seed=3, d_model=8, num_layers=1, num_heads=2,
+            ffn_dim=16, picker_hidden=(4,), dropout=0.0)),
+            str(train_dir / "checkpoint.bin"), None)
+        out_dir = tmp_path / "restore"
+        code = main([
+            "restore", "--in", str(corpus_path),
+            "--checkpoint", str(train_dir / "checkpoint.bin"),
+            "--out-dir", str(out_dir), "--config", tiny_config,
+            "--nbest", "3", "--max-len", "8",
+        ])
+        assert code == 0
+        rows = [
+            json.loads(l)
+            for l in (out_dir / "predictions.jsonl").read_text().splitlines()
+        ]
+        params, _ = load_checkpoint(str(train_dir / "checkpoint.bin"))
+        beam = TINY_CONFIG["inference"]["beam_size"]
+        for sample, row in zip(corpus, rows, strict=True):
+            ranked = restore_nbest(sample, params, vocab, lang, beam, 8, nbest=3)
+            assert row["id"] == sample.id
+            assert [item["prediction"] for item in row["nbest"]] == [
+                text for text, _ in ranked]
 
     @pytest.mark.parametrize("nbest", ["1", "2"])
     def test_restore_checks_vocab_size_at_any_nbest(self, tmp_path, nbest,

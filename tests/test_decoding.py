@@ -11,7 +11,13 @@ asserted on pinned model fixtures that were verified to satisfy them.
 import numpy as np
 import pytest
 
-from oracles import exhaustive_best_hypothesis
+from oracles import (
+    encode_single,
+    exhaustive_best_hypothesis,
+    next_log_probs,
+    reference_beam_search,
+)
+from pickgen.autodiff import no_grad
 from pickgen.corpus import (
     EOS_ID,
     PAD_ID,
@@ -23,6 +29,7 @@ from pickgen.corpus import (
     build_vocab,
 )
 from pickgen.decoding import (
+    RESTORE_CHUNK,
     BeamHypothesis,
     InferenceError,
     beam_search,
@@ -33,10 +40,18 @@ from pickgen.decoding import (
     predict_picker_tags,
     restore,
     restore_corpus,
+    restore_nbest,
     save_predictions,
 )
+from pickgen.encoding import build_input
 from pickgen.labeling import EmbeddingTable, label_corpus
-from pickgen.model import ModelConfig, init_parameters
+from pickgen.model import (
+    DecoderCache,
+    ModelConfig,
+    decode_forward,
+    encode,
+    init_parameters,
+)
 from pickgen.synth import generate_corpus
 from pickgen.training import TrainConfig, make_model_config, train
 
@@ -155,15 +170,11 @@ class TestBeamAgainstExhaustive:
 
 class TestBeamMechanics:
     def test_scores_recomputable_by_teacher_forcing(self):
-        from pickgen.autodiff import no_grad
-        from pickgen.decoding import _encode_single
-        from pickgen.model import decode_forward
-
         params = toy_params(2)
         input_ids = [4, 5, 3]
         for hyp in beam_search(params, input_ids, beam_size=4, max_len=4,
                                nbest=4):
-            enc = _encode_single(params, input_ids)
+            enc = encode_single(params, input_ids)
             with no_grad():
                 logits = decode_forward(
                     enc, np.asarray([hyp.ids[:-1]], dtype=np.int64), params)
@@ -193,6 +204,93 @@ class TestBeamMechanics:
     def test_bad_nbest(self):
         with pytest.raises(InferenceError, match="nbest"):
             beam_search(toy_params(0), [4, 5, 3], beam_size=2, nbest=0)
+
+
+class TestDecoderCache:
+    """One cached step per token gives the log-probs of the uncached decoder
+    run over the whole prefix, for rows of different encoder inputs, padded
+    to one length, and after the rows are reordered with repeats."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_cached_steps_match_full_prefix(self, num_layers):
+        # distances past rel_pos_max_distance reach the clamped bucket
+        params = init_parameters(ModelConfig(
+            vocab_size=11, d_model=8, num_layers=num_layers, num_heads=2,
+            ffn_dim=16, picker_widths=(4, 3), rel_pos_buckets=8,
+            rel_pos_max_distance=6, dropout=0.0, literal_pe=True,
+            max_positions=16, seed=num_layers))
+        rng = np.random.default_rng(num_layers)
+        inputs = [rng.integers(3, 11, size=n).tolist() + [EOS_ID] for n in (3, 8)]
+        ids = np.full((2, 9), PAD_ID)
+        mask = np.zeros((2, 9))
+        for row, seq in enumerate(inputs):
+            ids[row, :len(seq)] = seq
+            mask[row, :len(seq)] = 1.0
+        with no_grad():
+            enc = encode(ids, mask, params)
+        single = [encode_single(params, seq) for seq in inputs]
+        cache = DecoderCache(source=np.array([0, 0, 1, 1, 1]))
+        prefixes = rng.integers(3, 11, size=(5, 14))
+        prefixes[:, 0] = SOS_ID
+        for step in range(14):
+            if step == 6:
+                rows = np.array([1, 1, 2, 4])
+                cache.reorder(rows)
+                prefixes = prefixes[rows]
+                prefixes[:, step:] = rng.integers(3, 11, size=(4, 14 - step))
+            with no_grad():
+                logits = decode_forward(enc, prefixes[:, step:step + 1], params,
+                                        cache=cache)
+            got = logits.log_softmax().data[:, -1]
+            for row, source in enumerate(cache.source):
+                want = next_log_probs(params, single[source],
+                                      [tuple(prefixes[row, :step + 1])])[0]
+                assert np.abs(got[row] - want).max() <= 1e-12, (step, row)
+
+
+class TestAgainstReferenceBeam:
+    """The vectorized search keeps the reference's candidates and order."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_hypotheses_as_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        params = toy_params(seed, vocab_size=9)
+        input_ids = rng.integers(3, 9, size=int(rng.integers(2, 7))).tolist()
+        for beam_size in (1, 3, 8):
+            got = beam_search(params, input_ids, beam_size, max_len=5, nbest=8)
+            want = reference_beam_search(params, input_ids, beam_size, 5, nbest=8)
+            assert [h.ids for h in got] == [h.ids for h in want]
+            assert [h.logp for h in got] == pytest.approx(
+                [h.logp for h in want], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_greedy_is_stepwise_argmax(self, seed):
+        params = toy_params(seed, vocab_size=9)
+        enc = encode_single(params, [4, 5, 3])
+        prefix = (SOS_ID,)
+        while len(prefix) <= 5:
+            token = int(np.argmax(next_log_probs(params, enc, [prefix])[0]))
+            if token == EOS_ID:
+                break
+            prefix += (token,)
+        assert greedy_decode(params, [4, 5, 3], max_len=5) == list(prefix[1:])
+
+    def test_all_tied_candidates(self):
+        # a zero lm_head ties every candidate: ids alone order them
+        params = toy_params(3, vocab_size=9)
+        params["lm_head"].data[:] = 0.0
+        for penalty in (0.0, 1.0):
+            got = beam_search(params, [4, 5, 3], 4, max_len=4,
+                              length_penalty=penalty, nbest=4)
+            want = reference_beam_search(params, [4, 5, 3], 4, 4, penalty, 4)
+            assert [h.ids for h in got] == [h.ids for h in want]
+            assert [h.logp for h in got] == [h.logp for h in want]
+
+    def test_wide_vocabulary(self):
+        params = toy_params(4, vocab_size=300)
+        got = beam_search(params, [40, 250, 7, 3], 8, max_len=4, nbest=8)
+        want = reference_beam_search(params, [40, 250, 7, 3], 8, 4, nbest=8)
+        assert [h.ids for h in got] == [h.ids for h in want]
 
 
 class TestDefaultMaxDecodeLen:
@@ -234,6 +332,24 @@ class TestRestore:
         pairs = restore_corpus(corpus, params, vocab, ENGLISH, beam_size=2)
         assert [p[0] for p in pairs] == [s.id for s in corpus]
         assert all(isinstance(p[1], str) for p in pairs)
+
+    def test_batched_corpus_matches_per_sample(self):
+        # 70 samples: two full chunks and a short one, each padded to its
+        # longest input
+        corpus = generate_corpus(70, seed=4)
+        vocab = build_vocab(corpus, 200, ENGLISH)
+        params = init_parameters(make_model_config(
+            len(vocab), "hard", seed=2, d_model=8, num_layers=2, num_heads=2,
+            ffn_dim=16, picker_hidden=(4,), dropout=0.0))
+        lengths = {len(build_input(s, vocab, ENGLISH)[0])
+                   for s in corpus[:RESTORE_CHUNK]}
+        assert len(corpus) > 2 * RESTORE_CHUNK and len(lengths) > 1
+        pairs = restore_corpus(corpus, params, vocab, ENGLISH, beam_size=4,
+                               max_len=10)
+        assert pairs == [
+            (s.id, restore_nbest(s, params, vocab, ENGLISH, 4, 10)[0][0])
+            for s in corpus
+        ]
 
     def test_trained_model_restores_memorized_sample(self):
         corpus = generate_corpus(2, seed=6)

@@ -140,15 +140,6 @@ class TestAlignLabels:
         out = align_labels(labels, self._segments())
         assert out == [0.9, 0.2, IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
-    def test_multi_token_word_replicates_soft(self):
-        segments = [
-            Segment("context", 0, 0), Segment("context", 0, 0),
-            Segment("eos", -1, -1),
-        ]
-        labels = PickerLabels("soft", scores=((0.7,),))
-        out = align_labels(labels, segments)
-        assert out[:2] == [0.7, 0.7]
-
     def test_out_of_range_word_rejected(self):
         labels = PickerLabels("hard", tags=(("B",),))
         segments = [Segment("context", 0, 1), Segment("eos", -1, -1)]
