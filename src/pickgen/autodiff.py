@@ -213,14 +213,15 @@ class Tensor:
     # -- indexing -----------------------------------------------------------
 
     def lookup(self, ids: np.ndarray) -> "Tensor":
-        """Row lookup (embedding): result shape ids.shape + (row_dim,)."""
+        """Row lookup (embedding, gather): result shape ids.shape +
+        self.shape[1:]."""
         ids = np.asarray(ids, dtype=np.int64)
         data = self.data[ids]
         shape = self.shape
 
         def backward_fn(g):
             grad = np.zeros(shape)
-            np.add.at(grad, ids.reshape(-1), g.reshape(-1, shape[-1]))
+            np.add.at(grad, ids.reshape(-1), g.reshape(-1, *shape[1:]))
             return (grad,)
 
         return Tensor._make(data, (self,), backward_fn)

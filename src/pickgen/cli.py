@@ -178,6 +178,20 @@ def _embedding_table(config: dict) -> EmbeddingTable:
     return EmbeddingTable(fallback=config["embedding_fallback"], seed=config["seed"])
 
 
+def _carries_labels(path: str) -> bool:
+    """Whether the first record of a JSONL corpus has a "labels" field; the
+    reader of the file's kind then reports any bad line."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    return False
+                return isinstance(record, dict) and "labels" in record
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -204,9 +218,11 @@ def cmd_label(args) -> int:
         ("stopword_path", args.stopwords),
         ("embeddings", args.embeddings),
         ("embedding_fallback", args.embedding_fallback),
+        ("label_mode", args.mode),
     ):
         _apply_override(config, dotted, value)
     lang = _language_config(config)
+    mode = config["label_mode"]
     samples = load_corpus(args.corpus)
     missing = [s.id for s in samples if s.reference is None]
     if missing:
@@ -214,13 +230,13 @@ def cmd_label(args) -> int:
             f"cannot label: {len(missing)} samples lack references "
             f"(first: {missing[0]!r})"
         )
-    if args.mode == "soft" and config["embeddings"] is None \
+    if mode == "soft" and config["embeddings"] is None \
             and config["embedding_fallback"] == "zero":
         raise LabelError(
             "soft labeling needs an embeddings file or the hash fallback"
         )
     emb = _embedding_table(config)
-    labeled = label_corpus(samples, args.mode, emb, lang)
+    labeled = label_corpus(samples, mode, emb, lang)
     _ensure_out_dir(args.out_dir)
     out_path = os.path.join(args.out_dir, "labeled.jsonl")
     save_labeled_corpus(labeled, out_path)
@@ -386,10 +402,10 @@ def cmd_evaluate(args) -> int:
         _apply_override(config, dotted, value)
     lang = _language_config(config)
     predictions = load_predictions(args.predictions)
-    try:
+    if _carries_labels(args.gold):
         labeled = load_labeled_corpus(args.gold, lang)
         gold = [item.sample for item in labeled]
-    except LabelError:
+    else:
         labeled = None
         gold = load_corpus(args.gold)
     report = evaluate(
@@ -439,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="create picker labels from references")
     _add_common(p)
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
-    p.add_argument("--mode", choices=LABEL_MODES, default="hard")
+    p.add_argument("--mode", choices=LABEL_MODES)
     p.add_argument("--embeddings", help="word-vector text file")
     p.add_argument("--embedding-fallback", choices=["hash", "zero"])
     p.set_defaults(func=cmd_label)

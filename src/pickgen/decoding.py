@@ -208,24 +208,6 @@ def restore_ranked(
     return ranked
 
 
-def restore_nbest(
-    sample: DialogueSample,
-    params: ModelParameters,
-    vocab: Vocabulary,
-    cfg: LanguageConfig,
-    beam_size: int = DEFAULT_BEAM_SIZE,
-    max_len: int = MAX_DECODE_LEN_CAP,
-    length_penalty: float = 1.0,
-    input_max_len: int = DEFAULT_MAX_LEN,
-    nbest: int = 1,
-) -> list[tuple[str, float]]:
-    """The nbest best restorations of one sample (see restore_ranked)."""
-    return restore_ranked(
-        [sample], params, vocab, cfg, beam_size, max_len, length_penalty,
-        input_max_len, nbest,
-    )[0]
-
-
 def restore(
     sample: DialogueSample,
     params: ModelParameters,
@@ -237,9 +219,9 @@ def restore(
     input_max_len: int = DEFAULT_MAX_LEN,
 ) -> str:
     """The best restoration of one sample."""
-    return restore_nbest(
-        sample, params, vocab, cfg, beam_size, max_len, length_penalty, input_max_len
-    )[0][0]
+    return restore_ranked(
+        [sample], params, vocab, cfg, beam_size, max_len, length_penalty, input_max_len
+    )[0][0][0]
 
 
 def hypothesis_text(

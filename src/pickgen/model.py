@@ -187,21 +187,24 @@ class DecoderCache:
     """Attention keys and values of the positions decoded so far, so that
     each decoding step feeds only the newest token of every row.
 
-    Decoder rows are hypotheses; source[r] is the encoder row that row r
-    decodes, non-decreasing over r. Self-attention keys and values are held
+    Decoder rows are the search's hypotheses, or in teacher forcing the
+    batch rows (a fresh cache per call); source[r] is the encoder row that
+    row r decodes, non-decreasing over r. Self-attention keys and values are held
     per decoder row, cross-attention ones once per encoder row.
     """
 
     source: np.ndarray  # (R,)
     length: int = 0  # decoder positions held
-    self_kv: list = field(default_factory=list)  # per layer, (R, H, T, dk) arrays
+    self_kv: list = field(default_factory=list)  # per layer, (R, H, T, dk) tensors
     cross_kv: list = field(default_factory=list)  # per layer, (S, H, L, dk) tensors
 
     def reorder(self, rows: np.ndarray) -> None:
         """Keep decoder rows `rows` (repeats allowed), in that order; their
         sources must stay non-decreasing."""
         self.source = self.source[rows]
-        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+        self.self_kv = [
+            (Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +291,6 @@ def _attend(
     return out @ wo
 
 
-def _attention(
-    x_q: Tensor,
-    x_kv: Tensor,
-    weights: dict[str, Tensor],
-    cfg: ModelConfig,
-    extra_bias: Tensor | None,
-    key_mask_bias: np.ndarray | None,
-) -> Tensor:
-    q = _heads(x_q, weights["wq"], cfg)
-    k = _heads(x_kv, weights["wk"], cfg)
-    v = _heads(x_kv, weights["wv"], cfg)
-    return _attend(q, k, v, weights["wo"], cfg, extra_bias, key_mask_bias)
-
-
 def _attn_weights(params: ModelParameters, prefix: str) -> dict[str, Tensor]:
     return {k: params[f"{prefix}.{k}"] for k in ("wq", "wk", "wv", "wo")}
 
@@ -347,7 +336,9 @@ def encode(
     key_bias = _key_mask_bias(mask)
     for i in range(cfg.num_layers):
         h = _rmsnorm(x, params[f"enc{i}.norm1"])
-        a = _attention(h, h, _attn_weights(params, f"enc{i}.attn"), cfg, rel, key_bias)
+        w = _attn_weights(params, f"enc{i}.attn")
+        q, k, v = (_heads(h, w[name], cfg) for name in ("wq", "wk", "wv"))
+        a = _attend(q, k, v, w["wo"], cfg, rel, key_bias)
         x = x + _dropout(a, cfg.dropout, dropout_rng)
         h = _rmsnorm(x, params[f"enc{i}.norm2"])
         f = (h @ params[f"enc{i}.ffn.w1"]).relu() @ params[f"enc{i}.ffn.w2"]
@@ -375,42 +366,48 @@ def picker_forward(enc: EncoderOutput, params: ModelParameters) -> Tensor:
     return y
 
 
-def _cached_self_attention(
+def _self_attention(
     cache: DecoderCache, layer: int, h: Tensor, weights: dict[str, Tensor],
-    cfg: ModelConfig, rel: Tensor, self_bias: np.ndarray,
+    cfg: ModelConfig, rel: Tensor, causal_bias: np.ndarray,
 ) -> Tensor:
+    """Causal self attention of the positions in h over those the cache holds
+    and themselves; the cache then holds their keys and values too."""
     q = _heads(h, weights["wq"], cfg)
-    k = _heads(h, weights["wk"], cfg).data
-    v = _heads(h, weights["wv"], cfg).data
+    k = _heads(h, weights["wk"], cfg)
+    v = _heads(h, weights["wv"], cfg)
     if cache.length:
+        # only the search reaches this, under no_grad: held keys are constants
         old_k, old_v = cache.self_kv[layer]
-        k = np.concatenate([old_k, k], axis=2)
-        v = np.concatenate([old_v, v], axis=2)
+        k = Tensor(np.concatenate([old_k.data, k.data], axis=2))
+        v = Tensor(np.concatenate([old_v.data, v.data], axis=2))
         cache.self_kv[layer] = (k, v)
     else:
         cache.self_kv.append((k, v))
-    return _attend(q, Tensor(k), Tensor(v), weights["wo"], cfg, rel, self_bias)
+    return _attend(q, k, v, weights["wo"], cfg, rel, causal_bias)
 
 
-def _cached_cross_attention(
+def _cross_attention(
     cache: DecoderCache, layer: int, h: Tensor, enc: EncoderOutput,
     weights: dict[str, Tensor], cfg: ModelConfig, key_bias: np.ndarray,
 ) -> Tensor:
+    """Attention of the decoder rows over their encoder rows' keys. The rows
+    decoding one encoder row become the query positions of one attention
+    over that row's keys, so keys are never copied per row."""
     if not cache.length:
         cache.cross_kv.append(
             (_heads(enc.hidden, weights["wk"], cfg), _heads(enc.hidden, weights["wv"], cfg))
         )
     k, v = cache.cross_kv[layer]
-    # The rows decoding one encoder row become the query positions of one
-    # attention over that row's keys, so keys are never copied per row.
     rows, t, d = h.shape
     sources = enc.hidden.shape[0]
     slot = np.arange(rows) - np.searchsorted(cache.source, cache.source)
-    grouped = np.zeros((sources, int(slot.max()) + 1, t, d))
-    grouped[cache.source, slot] = h.data
-    q = _heads(Tensor(grouped.reshape(sources, -1, d)), weights["wq"], cfg)
-    out = _attend(q, k, v, weights["wo"], cfg, None, key_bias).data
-    return Tensor(out.reshape(grouped.shape)[cache.source, slot])
+    width = int(slot.max()) + 1
+    # (source, slot) -> decoder row; unused slots read row 0 and are dropped
+    members = np.zeros((sources, width), dtype=np.int64)
+    members[cache.source, slot] = np.arange(rows)
+    q = _heads(h.lookup(members).reshape(sources, width * t, d), weights["wq"], cfg)
+    out = _attend(q, k, v, weights["wo"], cfg, None, key_bias)
+    return out.reshape(sources * width, t, d).lookup(cache.source * width + slot)
 
 
 def decode_forward(
@@ -423,14 +420,16 @@ def decode_forward(
     """Per-step vocabulary logits (B, T, V): causal self attention, cross
     attention over unmasked encoder positions.
 
-    Without a cache the ids are whole prefixes (teacher forcing). With one,
-    they are the next ids of the cache's rows, at the positions after those
-    it holds, and the cache grows by them; cached keys and values are plain
-    arrays, so that path is for inference only.
+    The ids are the next ids of the cache's rows, at the positions after
+    those it holds, and the cache grows by them. Without a cache they are
+    whole prefixes of the encoder's rows (teacher forcing), decoded from a
+    fresh cache.
     """
     cfg = params.config
     ids = np.asarray(decoder_input_ids, dtype=np.int64)
-    past = 0 if cache is None else cache.length
+    if cache is None:
+        cache = DecoderCache(source=np.arange(enc.hidden.shape[0]))
+    past = cache.length
     y = _dropout(embed(ids, params, past), cfg.dropout, dropout_rng)
     t = y.shape[1]
     rel = _rel_bias(params["dec_rel_bias"], t, past + t, False, cfg, past)
@@ -439,24 +438,17 @@ def decode_forward(
     for i in range(cfg.num_layers):
         h = _rmsnorm(y, params[f"dec{i}.norm1"])
         weights = _attn_weights(params, f"dec{i}.self")
-        if cache is None:
-            a = _attention(h, h, weights, cfg, rel, self_bias)
-        else:
-            a = _cached_self_attention(cache, i, h, weights, cfg, rel, self_bias)
+        a = _self_attention(cache, i, h, weights, cfg, rel, self_bias)
         y = y + _dropout(a, cfg.dropout, dropout_rng)
         h = _rmsnorm(y, params[f"dec{i}.norm2"])
         weights = _attn_weights(params, f"dec{i}.cross")
-        if cache is None:
-            a = _attention(h, enc.hidden, weights, cfg, None, cross_bias)
-        else:
-            a = _cached_cross_attention(cache, i, h, enc, weights, cfg, cross_bias)
+        a = _cross_attention(cache, i, h, enc, weights, cfg, cross_bias)
         y = y + _dropout(a, cfg.dropout, dropout_rng)
         h = _rmsnorm(y, params[f"dec{i}.norm3"])
         f = (h @ params[f"dec{i}.ffn.w1"]).relu() @ params[f"dec{i}.ffn.w2"]
         y = y + _dropout(f, cfg.dropout, dropout_rng)
         _check_finite(y, f"decoder layer {i}")
-    if cache is not None:
-        cache.length += t
+    cache.length += t
     y = _rmsnorm(y, params["dec_final_norm"])
     return y @ params["lm_head"]
 

@@ -135,12 +135,9 @@ def generator_loss(
     return (per_step * Tensor(mask)).sum() * (1.0 / count)
 
 
-def joint_loss(lp, lg, picker_weight: float):
-    """picker_weight * picker loss + generator loss (works on scalars and
-    on graph tensors alike)."""
-    if isinstance(lp, Tensor) or isinstance(lg, Tensor):
-        return Tensor._coerce(lp) * picker_weight + Tensor._coerce(lg)
-    return picker_weight * lp + lg
+def joint_loss(lp: Tensor, lg: Tensor, picker_weight: float) -> Tensor:
+    """picker_weight * picker loss + generator loss."""
+    return lp * picker_weight + lg
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +347,7 @@ def make_model_config(
     """Toy-scale model config whose picker arity matches the label mode.
 
     picker_hidden overrides the hidden widths of the picker head; the
-    output arity is appended automatically. Passing picker_widths directly
-    takes precedence and must already end in the arity.
+    output arity is appended automatically.
     """
     arity = 1 if label_mode == "soft" else 3
     hidden = tuple(overrides.pop("picker_hidden", (64, 32, 16)))
@@ -361,8 +357,5 @@ def make_model_config(
         picker_arity=arity,
         seed=seed,
     )
-    if "picker_widths" in overrides:
-        overrides["picker_widths"] = tuple(overrides["picker_widths"])
-        defaults["picker_arity"] = overrides["picker_widths"][-1]
     defaults.update(overrides)
     return ModelConfig(**defaults)

@@ -1,8 +1,8 @@
 """Independent reference implementations used to check derived behavior.
 
 These deliberately avoid the library's own code paths: the decoding
-oracles re-run the uncached decoder over every whole prefix of one
-unpadded input, and the beam oracles build and sort every candidate in
+oracles re-run the decoder from a fresh cache over every whole prefix of
+one unpadded input (teacher forcing, as in training), and the beam oracles build and sort every candidate in
 Python or enumerate every decodable output; the n-gram oracles enumerate
 n-grams positionally instead of via Counter arithmetic.
 """
@@ -44,7 +44,7 @@ def encode_single(params, input_ids):
 
 def next_log_probs(params, enc, prefixes):
     """Log-probabilities of the next token for each prefix, (k, V), from the
-    uncached decoder run over the whole prefix."""
+    decoder run over the whole prefix from a fresh cache."""
     ids = np.asarray(prefixes, dtype=np.int64)
     tiled = EncoderOutput(
         hidden=Tensor(np.repeat(enc.hidden.data, len(prefixes), axis=0)),

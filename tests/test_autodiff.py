@@ -202,15 +202,18 @@ class TestLogSoftmax:
 
 class TestIndexing:
     def test_lookup_scatters_gradient(self):
-        table = parameter(RNG.standard_normal((5, 3)))
         ids = np.array([[0, 2], [2, 4]])
-        out = table.lookup(ids)
-        assert out.shape == (2, 2, 3)
-        (out * 2.0).sum().backward()
-        expected = np.zeros((5, 3))
-        for i in ids.reshape(-1):
-            expected[i] += 2.0
-        np.testing.assert_allclose(table.grad, expected)
+        # rows of a matrix (embedding), then (2, 3) blocks (the decoder's
+        # cross-attention gathers)
+        for table in (parameter(RNG.standard_normal((5, 3))),
+                      parameter(np.zeros((5, 2, 3)))):
+            out = table.lookup(ids)
+            assert out.shape == (2, 2, *table.shape[1:])
+            (out * 2.0).sum().backward()
+            expected = np.zeros(table.shape)
+            for i in ids.reshape(-1):
+                expected[i] += 2.0
+            np.testing.assert_allclose(table.grad, expected)
 
     def test_lookup_repeated_ids_accumulate(self):
         table = parameter(np.zeros((2, 1)))

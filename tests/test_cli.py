@@ -6,11 +6,13 @@ covers the installed console script. Exit codes: 0 success, 1 usage error,
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import pickgen
 from pickgen.cli import main
 from pickgen.corpus import (
     RESERVED_TOKENS,
@@ -19,7 +21,7 @@ from pickgen.corpus import (
     build_vocab,
     save_corpus,
 )
-from pickgen.decoding import restore_nbest
+from pickgen.decoding import restore_ranked
 from pickgen.model import init_parameters, load_checkpoint, save_checkpoint
 from pickgen.synth import generate_corpus
 from pickgen.training import make_model_config
@@ -215,6 +217,27 @@ class TestLabel:
         assert code == 2
         assert "lack references" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("soft_by", ["flag", "config"])
+    def test_label_mode_in_effective_config(self, tmp_path, soft_by):
+        corpus = run_synth(tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"label_mode": "soft"}), encoding="utf-8")
+        extra = ["--mode", "soft"] if soft_by == "flag" else ["--config", str(cfg)]
+        out_dir = tmp_path / "out"
+        code = main([
+            "label", "--in", str(corpus), "--out-dir", str(out_dir), *extra,
+        ])
+        assert code == 0
+        effective = json.loads(
+            (out_dir / "effective-config.label.json").read_text()
+        )
+        assert effective["label_mode"] == "soft"
+        rows = [
+            json.loads(l)
+            for l in (out_dir / "labeled.jsonl").read_text().splitlines()
+        ]
+        assert all(r["labels"]["mode"] == "soft" for r in rows)
+
     def test_soft_zero_fallback_without_embeddings(self, tmp_path):
         corpus = run_synth(tmp_path)
         code = main([
@@ -386,7 +409,8 @@ class TestRestoreAndEvaluate:
         params, _ = load_checkpoint(str(train_dir / "checkpoint.bin"))
         beam = TINY_CONFIG["inference"]["beam_size"]
         for sample, row in zip(corpus, rows, strict=True):
-            ranked = restore_nbest(sample, params, vocab, lang, beam, 8, nbest=3)
+            ranked = restore_ranked([sample], params, vocab, lang, beam, 8,
+                                    nbest=3)[0]
             assert row["id"] == sample.id
             assert [item["prediction"] for item in row["nbest"]] == [
                 text for text, _ in ranked]
@@ -463,6 +487,27 @@ class TestRestoreAndEvaluate:
         assert code == 2
         assert "missing prediction" in capsys.readouterr().err
 
+    def test_evaluate_bad_labeled_gold_line(self, tmp_path, capsys):
+        # line 3's first label row is one word short: the labeled file is
+        # refused, not re-read as a raw corpus
+        labeled = run_label(tmp_path, run_synth(tmp_path))
+        records = [json.loads(l) for l in labeled.read_text().splitlines()]
+        records[2]["labels"]["tags"][0].pop()
+        labeled.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"id": r["id"], "prediction": "x"}) + "\n" for r in records
+        ), encoding="utf-8")
+        code = main([
+            "evaluate", "--predictions", str(preds),
+            "--gold", str(labeled), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        assert f"{labeled}:3: utterance 0 has " in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
     @pytest.mark.parametrize("bad_line,problem", [
         ("not json", "invalid JSON"),
         ("5", "must be a JSON object"),
@@ -509,11 +554,15 @@ class TestPipelineDeterminism:
 
 
 def test_console_script_runs():
+    # the child imports pickgen from where this process did
+    src = os.path.dirname(os.path.dirname(pickgen.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pickgen.cli", "--version"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

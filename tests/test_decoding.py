@@ -40,7 +40,7 @@ from pickgen.decoding import (
     predict_picker_tags,
     restore,
     restore_corpus,
-    restore_nbest,
+    restore_ranked,
     save_predictions,
 )
 from pickgen.encoding import build_input
@@ -207,9 +207,10 @@ class TestBeamMechanics:
 
 
 class TestDecoderCache:
-    """One cached step per token gives the log-probs of the uncached decoder
-    run over the whole prefix, for rows of different encoder inputs, padded
-    to one length, and after the rows are reordered with repeats."""
+    """One cached step per token gives the log-probs of the decoder run over
+    the whole prefix from a fresh cache, for rows of different encoder
+    inputs, padded to one length, after the rows are reordered with repeats
+    and after an input has no rows left."""
 
     @pytest.mark.parametrize("num_layers", [1, 2])
     def test_cached_steps_match_full_prefix(self, num_layers):
@@ -232,12 +233,15 @@ class TestDecoderCache:
         cache = DecoderCache(source=np.array([0, 0, 1, 1, 1]))
         prefixes = rng.integers(3, 11, size=(5, 14))
         prefixes[:, 0] = SOS_ID
+        # sources [0, 0, 1, 1, 1] -> [0, 0, 1, 1] -> [1, 1, 1]: input 0 loses
+        # all its rows, so its query slots go unused
+        reorders = {6: np.array([1, 1, 2, 4]), 10: np.array([2, 2, 3])}
         for step in range(14):
-            if step == 6:
-                rows = np.array([1, 1, 2, 4])
+            if step in reorders:
+                rows = reorders[step]
                 cache.reorder(rows)
                 prefixes = prefixes[rows]
-                prefixes[:, step:] = rng.integers(3, 11, size=(4, 14 - step))
+                prefixes[:, step:] = rng.integers(3, 11, size=(len(rows), 14 - step))
             with no_grad():
                 logits = decode_forward(enc, prefixes[:, step:step + 1], params,
                                         cache=cache)
@@ -347,7 +351,7 @@ class TestRestore:
         pairs = restore_corpus(corpus, params, vocab, ENGLISH, beam_size=4,
                                max_len=10)
         assert pairs == [
-            (s.id, restore_nbest(s, params, vocab, ENGLISH, 4, 10)[0][0])
+            (s.id, restore_ranked([s], params, vocab, ENGLISH, 4, 10)[0][0][0])
             for s in corpus
         ]
 
