@@ -1,14 +1,19 @@
 """Minimal reverse-mode automatic differentiation over numpy float64.
 
 A Tensor records its parents and a backward closure; backward() on a
-scalar walks the graph in reverse topological order and accumulates exact
-gradients. Each backward pass recomputes gradients of that scalar from
-scratch (grads of every node in its graph are reset first), so training
-steps never need an explicit zero-grad call.
+scalar walks the graph in reverse topological order and computes exact
+gradients from scratch (every grad in the graph is reset to None first), so
+training steps never need an explicit zero-grad call. Gradients are lazy: a
+node's first contribution is stored as is and later ones are added out of
+place, since closures hand one array to several parents; constants get none.
+RMS normalization, the attention core and cross-entropy are each one node
+with a hand-written backward, because at toy sizes each node costs more than
+its arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -117,21 +122,15 @@ class Tensor:
         data = self.data @ other.data
 
         def backward_fn(g):
-            ga = g @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ g
-            return (_unbroadcast(ga, self.shape), _unbroadcast(gb, other.shape))
+            ga = _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)
+            if other.data.ndim == 2:  # a projection: one GEMM over every row
+                d_in, d_out = other.shape
+                return ga, self.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
+            return ga, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)
 
         return Tensor._make(data, (self, other), backward_fn)
 
     __matmul__ = matmul
-
-    def pow_const(self, exponent: float) -> "Tensor":
-        data = self.data ** exponent
-
-        def backward_fn(g):
-            return (g * exponent * self.data ** (exponent - 1.0),)
-
-        return Tensor._make(data, (self,), backward_fn)
 
     # -- shape --------------------------------------------------------------
 
@@ -151,10 +150,6 @@ class Tensor:
             self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),)
         )
 
-    def swap_last(self) -> "Tensor":
-        axes = tuple(range(self.data.ndim - 2)) + (self.data.ndim - 1, self.data.ndim - 2)
-        return self.permute(axes)
-
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -170,10 +165,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward_fn)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # -- nonlinearities -----------------------------------------------------
 
     def relu(self) -> "Tensor":
@@ -188,25 +179,32 @@ class Tensor:
         sig = np.where(x >= 0.0, 1.0, e) / (1.0 + e)
         return Tensor._make(data, (self,), lambda g: (g * sig,))
 
-    def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        data = e / e.sum(axis=axis, keepdims=True)
+    def rmsnorm(self, scale: "Tensor", eps: float) -> "Tensor":
+        """x / sqrt(mean(x**2 over the last axis) + eps) * scale."""
+        x = self.data
+        inv = ((x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + eps) ** -0.5
+        normed = x * inv
 
         def backward_fn(g):
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            return (data * (g - inner),)
+            gn = g * scale.data
+            inner = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
+            return (inv * (gn - normed * inner), _unbroadcast(g * normed, scale.shape))
 
-        return Tensor._make(data, (self,), backward_fn)
+        return Tensor._make(normed * scale.data, (self, scale), backward_fn)
 
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        """log(softmax(x)) by max-shift, finite however far a logit lies
-        below the maximum."""
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    def cross_entropy(self, targets: np.ndarray, weights: np.ndarray) -> "Tensor":
+        """sum(weights * -log softmax(self)[targets]) over every position;
+        targets and weights have shape self.shape[:-1]."""
+        idx = np.asarray(targets, dtype=np.int64)[..., None]
+        logp = log_softmax(self.data)
+        data = (-np.take_along_axis(logp, idx, axis=-1)[..., 0] * weights).sum()
 
         def backward_fn(g):
-            return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)
+            coef = (weights * g)[..., None]
+            grad = np.exp(logp) * coef
+            picked = np.take_along_axis(grad, idx, axis=-1)
+            np.put_along_axis(grad, idx, picked - coef, axis=-1)
+            return (grad,)
 
         return Tensor._make(data, (self,), backward_fn)
 
@@ -226,20 +224,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward_fn)
 
-    def gather_index(self, idx: np.ndarray) -> "Tensor":
-        """Pick one entry along the last axis per position; idx shape must
-        equal self.shape[:-1]."""
-        idx = np.asarray(idx, dtype=np.int64)
-        data = np.take_along_axis(self.data, idx[..., None], axis=-1)[..., 0]
-        shape = self.shape
-
-        def backward_fn(g):
-            grad = np.zeros(shape)
-            np.put_along_axis(grad, idx[..., None], g[..., None], axis=-1)
-            return (grad,)
-
-        return Tensor._make(data, (self,), backward_fn)
-
     # -- backward -----------------------------------------------------------
 
     def backward(self) -> None:
@@ -250,14 +234,49 @@ class Tensor:
             raise ValueError("backward requires a recorded forward pass")
         order = _toposort(self)
         for node in order:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward_fn is None:
                 continue
             grads = node._backward_fn(node.grad)
             for parent, grad in zip(node._parents, grads):
-                parent.grad += grad
+                if parent.grad is not None:
+                    parent.grad = parent.grad + grad
+                elif parent.requires_grad or parent._parents:
+                    parent.grad = grad
+
+
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """log(softmax(x)) over the last axis by max-shift, finite however far
+    a value lies below the maximum."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
+              mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ kᵀ / sqrt(head_dim) + bias + mask) @ v over (..., L,
+    head_dim) operands of equal leading shape. bias broadcasts onto the
+    logits and gets a gradient; mask is a constant additive array."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    logits = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
+    if bias is not None:
+        logits = logits + bias.data
+    if mask is not None:
+        logits = logits + mask
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        gp = g @ np.swapaxes(v.data, -1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        grads = ((gs @ k.data) * scale, (np.swapaxes(gs, -1, -2) @ q.data) * scale,
+                 np.swapaxes(p, -1, -2) @ g)
+        return grads if bias is None else (*grads, _unbroadcast(gs, bias.shape))
+
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    return Tensor._make(p @ v.data, parents, backward_fn)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

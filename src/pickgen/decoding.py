@@ -19,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import log_softmax, no_grad
 from .corpus import (
     EOS_ID,
     PAD_ID,
     SOS_ID,
+    X1_ID,
+    X2_ID,
     DialogueSample,
     LanguageConfig,
     Vocabulary,
@@ -122,7 +124,7 @@ def _search(
             if not len(prefixes):
                 break
             logits = decode_forward(enc, prefixes[:, -1:], params, cache=cache)
-            total = logp[:, None] + Tensor(logits.data[:, -1, :]).log_softmax().data
+            total = logp[:, None] + log_softmax(logits.data[:, -1, :])
             scores = total / (step + 1) ** length_penalty
             rows, tokens = _survivors(scores, prefixes, cache.source, beam_size)
             for row in rows[tokens == EOS_ID]:
@@ -227,8 +229,10 @@ def restore(
 def hypothesis_text(
     hyp: BeamHypothesis, vocab: Vocabulary, cfg: LanguageConfig
 ) -> str:
-    """Detokenize a hypothesis, stripping SOS/EOS/PAD."""
-    return detokenize([vocab.token_of(i) for i in hyp.generated() if i != PAD_ID], cfg)
+    """Detokenize a hypothesis, dropping its final EOS and any PAD, SOS,
+    [X1] or [X2] (the logits are not masked, so a model can emit them)."""
+    hidden = (PAD_ID, SOS_ID, X1_ID, X2_ID)
+    return detokenize([vocab.token_of(i) for i in hyp.generated() if i not in hidden], cfg)
 
 
 def restore_corpus(

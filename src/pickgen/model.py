@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, constant, parameter
+from .autodiff import Tensor, attention, constant, parameter
 
 NORM_EPS = 1e-6
 MASK_NEG = -1e9
@@ -223,8 +223,7 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
 
 
 def _rmsnorm(x: Tensor, scale: Tensor) -> Tensor:
-    mean_sq = (x * x).mean(axis=-1, keepdims=True)
-    return x * (mean_sq + NORM_EPS).pow_const(-0.5) * scale
+    return x.rmsnorm(scale, NORM_EPS)
 
 
 def relative_position_bucket(
@@ -280,13 +279,8 @@ def _attend(
     extra_bias: Tensor | None,
     key_mask_bias: np.ndarray | None,
 ) -> Tensor:
-    b, _, q_len, dk = q.shape
-    logits = (q @ k.swap_last()) * (1.0 / math.sqrt(dk))  # (B, H, Lq, Lk)
-    if extra_bias is not None:
-        logits = logits + extra_bias
-    if key_mask_bias is not None:
-        logits = logits + constant(key_mask_bias)
-    out = logits.softmax(axis=-1) @ v  # (B, H, Lq, dk)
+    b, _, q_len, _ = q.shape
+    out = attention(q, k, v, extra_bias, key_mask_bias)  # (B, H, Lq, dk)
     out = out.permute(0, 2, 1, 3).reshape(b, q_len, cfg.d_model)
     return out @ wo
 

@@ -115,10 +115,9 @@ def picker_loss(
         return Tensor(0.0)
     if logits.data.ndim == 3:
         classes = np.where(valid > 0.0, targets, 0.0).astype(np.int64)
-        per_pos = -logits.log_softmax().gather_index(classes)
-    else:
-        q = np.where(valid > 0.0, targets, 0.0)
-        per_pos = logits.softplus() - Tensor(q) * logits
+        return logits.cross_entropy(classes, valid) * (1.0 / count)
+    q = np.where(valid > 0.0, targets, 0.0)
+    per_pos = logits.softplus() - Tensor(q) * logits
     return (per_pos * Tensor(valid)).sum() * (1.0 / count)
 
 
@@ -130,9 +129,7 @@ def generator_loss(
     count = mask.sum()
     if count == 0.0:
         return Tensor(0.0)
-    targets = np.asarray(target_ids, dtype=np.int64)
-    per_step = -step_logits.log_softmax().gather_index(targets)
-    return (per_step * Tensor(mask)).sum() * (1.0 / count)
+    return step_logits.cross_entropy(target_ids, mask) * (1.0 / count)
 
 
 def joint_loss(lp: Tensor, lg: Tensor, picker_weight: float) -> Tensor:

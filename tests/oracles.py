@@ -9,7 +9,7 @@ n-grams positionally instead of via Counter arithmetic.
 
 import numpy as np
 
-from pickgen.autodiff import Tensor, no_grad
+from pickgen.autodiff import Tensor, log_softmax, no_grad
 from pickgen.corpus import EOS_ID, SOS_ID, tokenize
 from pickgen.decoding import BeamHypothesis
 from pickgen.labeling import normalize, to_bio
@@ -52,7 +52,7 @@ def next_log_probs(params, enc, prefixes):
     )
     with no_grad():
         logits = decode_forward(tiled, ids, params)
-        return Tensor(logits.data[:, -1, :]).log_softmax().data
+        return log_softmax(logits.data[:, -1, :])
 
 
 def reference_beam_search(params, input_ids, beam_size, max_len,

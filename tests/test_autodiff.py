@@ -1,14 +1,22 @@
 """Gradient checks for the reverse-mode autodiff core.
 
 Every differentiable op is verified against central finite differences on
-random inputs. Structural behavior (graph recording, accumulation, toposort
-on shared subgraphs, no_grad) is tested separately.
+random inputs, the fused ones (RMS norm, attention, cross-entropy) also at
+extreme inputs. Structural behavior (graph recording, lazy accumulation,
+toposort on shared subgraphs, no_grad) is tested separately.
 """
 
 import numpy as np
 import pytest
 
-from pickgen.autodiff import Tensor, constant, no_grad, parameter
+from pickgen.autodiff import (
+    Tensor,
+    attention,
+    constant,
+    log_softmax,
+    no_grad,
+    parameter,
+)
 
 RNG = np.random.default_rng(1234)
 EPS = 1e-6
@@ -65,10 +73,6 @@ class TestElementwiseGrads:
         a = RNG.standard_normal(4)
         check_unary(lambda t: t * 3.0 + 2.0, a)
 
-    def test_pow_const(self):
-        a = RNG.uniform(0.5, 2.0, size=6)
-        check_unary(lambda t: t.pow_const(3.0), a)
-
     def test_softplus(self):
         check_unary(lambda t: t.softplus(), RNG.standard_normal((3, 3)) * 3)
 
@@ -124,14 +128,6 @@ class TestMatmulAndShapes:
         (t.permute(2, 0, 1) * Tensor(RNG.standard_normal((4, 2, 3)))).sum().backward()
         assert t.grad.shape == (2, 3, 4)
 
-    def test_swap_last(self):
-        a = RNG.standard_normal((2, 3, 4))
-        t = parameter(a.copy())
-        out = t.swap_last()
-        assert out.shape == (2, 4, 3)
-        out.sum().backward()
-        np.testing.assert_allclose(t.grad, np.ones((2, 3, 4)))
-
 
 class TestReductions:
     def test_sum_all(self):
@@ -150,54 +146,154 @@ class TestReductions:
         out.sum().backward()
         np.testing.assert_allclose(t.grad, np.ones((2, 3)))
 
-    def test_mean(self):
-        a = RNG.standard_normal(8)
-        t = parameter(a.copy())
-        t.mean().backward()
-        np.testing.assert_allclose(t.grad, np.full(8, 1 / 8))
+
+def softmax_of(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """The attention weights of 2-D logits: with zero queries and keys the
+    logits are the bias alone, and identity values read the weights out."""
+    rows, cols = logits.shape
+    return attention(Tensor(np.zeros((rows, 1))), Tensor(np.zeros((cols, 1))),
+                     Tensor(np.eye(cols)), logits, mask)
 
 
 class TestSoftmax:
+    """The softmax inside the fused attention node."""
+
     def test_grad_matches_finite_differences(self):
         a = RNG.standard_normal((3, 5))
         w = RNG.standard_normal((3, 5))
-        check_unary(lambda t: t.softmax() * Tensor(w), a)
+        check_unary(lambda t: softmax_of(t) * Tensor(w), a)
 
     def test_rows_sum_to_one(self):
         a = RNG.standard_normal((4, 7)) * 10
-        y = Tensor(a).softmax().data
+        y = softmax_of(Tensor(a)).data
         np.testing.assert_allclose(y.sum(axis=-1), np.ones(4), atol=1e-12)
 
     def test_shift_invariance(self):
-        a = RNG.standard_normal(5)
-        y1 = Tensor(a).softmax().data
-        y2 = Tensor(a + 1000.0).softmax().data
+        a = RNG.standard_normal((1, 5))
+        y1 = softmax_of(Tensor(a)).data
+        y2 = softmax_of(Tensor(a + 1000.0)).data
         np.testing.assert_allclose(y1, y2, atol=1e-12)
 
     def test_huge_negative_underflows_to_zero(self):
-        y = Tensor(np.array([0.0, -1e9])).softmax().data
-        assert y[1] == 0.0
-        assert y[0] == 1.0
+        y = softmax_of(Tensor(np.zeros((1, 2))), np.array([[0.0, -1e9]])).data
+        assert y[0, 1] == 0.0
+        assert y[0, 0] == 1.0
 
 
 class TestLogSoftmax:
-    def test_grad_matches_finite_differences(self):
-        a = RNG.standard_normal((3, 5))
-        w = RNG.standard_normal((3, 5))
-        check_unary(lambda t: t.log_softmax() * Tensor(w), a)
-
     def test_equals_log_of_softmax(self):
         a = RNG.standard_normal((4, 7)) * 5
-        np.testing.assert_allclose(Tensor(a).log_softmax().data,
-                                   np.log(Tensor(a).softmax().data),
+        np.testing.assert_allclose(log_softmax(a),
+                                   np.log(softmax_of(Tensor(a)).data),
                                    atol=1e-12)
 
     def test_extreme_inputs_stay_finite(self):
+        y = log_softmax(np.array([[-1000.0, 1000.0, 0.0]]))
+        assert y.tolist() == [[-2000.0, 0.0, -1000.0]]
+
+
+class TestRMSNorm:
+    def test_matches_definition(self):
+        x = RNG.standard_normal((2, 3, 4))
+        scale = RNG.standard_normal(4)
+        out = Tensor(x).rmsnorm(Tensor(scale), 1e-6).data
+        expected = x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + 1e-6) * scale
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1000.0])
+    def test_grads_match_finite_differences(self, magnitude):
+        x = RNG.standard_normal((2, 3, 4)) * magnitude
+        scale = RNG.standard_normal(4)
+        w = RNG.standard_normal((2, 3, 4))
+        check_unary(lambda t: t.rmsnorm(Tensor(scale), 1e-6) * Tensor(w), x)
+        check_unary(lambda t: Tensor(x).rmsnorm(t, 1e-6) * Tensor(w), scale)
+
+    def test_zero_row_stays_finite(self):
+        t = parameter(np.zeros((1, 4)))
+        t.rmsnorm(parameter(np.ones(4)), 1e-6).sum().backward()
+        assert np.isfinite(t.grad).all()
+
+
+class TestAttention:
+    SHAPES = {"q": (2, 2, 3, 4), "k": (2, 2, 5, 4), "v": (2, 2, 5, 3), "bias": (2, 3, 5)}
+
+    def _check(self, values, mask=None):
+        weights = RNG.standard_normal((2, 2, 3, 3))
+        for name in values:
+            def build(t, name=name):
+                args = {n: Tensor(a) for n, a in values.items()}
+                args[name] = t
+                out = attention(args["q"], args["k"], args["v"], args["bias"], mask)
+                return out * Tensor(weights)
+
+            check_unary(build, values[name].copy())
+
+    def test_grads_match_finite_differences(self):
+        values = {n: RNG.standard_normal(s) for n, s in self.SHAPES.items()}
+        mask = np.where(RNG.random((2, 1, 1, 5)) < 0.3, -1e9, 0.0)
+        mask[..., 0] = 0.0
+        self._check(values, mask)
+
+    def test_fully_masked_key_row(self):
+        values = {n: RNG.standard_normal(s) for n, s in self.SHAPES.items()}
+        mask = np.zeros((1, 1, 1, 5))
+        mask[..., 2] = -1e9  # no query sees key 2
+        self._check(values, mask)
+        k, v = parameter(values["k"]), parameter(values["v"])
+        attention(Tensor(values["q"]), k, v, Tensor(values["bias"]), mask).sum().backward()
+        assert not k.grad[:, :, 2].any() and not v.grad[:, :, 2].any()
+        assert k.grad[:, :, 1].any() and v.grad[:, :, 1].any()
+
+    def test_query_seeing_no_key_stays_finite(self):
+        values = {n: RNG.standard_normal(s) for n, s in self.SHAPES.items()}
+        mask = np.zeros((1, 1, 3, 5))
+        mask[..., 1, :] = -1e9
+        q = parameter(values["q"])
+        out = attention(q, *(Tensor(values[n]) for n in ("k", "v", "bias")), mask)
+        out.sum().backward()
+        assert np.isfinite(out.data).all() and np.isfinite(q.grad).all()
+
+    def test_extreme_logits_stay_finite(self):
+        values = {n: RNG.standard_normal(s) for n, s in self.SHAPES.items()}
+        values["bias"] = np.where(RNG.random((2, 3, 5)) < 0.5, -1000.0, 1000.0)
+        self._check(values)
+        t = parameter(values["bias"])
+        attention(*(Tensor(values[n]) for n in ("q", "k", "v")), t).sum().backward()
+        assert np.isfinite(t.grad).all()
+
+
+class TestCrossEntropy:
+    def test_equals_weighted_negative_log_softmax(self):
+        a = RNG.standard_normal((2, 3, 5))
+        targets = RNG.integers(0, 5, size=(2, 3))
+        w = RNG.random((2, 3))
+        out = Tensor(a).cross_entropy(targets, w)
+        picked = np.take_along_axis(log_softmax(a), targets[..., None], -1)[..., 0]
+        assert out.shape == ()
+        np.testing.assert_allclose(out.item(), -(picked * w).sum(), rtol=1e-12)
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1000.0])
+    def test_grad_matches_finite_differences(self, magnitude):
+        a = RNG.standard_normal((3, 5)) * magnitude
+        targets = np.array([0, 4, 2])
+        w = np.array([1.0, 0.5, 2.0])
+        check_unary(lambda t: t.cross_entropy(targets, w), a)
+
+    def test_confident_miss_keeps_full_gradient(self):
         t = parameter(np.array([[-1000.0, 1000.0, 0.0]]))
-        y = t.log_softmax()
-        (y * Tensor(np.array([[1.0, -2.0, 0.5]]))).sum().backward()
-        assert y.data.tolist() == [[-2000.0, 0.0, -1000.0]]
-        np.testing.assert_allclose(t.grad, [[1.0, -1.5, 0.5]], atol=1e-12)
+        out = t.cross_entropy(np.array([0]), np.array([1.0]))
+        out.backward()
+        assert out.item() == 2000.0
+        np.testing.assert_allclose(t.grad, [[-1.0, 1.0, 0.0]], atol=1e-12)
+
+    def test_zero_weights_get_zero_gradient(self):
+        t = parameter(RNG.standard_normal((2, 3, 4)))
+        w = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        t.cross_entropy(np.zeros((2, 3), dtype=np.int64), w).backward()
+        assert not t.grad[w == 0.0].any()
+        assert t.grad[w == 1.0].any()
+        check_unary(lambda v: v.cross_entropy(np.zeros((2, 3), dtype=np.int64), w),
+                    t.data.copy())
 
 
 class TestIndexing:
@@ -220,19 +316,6 @@ class TestIndexing:
         out = table.lookup(np.array([0, 0, 0]))
         out.sum().backward()
         assert table.grad[0, 0] == 3.0
-
-    def test_gather_index(self):
-        probs = parameter(RNG.uniform(0.1, 1.0, size=(2, 3, 4)))
-        idx = np.array([[0, 3, 1], [2, 2, 0]])
-        out = probs.gather_index(idx)
-        assert out.shape == (2, 3)
-        np.testing.assert_allclose(out.data,
-                                   np.take_along_axis(probs.data,
-                                                      idx[..., None], -1)[..., 0])
-        out.sum().backward()
-        assert probs.grad.sum() == 6.0
-        assert probs.grad[0, 1, 3] == 1.0
-        assert probs.grad[0, 1, 0] == 0.0
 
 
 class TestGraphMechanics:
@@ -266,6 +349,40 @@ class TestGraphMechanics:
         y.backward()
         y.backward()
         assert x.grad.item() == 3.0  # not 6.0
+
+    def test_repeated_backward_gives_equal_grads(self):
+        a = parameter(RNG.standard_normal((2, 3)))
+        w = parameter(RNG.standard_normal((3, 4)))
+        loss = ((a @ w).relu() * (a @ w)).sum()
+        loss.backward()
+        first = (a.grad.copy(), w.grad.copy())
+        loss.backward()
+        np.testing.assert_array_equal(a.grad, first[0])
+        np.testing.assert_array_equal(w.grad, first[1])
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b, c: ((a + b) * a + b * b).sum(),
+        lambda a, b, c: ((a + b) * c).sum() + (a * c).sum(),
+        lambda a, b, c: (a * c).sum() + ((a + b) * c).sum(),
+    ], ids=["through-y", "y-branch-first", "a-branch-first"])
+    def test_shared_grad_is_never_mutated(self, build):
+        # add hands one g to both parents; a later contribution to one of
+        # them must not write into the other's grad
+        a0, b0, c = RNG.standard_normal(3), RNG.standard_normal(3), RNG.standard_normal(3)
+        a, b = parameter(a0.copy()), parameter(b0.copy())
+        build(a, b, Tensor(c)).backward()
+        a_fd = numeric_grad(lambda v: build(Tensor(v), Tensor(b0), Tensor(c)).item(), a0.copy())
+        b_fd = numeric_grad(lambda v: build(Tensor(a0), Tensor(v), Tensor(c)).item(), b0.copy())
+        np.testing.assert_allclose(a.grad, a_fd, atol=TOL)
+        np.testing.assert_allclose(b.grad, b_fd, atol=TOL)
+
+    def test_constant_operands_get_no_grad(self):
+        x = parameter(RNG.standard_normal((2, 3)))
+        mask = constant(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        loss = (x * mask + constant(np.ones(3))).sum()
+        loss.backward()
+        assert mask.grad is None
+        np.testing.assert_array_equal(x.grad, mask.data)
 
     def test_deep_chain_does_not_overflow_stack(self):
         x = parameter(np.array(1.0))
@@ -345,11 +462,10 @@ class TestCompositeExpressions:
         v = RNG.standard_normal((3, 2))
 
         def run(qv):
-            scores = Tensor(qv) @ Tensor(k).swap_last() * (1 / 2.0)
-            return scores.softmax() @ Tensor(v)
+            return attention(Tensor(qv), Tensor(k), Tensor(v)) * 3.0
 
         t = parameter(q.copy())
-        out = (t @ Tensor(k).swap_last() * (1 / 2.0)).softmax() @ Tensor(v)
+        out = attention(t, Tensor(k), Tensor(v)) * 3.0
         out.sum().backward()
         expected = numeric_grad(lambda x: run(x).sum().item(), q.copy())
         np.testing.assert_allclose(t.grad, expected, atol=1e-6)

@@ -17,11 +17,14 @@ from oracles import (
     next_log_probs,
     reference_beam_search,
 )
-from pickgen.autodiff import no_grad
+from pickgen.autodiff import log_softmax, no_grad
 from pickgen.corpus import (
     EOS_ID,
     PAD_ID,
     SOS_ID,
+    UNK_ID,
+    X1_ID,
+    X2_ID,
     DialogueSample,
     LanguageConfig,
     Vocabulary,
@@ -178,7 +181,7 @@ class TestBeamMechanics:
             with no_grad():
                 logits = decode_forward(
                     enc, np.asarray([hyp.ids[:-1]], dtype=np.int64), params)
-            logs = logits.log_softmax().data[0]
+            logs = log_softmax(logits.data)[0]
             total = sum(float(logs[t, hyp.ids[t + 1]])
                         for t in range(len(hyp.ids) - 1))
             assert total == pytest.approx(hyp.logp, abs=1e-5)
@@ -245,7 +248,7 @@ class TestDecoderCache:
             with no_grad():
                 logits = decode_forward(enc, prefixes[:, step:step + 1], params,
                                         cache=cache)
-            got = logits.log_softmax().data[:, -1]
+            got = log_softmax(logits.data)[:, -1]
             for row, source in enumerate(cache.source):
                 want = next_log_probs(params, single[source],
                                       [tuple(prefixes[row, :step + 1])])[0]
@@ -326,6 +329,14 @@ class TestRestore:
         vocab = Vocabulary.from_tokens(list(RESERVED_TOKENS) + ["hi", "there"])
         hyp = BeamHypothesis((SOS_ID, 6, PAD_ID, 7, EOS_ID), -1.0, True)
         assert hypothesis_text(hyp, vocab, ENGLISH) == "hi there"
+
+    def test_hypothesis_text_strips_reserved_markers(self):
+        # an untrained model restored 'oslo <s> i': reserved ids can be
+        # generated mid-sequence, and none of them is a word
+        vocab = Vocabulary.from_tokens(list(RESERVED_TOKENS) + ["hi", "there"])
+        ids = (SOS_ID, X1_ID, 6, SOS_ID, UNK_ID, X2_ID, 7, EOS_ID)
+        hyp = BeamHypothesis(ids, -1.0, True)
+        assert hypothesis_text(hyp, vocab, ENGLISH) == "hi <unk> there"
 
     def test_restore_corpus_preserves_ids_and_order(self):
         corpus = generate_corpus(4, seed=2)
