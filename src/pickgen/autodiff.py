@@ -119,14 +119,22 @@ class Tensor:
     __rmul__ = __mul__
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        data = self.data @ other.data
+        if other.data.ndim == 2:  # a projection: one GEMM over every row, both ways
+            rows = self.data.reshape(-1, other.shape[0])
+            data = (rows @ other.data).reshape(*self.shape[:-1], other.shape[1])
+        else:
+            data = self.data @ other.data
 
         def backward_fn(g):
-            ga = _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)
-            if other.data.ndim == 2:  # a projection: one GEMM over every row
-                d_in, d_out = other.shape
-                return ga, self.data.reshape(-1, d_in).T @ g.reshape(-1, d_out)
-            return ga, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)
+            # other.data is read here, not captured above: the optimizer
+            # rebinds it, and the old graph would keep the old weights alive
+            w = other.data
+            if w.ndim == 2:
+                g = g.reshape(-1, w.shape[1])
+                rows = self.data.reshape(-1, w.shape[0])
+                return (g @ w.T).reshape(self.shape), rows.T @ g
+            return (_unbroadcast(g @ np.swapaxes(w, -1, -2), self.shape),
+                    _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, w.shape))
 
         return Tensor._make(data, (self, other), backward_fn)
 

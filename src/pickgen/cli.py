@@ -395,7 +395,6 @@ def cmd_evaluate(args) -> int:
         ("seed", args.seed),
         ("language", args.language),
         ("stopword_path", args.stopwords),
-        ("embeddings", args.embeddings),
         ("evaluation.pickup_mode", args.pickup_mode),
         ("evaluation.bucket_bleu_n", args.bucket_bleu_n),
     ):
@@ -415,7 +414,6 @@ def cmd_evaluate(args) -> int:
         labeled=labeled,
         pickup_mode=config["evaluation"]["pickup_mode"],
         bucket_bleu_n=config["evaluation"]["bucket_bleu_n"],
-        emb=_embedding_table(config),
     )
     _ensure_out_dir(args.out_dir)
     _write_effective_config(config, "evaluate", args.out_dir)
@@ -490,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True, help="gold corpus JSONL")
     p.add_argument("--pickup-mode", choices=["any", "all"])
     p.add_argument("--bucket-bleu-n", type=int)
-    p.add_argument("--embeddings", help="word vectors for pickup labeling")
     p.set_defaults(func=cmd_evaluate)
 
     return parser

@@ -1,10 +1,10 @@
 """Automatic creation of picker supervision from (context, incomplete,
 reference) triples.
 
-Pipeline: normalize both sides, take the reference tokens missing from the
-incomplete utterance as clue tokens, score every context word against every
-clue by cosine similarity of word vectors (with an exact-string short
-circuit to 1.0), then reduce to soft scores or hard BIO tags.
+Pipeline: normalize both sides and take the reference tokens missing from the
+incomplete utterance as clue tokens. Hard BIO tags mark context words whose
+normalized form is a clue; soft scores are a word's best cosine similarity to
+a clue by word vectors, where an exact string match scores 1.0.
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ def soft_labels(d: np.ndarray) -> np.ndarray:
 
 
 def hard_labels(d: np.ndarray) -> np.ndarray:
-    """1 exactly where some clue hit the exact-match short circuit."""
+    """1 exactly where some clue hit the exact-match short circuit: where the
+    word is a clue token, which label_sample tests by set membership."""
     if d.shape[1] == 0:
         return np.zeros(d.shape[0], dtype=np.int64)
     return (d == 1.0).any(axis=1).astype(np.int64)
@@ -241,7 +242,7 @@ def label_sample(
     emb: EmbeddingTable,
     cfg: LanguageConfig,
 ) -> LabeledSample:
-    """Run the full labeling pipeline over one sample."""
+    """Run the full labeling pipeline over one sample (emb: soft mode only)."""
     if mode not in LABEL_MODES:
         raise LabelError(f"label_sample supports soft|hard, got {mode!r}")
     if sample.reference is None:
@@ -252,16 +253,16 @@ def label_sample(
     for utterance in sample.context:
         words = tokenize(utterance, cfg)
         surviving = normalize(words, cfg)
-        d = score_matrix([form for _, form in surviving], clues, emb)
         if mode == "soft":
+            d = score_matrix([form for _, form in surviving], clues, emb)
             scores = np.zeros(len(words))
             for (surface_idx, _), value in zip(surviving, soft_labels(d)):
                 scores[surface_idx] = value
             score_rows.append(tuple(float(s) for s in scores))
         else:
             bits = [0] * len(words)
-            for (surface_idx, _), bit in zip(surviving, hard_labels(d)):
-                bits[surface_idx] = int(bit)
+            for surface_idx, form in surviving:
+                bits[surface_idx] = int(form in clues.tokens)
             tag_rows.append(tuple(to_bio(bits)))
     if mode == "soft":
         labels = PickerLabels("soft", scores=tuple(score_rows))

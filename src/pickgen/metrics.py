@@ -282,13 +282,11 @@ def evaluate(
     labeled: list[LabeledSample] | None = None,
     pickup_mode: str = "any",
     bucket_bleu_n: int = 2,
-    emb: EmbeddingTable | None = None,
 ) -> EvalReport:
     """Aggregate every reported metric over a prediction/gold pairing.
 
-    Pickup ratio uses the provided labels when given;
-    otherwise hard labels are derived on the fly with the (hash-fallback)
-    embedding table.
+    Pickup ratio uses the provided labels when given; otherwise hard labels
+    are derived on the fly (they read no word vectors).
     """
     if not gold:
         raise MetricError("gold corpus is empty")
@@ -300,10 +298,7 @@ def evaluate(
     if labeled is not None:
         by_id = {item.sample.id: item for item in labeled}
     else:
-        by_id = {}
-        emb = emb if emb is not None else EmbeddingTable()
-        for sample in gold:
-            by_id[sample.id] = label_sample(sample, "hard", emb, cfg)
+        by_id = {s.id: label_sample(s, "hard", EmbeddingTable(), cfg) for s in gold}
 
     pred_tokens = {s.id: tokenize(predictions[s.id], cfg) for s in gold}
     ref_tokens = {s.id: tokenize(s.reference, cfg) for s in gold}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -467,6 +468,7 @@ def backward(loss: Tensor, params: ModelParameters) -> dict[str, np.ndarray]:
 def save_checkpoint(
     params: ModelParameters, path: str, vocab_sha256: str | None = None
 ) -> None:
+    """Write via a temp file and os.replace: a failed write leaves path as it was."""
     entries = []
     offset = 0
     payloads = []
@@ -489,11 +491,16 @@ def save_checkpoint(
         "vocab_sha256": vocab_sha256,
         "tensors": entries,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for payload in payloads:
-            fh.write(payload)
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n")
+            fh.writelines(payloads)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:

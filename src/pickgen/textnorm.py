@@ -164,6 +164,7 @@ def _longest_rule(word, rules):
     return best
 
 
+@lru_cache(maxsize=1 << 16)
 def porter_stem(word: str) -> str:
     """Stem a lowercase English word; words of length <= 2 pass through."""
     if len(word) <= 2 or not word.isalpha():

@@ -1,13 +1,15 @@
 """Gradient checks for the reverse-mode autodiff core.
 
 Every differentiable op is verified against central finite differences on
-random inputs, the fused ones (RMS norm, attention, cross-entropy) also at
-extreme inputs. Structural behavior (graph recording, lazy accumulation,
-toposort on shared subgraphs, no_grad) is tested separately.
+random inputs (matmul also on hypothesis-drawn shapes), the fused ones (RMS
+norm, attention, cross-entropy) also at extreme inputs. Structural behavior
+(graph recording, lazy accumulation, toposort on shared subgraphs, no_grad)
+is tested separately.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pickgen.autodiff import (
     Tensor,
@@ -117,6 +119,40 @@ class TestMatmulAndShapes:
         assert tw.grad.shape == (4, 5)
         expected = sum(a[i].T @ np.ones((3, 5)) for i in range(2))
         np.testing.assert_allclose(tw.grad, expected)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matmul_matches_numpy_and_finite_differences(self, data):
+        # a 2-D right operand (a projection) runs as one GEMM over the rows
+        # of every leading dimension; other shapes as numpy's stacked matmul
+        sizes = st.integers(1, 4)
+        d, e = data.draw(sizes), data.draw(sizes)
+        kind = data.draw(st.sampled_from(("decode", "plain", "lead", "attention")))
+        if kind == "decode":  # one decoder step: (rows, 1, d)
+            left, right = (data.draw(st.sampled_from((1, 2, 7))), 1, d), (d, e)
+        elif kind == "plain":
+            left, right = (data.draw(sizes), d), (d, e)
+        elif kind == "lead":
+            lead = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+            left, right = (*lead, d), (d, e)
+        else:  # (batch, heads, length, head_dim) against keys or values
+            b, h, length = data.draw(st.tuples(st.integers(1, 2), sizes, sizes))
+            left, right = (b, h, length, d), (b, h, d, e)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a, w = rng.standard_normal(left), rng.standard_normal(right)
+        weight = rng.standard_normal(np.matmul(a, w).shape)
+        ta, tw = parameter(a.copy()), parameter(w.copy())
+        out = ta @ tw
+        np.testing.assert_allclose(out.data, np.matmul(a, w), rtol=1e-12, atol=1e-12)
+        (out * Tensor(weight)).sum().backward()
+
+        def loss(x, y):
+            return float((np.matmul(x, y) * weight).sum())
+
+        np.testing.assert_allclose(
+            ta.grad, numeric_grad(lambda v: loss(v, w), a.copy()), atol=TOL, rtol=TOL)
+        np.testing.assert_allclose(
+            tw.grad, numeric_grad(lambda v: loss(a, v), w.copy()), atol=TOL, rtol=TOL)
 
     def test_reshape(self):
         a = RNG.standard_normal((2, 6))

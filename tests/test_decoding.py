@@ -8,8 +8,12 @@ monotonicity in beam size are not theorems for pruned search, so those are
 asserted on pinned model fixtures that were verified to satisfy them.
 """
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     encode_single,
@@ -20,11 +24,16 @@ from oracles import (
 from pickgen.autodiff import log_softmax, no_grad
 from pickgen.corpus import (
     EOS_ID,
+    EOS_TOKEN,
     PAD_ID,
+    PAD_TOKEN,
     SOS_ID,
+    SOS_TOKEN,
     UNK_ID,
     X1_ID,
+    X1_TOKEN,
     X2_ID,
+    X2_TOKEN,
     DialogueSample,
     LanguageConfig,
     Vocabulary,
@@ -379,6 +388,52 @@ class TestRestore:
         text = restore(corpus[0], result.state.params, vocab, ENGLISH,
                        beam_size=2, max_len=16)
         assert text == corpus[0].reference
+
+
+IN_VOCAB = ("alpha", "beta", "gamma")
+DEGENERATE_VOCAB = Vocabulary.from_tokens(list(RESERVED_TOKENS) + list(IN_VOCAB))
+# every reserved token but <unk>, which stands for an unknown word
+HIDDEN_TOKENS = (PAD_TOKEN, SOS_TOKEN, EOS_TOKEN, X1_TOKEN, X2_TOKEN)
+TURNS = st.lists(st.sampled_from(IN_VOCAB + ("oslo", "zyx", "qq")), min_size=1,
+                 max_size=3).map(" ".join)  # out-of-vocabulary words too
+DEGENERATE_SAMPLES = st.builds(
+    DialogueSample,
+    st.lists(TURNS | st.sampled_from(("oslo", "zyx qq", "alpha")), min_size=1,
+             max_size=2).map(tuple),
+    TURNS,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def degenerate_params(seed):
+    return init_parameters(make_model_config(
+        len(DEGENERATE_VOCAB), "hard", seed=seed, d_model=8, num_layers=1,
+        num_heads=2, ffn_dim=16, picker_hidden=(4,), dropout=0.0))
+
+
+class TestDegenerateRestore:
+    @given(st.lists(DEGENERATE_SAMPLES, min_size=1, max_size=3),
+           st.sampled_from((1, 2, RESTORE_CHUNK, RESTORE_CHUNK + 1)),
+           st.sampled_from((1, 3, len(DEGENERATE_VOCAB) + 2)),
+           st.sampled_from((1, 2, 6)), st.integers(0, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_every_sample_gets_a_clean_prediction(self, pool, size, beam, max_len,
+                                                   seed):
+        # single-word and all-OOV turns, beam wider than the vocabulary,
+        # max_len 1, and corpora on either side of the chunk edge
+        corpus = [dataclasses.replace(pool[i % len(pool)], id=f"s{i}")
+                  for i in range(size)]
+        params = degenerate_params(seed)
+        pairs = restore_corpus(corpus, params, DEGENERATE_VOCAB, ENGLISH,
+                               beam_size=beam, max_len=max_len)
+        assert [sample_id for sample_id, _ in pairs] == [s.id for s in corpus]
+        for _, text in pairs:
+            assert not any(token in text for token in HIDDEN_TOKENS), text
+        assert [text for _, text in pairs] == [
+            restore_ranked([s], params, DEGENERATE_VOCAB, ENGLISH, beam,
+                           max_len)[0][0][0]
+            for s in corpus
+        ]
 
 
 class TestPredictPickerTags:

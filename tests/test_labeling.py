@@ -1,10 +1,14 @@
 """Tests for clue extraction, similarity scoring, and label creation.
 
-The hard-label path has an independent oracle: because non-exact cosine
-scores are capped strictly below 1.0, a context word is marked important
-iff its normalized form is a member of the clue set. The oracle computes
-that set membership directly, bypassing the similarity machinery.
+The hard-label path has an independent oracle: a context word is marked
+important iff its normalized form is a member of the clue set. label_sample
+tests that membership without word vectors; because non-exact cosine scores
+are capped strictly below 1.0, the score-matrix route (hard_labels of
+score_matrix) gives the same tags, and is kept here as a second reference.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from pickgen.labeling import (
     label_corpus,
     label_density,
     label_sample,
+    labeled_to_record,
     load_embeddings,
     load_labeled_corpus,
     normalize,
@@ -251,6 +256,52 @@ class TestLabelSample:
             for tag_row, score_row in zip(hard, soft):
                 for tag, score in zip(tag_row, score_row):
                     assert (score == 1.0) == (tag != "O")
+
+
+class VectorlessTable(EmbeddingTable):
+    def vector(self, token):
+        raise AssertionError(f"read the word vector of {token!r}")
+
+
+def corpus_digest(labeled) -> str:
+    lines = (json.dumps(labeled_to_record(item), ensure_ascii=False, sort_keys=True)
+             for item in labeled)
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+
+
+class TestHardLabelsBySetMembership:
+    def test_hard_reads_no_word_vectors(self):
+        corpus = generate_corpus(20, seed=3)
+        labeled = label_corpus(corpus, "hard", VectorlessTable(), ENGLISH)
+        expected = label_corpus(corpus, "hard", EmbeddingTable(), ENGLISH)
+        assert [x.labels for x in labeled] == [x.labels for x in expected]
+        with pytest.raises(AssertionError, match="word vector"):
+            label_sample(corpus[0], "soft", VectorlessTable(), ENGLISH)
+
+    def test_hard_equals_score_matrix_route_row_by_row(self):
+        emb = EmbeddingTable()
+        for sample in generate_corpus(240, seed=0):
+            clues = extract_clue_tokens(sample.reference, sample.incomplete, ENGLISH)
+            tags = label_sample(sample, "hard", emb, ENGLISH).labels.tags
+            for utterance, row in zip(sample.context, tags, strict=True):
+                words = tokenize(utterance, ENGLISH)
+                surviving = normalize(words, ENGLISH)
+                d = score_matrix([form for _, form in surviving], clues, emb)
+                bits = [0] * len(words)
+                for (idx, _), bit in zip(surviving, hard_labels(d)):
+                    bits[idx] = int(bit)
+                assert row == tuple(to_bio(bits)), sample
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("hard", "01666bd365a553ce77b7dcc121449684ded17c2294f78903c42d0bc543e63bf7"),
+        ("soft", "2c6b45d92daf1198ff6cc4ec36c4c10a4ad414c9031590f13a4f3d1709c9a56a"),
+    ])
+    def test_labeled_records_keep_their_bytes(self, mode, digest):
+        # digests of the records written when hard labels still went
+        # through score_matrix
+        labeled = label_corpus(generate_corpus(240, seed=0), mode, EmbeddingTable(),
+                               ENGLISH)
+        assert corpus_digest(labeled) == digest
 
 
 class TestPickerLabelsValidation:

@@ -6,6 +6,9 @@ so outputs at real positions must be bitwise independent of padding, and
 decoder steps bitwise independent of future tokens.
 """
 
+import io
+import os
+
 import numpy as np
 import pytest
 
@@ -348,6 +351,31 @@ class TestCheckpoint:
         save_checkpoint(params, p1)
         save_checkpoint(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["oserror", "interrupt"])
+    def test_failed_write_keeps_previous_checkpoint(self, params, tmp_path,
+                                                    monkeypatch, failure):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        previous = path.read_bytes()
+        params["lm_head"].data += 1.0
+
+        class FailingFile(io.FileIO):
+            def write(self, data):  # the manifest lands, then a payload fails
+                if self.tell():
+                    raise failure
+                return super().write(data)
+
+        monkeypatch.setattr(M, "open", FailingFile, raising=False)
+        with pytest.raises(type(failure)):
+            save_checkpoint(params, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["ckpt.bin"]
+        save_checkpoint(params, path)
+        assert path.read_bytes() != previous
+        assert os.listdir(tmp_path) == ["ckpt.bin"]
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
