@@ -119,22 +119,20 @@ class Tensor:
     __rmul__ = __mul__
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        if other.data.ndim == 2:  # a projection: one GEMM over every row, both ways
-            rows = self.data.reshape(-1, other.shape[0])
-            data = (rows @ other.data).reshape(*self.shape[:-1], other.shape[1])
-        else:
-            data = self.data @ other.data
+        """(..., d_in) @ (d_in, d_out), a projection: one GEMM over every
+        row, both ways."""
+        if other.data.ndim != 2:
+            raise ValueError("matmul takes a 2-D right operand")
+        rows = self.data.reshape(-1, other.shape[0])
+        data = (rows @ other.data).reshape(*self.shape[:-1], other.shape[1])
 
         def backward_fn(g):
             # other.data is read here, not captured above: the optimizer
             # rebinds it, and the old graph would keep the old weights alive
             w = other.data
-            if w.ndim == 2:
-                g = g.reshape(-1, w.shape[1])
-                rows = self.data.reshape(-1, w.shape[0])
-                return (g @ w.T).reshape(self.shape), rows.T @ g
-            return (_unbroadcast(g @ np.swapaxes(w, -1, -2), self.shape),
-                    _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, w.shape))
+            g = g.reshape(-1, w.shape[1])
+            rows = self.data.reshape(-1, w.shape[0])
+            return (g @ w.T).reshape(self.shape), rows.T @ g
 
         return Tensor._make(data, (self, other), backward_fn)
 
@@ -160,18 +158,10 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self) -> "Tensor":
         shape = self.shape
-
-        def backward_fn(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape).copy(),)
-
-        return Tensor._make(data, (self,), backward_fn)
+        return Tensor._make(self.data.sum(), (self,),
+                            lambda g: (np.broadcast_to(g, shape).copy(),))
 
     # -- nonlinearities -----------------------------------------------------
 

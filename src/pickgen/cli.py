@@ -118,8 +118,11 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def load_config(path: str | None) -> dict:
+def load_config(args) -> dict:
+    """DEFAULT_CONFIG, then the --config file, then every flag that was
+    given; a setting flag's dest is its dotted config key."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    path = args.config
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
@@ -129,17 +132,15 @@ def load_config(path: str | None) -> dict:
         if unknown:
             raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
         config = _deep_merge(config, user)
+    for dotted, value in vars(args).items():
+        if value is None or dotted.split(".")[0] not in DEFAULT_CONFIG:
+            continue
+        node = config
+        *parents, leaf = dotted.split(".")
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
     return config
-
-
-def _apply_override(config: dict, dotted: str, value) -> None:
-    if value is None:
-        return
-    node = config
-    *parents, leaf = dotted.split(".")
-    for key in parents:
-        node = node[key]
-    node[leaf] = value
 
 
 def _language_config(config: dict) -> LanguageConfig:
@@ -196,8 +197,7 @@ def _carries_labels(path: str) -> bool:
 # Commands
 
 def cmd_synth(args) -> int:
-    config = load_config(args.config)
-    _apply_override(config, "seed", args.seed)
+    config = load_config(args)
     templates = None
     if args.templates:
         templates = tuple(int(t) for t in args.templates.split(","))
@@ -211,16 +211,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_label(args) -> int:
-    config = load_config(args.config)
-    for dotted, value in (
-        ("seed", args.seed),
-        ("language", args.language),
-        ("stopword_path", args.stopwords),
-        ("embeddings", args.embeddings),
-        ("embedding_fallback", args.embedding_fallback),
-        ("label_mode", args.mode),
-    ):
-        _apply_override(config, dotted, value)
+    config = load_config(args)
     lang = _language_config(config)
     mode = config["label_mode"]
     samples = load_corpus(args.corpus)
@@ -256,36 +247,27 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    for dotted, value in (
-        ("seed", args.seed),
-        ("language", args.language),
-        ("stopword_path", args.stopwords),
-        ("label_mode", args.label_mode),
-        ("vocab_size", args.vocab_size),
-        ("train.picker_weight", args.alpha),
-        ("train.learning_rate", args.learning_rate),
-        ("train.batch_size", args.batch_size),
-        ("train.epochs", args.epochs),
-        ("train.subsample_fraction", args.fraction),
-        ("train.checkpoint_every", args.checkpoint_every),
-    ):
-        _apply_override(config, dotted, value)
+    config = load_config(args)
     lang = _language_config(config)
     label_mode = config["label_mode"]
     if label_mode == "none":
         corpus = load_corpus(args.corpus)
     else:
         corpus = load_labeled_corpus(args.corpus, lang)
-    fraction = config["train"]["subsample_fraction"]
-    epochs = config["train"]["epochs"]
-    if epochs is None:
-        epochs = (
+    section = config["train"]
+    if section["epochs"] is None:
+        section["epochs"] = (
             SMALL_CORPUS_EPOCHS
-            if len(corpus) < LARGE_CORPUS_THRESHOLD or fraction < 1.0
+            if len(corpus) < LARGE_CORPUS_THRESHOLD
+            or section["subsample_fraction"] < 1.0
             else LARGE_CORPUS_EPOCHS
         )
-        config["train"]["epochs"] = epochs
+    train_cfg = TrainConfig(
+        label_mode=label_mode,
+        seed=config["seed"],
+        max_len=config["max_input_len"],
+        **section,
+    )
     _ensure_out_dir(args.out_dir)
     raw_samples = [
         item.sample if hasattr(item, "sample") else item for item in corpus
@@ -303,13 +285,6 @@ def cmd_train(args) -> int:
         picker_hidden=picker_hidden,
         **model_section,
     )
-    train_cfg = TrainConfig(
-        label_mode=label_mode,
-        seed=config["seed"],
-        max_len=config["max_input_len"],
-        **{k: v for k, v in config["train"].items() if k != "epochs"},
-        epochs=epochs,
-    )
     _write_effective_config(config, "train", args.out_dir)
     result = train(
         corpus,
@@ -323,7 +298,7 @@ def cmd_train(args) -> int:
     losses = result.state.epoch_losses
     print(
         f"trained on {result.trained_samples} of {len(corpus)} samples "
-        f"for {epochs} epochs ({result.state.step} steps)"
+        f"for {train_cfg.epochs} epochs ({result.state.step} steps)"
     )
     print(
         "final epoch losses: picker "
@@ -338,17 +313,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    config = load_config(args.config)
-    for dotted, value in (
-        ("seed", args.seed),
-        ("language", args.language),
-        ("stopword_path", args.stopwords),
-        ("inference.beam_size", args.beam_size),
-        ("inference.max_len", args.max_len),
-        ("inference.length_penalty", args.length_penalty),
-        ("inference.nbest", args.nbest),
-    ):
-        _apply_override(config, dotted, value)
+    config = load_config(args)
     lang = _language_config(config)
     samples = load_corpus(args.corpus)
     seen: set[str] = set()
@@ -390,15 +355,7 @@ def cmd_restore(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
-    for dotted, value in (
-        ("seed", args.seed),
-        ("language", args.language),
-        ("stopword_path", args.stopwords),
-        ("evaluation.pickup_mode", args.pickup_mode),
-        ("evaluation.bucket_bleu_n", args.bucket_bleu_n),
-    ):
-        _apply_override(config, dotted, value)
+    config = load_config(args)
     lang = _language_config(config)
     predictions = load_predictions(args.predictions)
     if _carries_labels(args.gold):
@@ -436,10 +393,12 @@ def _add_common(parser) -> None:
     parser.add_argument("--out-dir", required=True, help="artifact directory")
     parser.add_argument("--seed", type=int, help="global seed override")
     parser.add_argument("--language", choices=["english", "chinese", "other"])
-    parser.add_argument("--stopwords", help="stopword file override")
+    parser.add_argument("--stopwords", dest="stopword_path",
+                        help="stopword file override")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A flag that sets a config key has that dotted key as its dest."""
     parser = _Parser(prog="pickgen", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -453,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="create picker labels from references")
     _add_common(p)
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
-    p.add_argument("--mode", choices=LABEL_MODES)
+    p.add_argument("--mode", dest="label_mode", choices=LABEL_MODES)
     p.add_argument("--embeddings", help="word-vector text file")
     p.add_argument("--embedding-fallback", choices=["hash", "zero"])
     p.set_defaults(func=cmd_label)
@@ -462,13 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--in", dest="corpus", required=True, help="labeled JSONL")
     p.add_argument("--label-mode", choices=[*LABEL_MODES, "none"])
-    p.add_argument("--alpha", type=float, help="picker loss weight")
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--fraction", type=float, help="training subsample fraction")
+    p.add_argument("--alpha", dest="train.picker_weight", type=float,
+                   help="picker loss weight")
+    p.add_argument("--learning-rate", dest="train.learning_rate", type=float)
+    p.add_argument("--batch-size", dest="train.batch_size", type=int)
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--fraction", dest="train.subsample_fraction", type=float,
+                   help="training subsample fraction")
     p.add_argument("--vocab-size", type=int)
-    p.add_argument("--checkpoint-every", type=int)
+    p.add_argument("--checkpoint-every", dest="train.checkpoint_every", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("restore", help="decode restorations for a corpus")
@@ -476,18 +437,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", help="vocabulary JSON (default: beside checkpoint)")
-    p.add_argument("--beam-size", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--length-penalty", type=float)
-    p.add_argument("--nbest", type=int)
+    p.add_argument("--beam-size", dest="inference.beam_size", type=int)
+    p.add_argument("--max-len", dest="inference.max_len", type=int)
+    p.add_argument("--length-penalty", dest="inference.length_penalty", type=float)
+    p.add_argument("--nbest", dest="inference.nbest", type=int)
     p.set_defaults(func=cmd_restore)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
     _add_common(p)
     p.add_argument("--predictions", required=True, help="predictions JSONL")
     p.add_argument("--gold", required=True, help="gold corpus JSONL")
-    p.add_argument("--pickup-mode", choices=["any", "all"])
-    p.add_argument("--bucket-bleu-n", type=int)
+    p.add_argument("--pickup-mode", dest="evaluation.pickup_mode",
+                   choices=["any", "all"])
+    p.add_argument("--bucket-bleu-n", dest="evaluation.bucket_bleu_n", type=int)
     p.set_defaults(func=cmd_evaluate)
 
     return parser

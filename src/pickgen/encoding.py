@@ -55,19 +55,9 @@ class Segment(NamedTuple):
 class EncodedSample:
     id: str
     input_ids: tuple[int, ...]
-    segments: tuple[Segment, ...]
     picker_targets: tuple[float, ...]
-    label_mode: str  # soft | hard | none
     decoder_input: tuple[int, ...]
     decoder_target: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.input_ids) != len(self.segments):
-            raise EncodingError("segment map length must equal input length")
-        if len(self.picker_targets) != len(self.input_ids):
-            raise EncodingError("picker-target length must equal input length")
-        if not self.input_ids or self.input_ids[-1] != EOS_ID:
-            raise EncodingError("input must end with the EOS id")
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,6 @@ class EncodedBatch:
     decoder_input: np.ndarray  # (B, T) int64
     decoder_target: np.ndarray  # (B, T) int64
     target_mask: np.ndarray  # (B, T) float64
-    label_mode: str
 
 
 def build_input(
@@ -180,31 +169,24 @@ def encode_sample(
         if problem:
             raise EncodingError(f"sample {sample.id!r}: {problem}")
         picker = align_labels(labels, segments)
-        mode = labels.mode
     else:
         picker = [IGNORE_MARK] * len(input_ids)
-        mode = "none"
     if sample.reference is None:
         raise EncodingError(f"sample {sample.id!r}: no reference to encode")
     dec_in, dec_out = build_target(sample.reference, vocab, cfg)
     return EncodedSample(
         id=sample.id,
         input_ids=tuple(input_ids),
-        segments=tuple(segments),
         picker_targets=tuple(picker),
-        label_mode=mode,
         decoder_input=tuple(dec_in),
         decoder_target=tuple(dec_out),
     )
 
 
 def collate(samples: list[EncodedSample]) -> EncodedBatch:
-    """Right-pad a homogeneous list of encoded samples into batch arrays."""
+    """Right-pad a list of encoded samples into batch arrays."""
     if not samples:
         raise EncodingError("cannot collate an empty batch")
-    modes = {s.label_mode for s in samples}
-    if len(modes) > 1:
-        raise EncodingError(f"mixed label modes in one batch: {sorted(modes)}")
     batch = len(samples)
     max_in = max(len(s.input_ids) for s in samples)
     input_ids = np.full((batch, max_in), PAD_ID, dtype=np.int64)
@@ -230,6 +212,5 @@ def collate(samples: list[EncodedSample]) -> EncodedBatch:
         decoder_input=dec_in,
         decoder_target=dec_out,
         target_mask=tgt_mask,
-        label_mode=samples[0].label_mode,
     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import DialogueSample, LanguageConfig, tokenize
 from .labeling import EmbeddingTable, LabeledSample, important_token_set, label_sample, normalize
@@ -226,23 +226,7 @@ class EvalReport:
     sample_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "rouge1": self.rouge1,
-            "rouge2": self.rouge2,
-            "bleu1": self.bleu1,
-            "bleu2": self.bleu2,
-            "bleu4": self.bleu4,
-            "f1": self.f1,
-            "f2": self.f2,
-            "f3": self.f3,
-            "em": self.em,
-            "pickup_ratio": self.pickup_ratio,
-            "pickup_mode": self.pickup_mode,
-            "difference": self.difference,
-            "bleu_by_length": self.bleu_by_length,
-            "bucket_counts": self.bucket_counts,
-            "sample_count": self.sample_count,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

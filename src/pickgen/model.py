@@ -6,7 +6,8 @@ normalization, no biases on attention or feed-forward projections, shared
 input embedding between encoder and decoder, and bucketed relative-position
 biases added to attention logits (bidirectional buckets in the encoder,
 unidirectional in the decoder, none on cross attention). An optional flag
-adds a learned absolute position embedding to the input instead.
+also adds a learned absolute position embedding to the input; the
+relative-position biases apply either way.
 """
 
 from __future__ import annotations
@@ -463,7 +464,8 @@ def backward(loss: Tensor, params: ModelParameters) -> dict[str, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Checkpoint container: one JSON manifest line, then raw little-endian
-# float32 payloads in manifest order.
+# float32 payloads back to back in manifest order; loading rejects any other
+# layout.
 
 def save_checkpoint(
     params: ModelParameters, path: str, vocab_sha256: str | None = None
@@ -519,11 +521,20 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
         if listed != expected:
             raise ModelError(f"{path}: tensor listing does not match config")
         blob = fh.read()
+    # the one payload layout: the listed tensors back to back
+    total = 4 * sum(math.prod(shape) for _, shape in expected)
+    if len(blob) != total:
+        problem = "truncated" if len(blob) < total else "trailing bytes after the"
+        raise ModelError(f"{path}: {problem} payload ({len(blob)} bytes, not {total})")
     tensors: dict[str, Tensor] = {}
-    for entry in manifest["tensors"]:
-        lo, hi = entry["offset"], entry["offset"] + entry["size"]
-        if hi > len(blob):
-            raise ModelError(f"{path}: truncated payload for {entry['name']}")
+    lo = 0
+    for entry, (name, shape) in zip(manifest["tensors"], expected):
+        hi = lo + 4 * math.prod(shape)
+        if (entry["offset"], entry["size"]) != (lo, hi - lo):
+            raise ModelError(
+                f"{path}: {name} must span payload bytes {lo}..{hi}, not offset "
+                f"{entry['offset']} size {entry['size']}")
         flat = np.frombuffer(blob[lo:hi], dtype="<f4").astype(np.float64)
-        tensors[entry["name"]] = parameter(flat.reshape(entry["shape"]))
+        tensors[name] = parameter(flat.reshape(shape))
+        lo = hi
     return ModelParameters(cfg, tensors), manifest

@@ -69,6 +69,8 @@ class TrainConfig:
             raise TrainingError("subsample_fraction must lie in (0, 1]")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise TrainingError("epochs must be >= 1")
         if self.label_mode not in (*LABEL_MODES, "none"):
             raise TrainingError(f"unknown label mode {self.label_mode!r}")
 

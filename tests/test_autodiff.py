@@ -102,14 +102,11 @@ class TestMatmulAndShapes:
         np.testing.assert_allclose(ta.grad, g @ b.T)
         np.testing.assert_allclose(tb.grad, a.T @ g)
 
-    def test_matmul_batched(self):
-        a = RNG.standard_normal((2, 3, 4))
-        b = RNG.standard_normal((2, 4, 5))
-        ta, tb = parameter(a.copy()), parameter(b.copy())
-        (ta @ tb).sum().backward()
-        g = np.ones((2, 3, 5))
-        np.testing.assert_allclose(ta.grad, g @ np.swapaxes(b, -1, -2))
-        np.testing.assert_allclose(tb.grad, np.swapaxes(a, -1, -2) @ g)
+    def test_matmul_rejects_batched_right_operand(self):
+        a = parameter(RNG.standard_normal((2, 3, 4)))
+        b = parameter(RNG.standard_normal((2, 4, 5)))
+        with pytest.raises(ValueError, match="2-D right operand"):
+            a @ b
 
     def test_matmul_broadcast_weight(self):
         a = RNG.standard_normal((2, 3, 4))
@@ -123,21 +120,18 @@ class TestMatmulAndShapes:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_matmul_matches_numpy_and_finite_differences(self, data):
-        # a 2-D right operand (a projection) runs as one GEMM over the rows
-        # of every leading dimension; other shapes as numpy's stacked matmul
+        # the 2-D right operand (a projection) runs as one GEMM over the
+        # rows of every leading dimension
         sizes = st.integers(1, 4)
         d, e = data.draw(sizes), data.draw(sizes)
-        kind = data.draw(st.sampled_from(("decode", "plain", "lead", "attention")))
+        kind = data.draw(st.sampled_from(("decode", "plain", "lead")))
         if kind == "decode":  # one decoder step: (rows, 1, d)
             left, right = (data.draw(st.sampled_from((1, 2, 7))), 1, d), (d, e)
         elif kind == "plain":
             left, right = (data.draw(sizes), d), (d, e)
-        elif kind == "lead":
+        else:
             lead = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
             left, right = (*lead, d), (d, e)
-        else:  # (batch, heads, length, head_dim) against keys or values
-            b, h, length = data.draw(st.tuples(st.integers(1, 2), sizes, sizes))
-            left, right = (b, h, length, d), (b, h, d, e)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         a, w = rng.standard_normal(left), rng.standard_normal(right)
         weight = rng.standard_normal(np.matmul(a, w).shape)
@@ -168,19 +162,6 @@ class TestMatmulAndShapes:
 class TestReductions:
     def test_sum_all(self):
         check_unary(lambda t: t.sum() * 2.0, RNG.standard_normal((3, 2)))
-
-    def test_sum_axis(self):
-        a = RNG.standard_normal((3, 4))
-        check_unary(lambda t: (t.sum(axis=1) * Tensor(np.arange(3.0))).sum(),
-                    a)
-
-    def test_sum_keepdims(self):
-        a = RNG.standard_normal((2, 3))
-        t = parameter(a.copy())
-        out = t.sum(axis=1, keepdims=True)
-        assert out.shape == (2, 1)
-        out.sum().backward()
-        np.testing.assert_allclose(t.grad, np.ones((2, 3)))
 
 
 def softmax_of(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:

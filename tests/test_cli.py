@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import pickgen
-from pickgen.cli import main
+from pickgen.cli import DEFAULT_CONFIG, build_parser, main
 from pickgen.corpus import (
     RESERVED_TOKENS,
     LanguageConfig,
@@ -149,6 +149,94 @@ class TestConfig:
             (out_dir / "effective-config.synth.json").read_text()
         )
         assert effective["seed"] == 7
+
+
+# (command, flag, value on the command line, config key, value recorded);
+# "{stopwords}" and "{embeddings}" stand for files the fixture writes
+SETTING_FLAGS = [
+    *((command, flag, value, key, recorded)
+      for command in ("synth", "label", "train", "restore", "evaluate")
+      for flag, value, key, recorded in (
+          ("--seed", "5", "seed", 5),
+          ("--language", "other", "language", "other"),
+          ("--stopwords", "{stopwords}", "stopword_path", "{stopwords}"),
+      )),
+    ("label", "--mode", "soft", "label_mode", "soft"),
+    ("label", "--embeddings", "{embeddings}", "embeddings", "{embeddings}"),
+    ("label", "--embedding-fallback", "zero", "embedding_fallback", "zero"),
+    ("train", "--label-mode", "none", "label_mode", "none"),
+    ("train", "--alpha", "0.25", "train.picker_weight", 0.25),
+    ("train", "--learning-rate", "0.01", "train.learning_rate", 0.01),
+    ("train", "--batch-size", "3", "train.batch_size", 3),
+    ("train", "--epochs", "1", "train.epochs", 1),
+    ("train", "--fraction", "0.5", "train.subsample_fraction", 0.5),
+    ("train", "--vocab-size", "100", "vocab_size", 100),
+    ("train", "--checkpoint-every", "1", "train.checkpoint_every", 1),
+    ("restore", "--beam-size", "3", "inference.beam_size", 3),
+    ("restore", "--max-len", "5", "inference.max_len", 5),
+    ("restore", "--length-penalty", "0.5", "inference.length_penalty", 0.5),
+    ("restore", "--nbest", "2", "inference.nbest", 2),
+    ("evaluate", "--pickup-mode", "all", "evaluation.pickup_mode", "all"),
+    ("evaluate", "--bucket-bleu-n", "3", "evaluation.bucket_bleu_n", 3),
+]
+
+
+class TestSettingFlags:
+    """Every flag that sets a config key lands at that key in the
+    command's effective config."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("inputs")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+        corpus = run_synth(tmp_path)
+        labeled = run_label(tmp_path, corpus)
+        train_dir = run_train(tmp_path, labeled, str(config))
+        assert main([
+            "restore", "--in", str(corpus), "--out-dir", str(tmp_path / "restore"),
+            "--checkpoint", str(train_dir / "checkpoint.bin"), "--config", str(config),
+        ]) == 0
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\na\n", encoding="utf-8")
+        embeddings = tmp_path / "vectors.txt"
+        embeddings.write_text("1 2\ntour 0.5 -0.5\n", encoding="utf-8")
+        return {
+            "synth": ["--size", "2"],
+            "label": ["--in", str(corpus)],
+            "train": ["--in", str(labeled), "--config", str(config)],
+            "restore": ["--in", str(corpus), "--config", str(config),
+                        "--checkpoint", str(train_dir / "checkpoint.bin")],
+            "evaluate": ["--gold", str(labeled), "--predictions",
+                         str(tmp_path / "restore" / "predictions.jsonl")],
+            "{stopwords}": str(stopwords),
+            "{embeddings}": str(embeddings),
+        }
+
+    def test_every_setting_flag_is_listed(self):
+        commands = next(a for a in build_parser()._actions if a.choices).choices
+        declared = {
+            (command, action.option_strings[0], action.dest)
+            for command, parser in commands.items()
+            for action in parser._actions
+            if action.dest.split(".")[0] in DEFAULT_CONFIG
+        }
+        assert declared == {(c, flag, key) for c, flag, _, key, _ in SETTING_FLAGS}
+
+    @pytest.mark.parametrize(
+        "command,flag,value,key,recorded", SETTING_FLAGS,
+        ids=[f"{c}{flag}" for c, flag, *_ in SETTING_FLAGS])
+    def test_flag_lands_at_its_key(self, tmp_path, inputs, command, flag, value,
+                                   key, recorded):
+        out_dir = tmp_path / "out"
+        code = main([command, "--out-dir", str(out_dir), *inputs[command],
+                     flag, inputs.get(value, value)])
+        assert code == 0
+        node = json.loads(
+            (out_dir / f"effective-config.{command}.json").read_text())
+        for part in key.split("."):
+            node = node[part]
+        assert node == inputs.get(recorded, recorded)
 
 
 class TestSynth:
@@ -295,6 +383,20 @@ class TestTrain:
             tmp_path, corpus, tiny_config, extra=["--label-mode", "none"]
         )
         assert (out_dir / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("epochs", ["0", "-2"])
+    def test_epochs_below_one_rejected(self, tmp_path, tiny_config, capsys,
+                                       epochs):
+        labeled = run_label(tmp_path, run_synth(tmp_path))
+        out_dir = tmp_path / "train"
+        code = main([
+            "train", "--in", str(labeled), "--out-dir", str(out_dir),
+            "--config", tiny_config, "--epochs", epochs,
+        ])
+        assert code == 2
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.bin").exists()
+        assert not (out_dir / "loss_log.csv").exists()
 
     def test_alpha_flag_reaches_effective_config(self, tmp_path, tiny_config):
         corpus = run_synth(tmp_path)

@@ -165,7 +165,6 @@ class TestEncodeSample:
         labeled = label_sample(sample, "hard", EmbeddingTable(), ENGLISH)
         enc = encode_sample(sample, vocab, ENGLISH, labeled.labels)
         assert enc.id == "7"
-        assert enc.label_mode == "hard"
         assert enc.picker_targets[:5] == (1.0, 0.0, 0.0, 0.0, IGNORE_MARK)
         assert enc.input_ids[-1] == EOS_ID
         assert enc.decoder_input[0] == SOS_ID
@@ -176,7 +175,6 @@ class TestEncodeSample:
         sample = self._sample()
         vocab = build_vocab([sample], 100, ENGLISH)
         enc = encode_sample(sample, vocab, ENGLISH)
-        assert enc.label_mode == "none"
         assert set(enc.picker_targets) == {IGNORE_MARK}
 
     def test_missing_reference_rejected(self):
@@ -217,15 +215,6 @@ class TestCollate:
         assert batch.input_mask[0, :n].tolist() == [1.0] * n
         assert (batch.input_mask[0, n:] == 0.0).all()
         assert (batch.picker_targets[0, n:] == IGNORE_MARK).all()
-
-    def test_mixed_label_modes_rejected(self):
-        sample = DialogueSample(("a",), "u", "a u", "0")
-        vocab = build_vocab([sample], 100, ENGLISH)
-        hard = encode_sample(sample, vocab, ENGLISH,
-                             labels=PickerLabels("hard", tags=(("O",),)))
-        none = encode_sample(sample, vocab, ENGLISH)
-        with pytest.raises(EncodingError, match="mixed label modes"):
-            collate([hard, none])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(EncodingError):

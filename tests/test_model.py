@@ -7,7 +7,9 @@ decoder steps bitwise independent of future tokens.
 """
 
 import io
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -398,6 +400,46 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 64])
         with pytest.raises(ModelError, match="truncated"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite(path, edit=lambda entries: None, tail=b""):
+        """Rewrite a saved checkpoint with its manifest entries edited in
+        place and tail appended to the payload."""
+        header, _, payload = path.read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        edit({e["name"]: e for e in manifest["tensors"]})
+        path.write_bytes(json.dumps(manifest, sort_keys=True).encode() + b"\n"
+                         + payload + tail)
+
+    def test_trailing_bytes_rejected(self, params, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        self._rewrite(path, tail=b"\0" * 4)
+        with pytest.raises(ModelError, match=re.escape(f"{path}: trailing bytes")):
+            load_checkpoint(path)
+
+    def test_entry_shorter_than_its_shape_rejected(self, params, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+
+        def shorten(entries):
+            entries["lm_head"]["size"] -= 4
+
+        self._rewrite(path, shorten)
+        with pytest.raises(ModelError, match=re.escape(f"{path}: lm_head must span")):
+            load_checkpoint(path)
+
+    def test_offset_into_another_tensor_rejected(self, params, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+
+        def alias(entries):
+            entries["dec_rel_bias"]["offset"] = entries["enc_rel_bias"]["offset"]
+
+        self._rewrite(path, alias)
+        with pytest.raises(ModelError,
+                           match=re.escape(f"{path}: dec_rel_bias must span")):
             load_checkpoint(path)
 
     def test_literal_pe_round_trip(self, tmp_path):
