@@ -128,7 +128,12 @@ def load_config(args) -> dict:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise UsageError(f"{path}: config must be a JSON object")
-        unknown = set(user) - set(DEFAULT_CONFIG)
+        unknown = [key for key in user if key not in DEFAULT_CONFIG]
+        for key, known in DEFAULT_CONFIG.items():
+            if isinstance(known, dict) and key in user:
+                if not isinstance(user[key], dict):
+                    raise UsageError(f"{path}: {key} must be a JSON object")
+                unknown += [f"{key}.{sub}" for sub in user[key] if sub not in known]
         if unknown:
             raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
         config = _deep_merge(config, user)
@@ -388,13 +393,14 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_common(parser) -> None:
+def _add_common(parser, language: bool = True) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out-dir", required=True, help="artifact directory")
     parser.add_argument("--seed", type=int, help="global seed override")
-    parser.add_argument("--language", choices=["english", "chinese", "other"])
-    parser.add_argument("--stopwords", dest="stopword_path",
-                        help="stopword file override")
+    if language:  # synth generates English and reads no stopwords
+        parser.add_argument("--language", choices=["english", "chinese", "other"])
+        parser.add_argument("--stopwords", dest="stopword_path",
+                            help="stopword file override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_common(p)
+    _add_common(p, language=False)
     p.add_argument("--size", type=int, default=200)
     p.add_argument("--templates", help="comma-separated template indices")
     p.set_defaults(func=cmd_synth)

@@ -101,8 +101,12 @@ def _search(
     Each live hypothesis expands over the whole vocabulary; the top
     beam_size candidates of each input by normalized score survive the
     round. Candidates that just emitted EOS are set aside as finished (the
-    live set shrinks). Returns, per input, its nbest best hypotheses:
-    finished ones if any exist, else the best live ones at the cutoff.
+    live set shrinks). An input leaves the batch before max_len once its
+    nbest-th best finished score beats the bound of each of its live rows:
+    a later token adds a log-prob <= 0, so no descendant scores above logp /
+    the largest length divisor still ahead. A tie keeps the input, as ids
+    could break it. Returns, per input, its nbest best hypotheses: finished
+    ones if any exist, else the best live ones at the cutoff.
     """
     if beam_size < 1:
         raise InferenceError("beam_size must be >= 1")
@@ -115,6 +119,11 @@ def _search(
         ids[row, : len(seq)] = seq
         mask[row, : len(seq)] = 1.0
     finished: list[list[BeamHypothesis]] = [[] for _ in inputs]
+    # norm[n - 1] divides the log-prob of a length-n hypothesis, and
+    # reach[n - 1] is the largest divisor of any length from n to max_len
+    norm = np.array([n**length_penalty for n in range(1, max_len + 1)], dtype=float)
+    reach = np.maximum.accumulate(norm[::-1])[::-1]
+    top = np.full((count, nbest), -np.inf)  # nbest best finished scores, ascending
     with no_grad():
         enc = encode(ids, mask, params)
         cache = DecoderCache(source=np.arange(count))
@@ -125,14 +134,26 @@ def _search(
                 break
             logits = decode_forward(enc, prefixes[:, -1:], params, cache=cache)
             total = logp[:, None] + log_softmax(logits.data[:, -1, :])
-            scores = total / (step + 1) ** length_penalty
+            scores = total / norm[step]
             rows, tokens = _survivors(scores, prefixes, cache.source, beam_size)
             for row in rows[tokens == EOS_ID]:
-                finished[cache.source[row]].append(BeamHypothesis(
+                source = cache.source[row]
+                finished[source].append(BeamHypothesis(
                     (*prefixes[row].tolist(), EOS_ID), float(total[row, EOS_ID]), True
                 ))
+                if scores[row, EOS_ID] > top[source, 0]:
+                    top[source, 0] = scores[row, EOS_ID]
+                    top[source].sort()
             live = tokens != EOS_ID
             rows, tokens = rows[live], tokens[live]
+            source = cache.source[rows]
+            # reach[step] also counts the rows' own length, which keeps the
+            # last step in range and can only loosen the bound
+            bound = total[rows, tokens] / reach[step]
+            running = np.zeros(count, dtype=bool)
+            running[source[~(top[source, 0] > bound)]] = True
+            keep = running[source]
+            rows, tokens = rows[keep], tokens[keep]
             logp = total[rows, tokens]
             prefixes = np.concatenate([prefixes[rows], tokens[:, None]], axis=1)
             cache.reorder(rows)

@@ -150,12 +150,37 @@ class TestConfig:
         )
         assert effective["seed"] == 7
 
+    @pytest.mark.parametrize("command,args,user,key", [
+        ("restore", ["--in", "corpus.jsonl", "--checkpoint", "checkpoint.bin"],
+         {"inference": {"beam": 3}}, "inference.beam"),
+        ("train", ["--in", "labeled.jsonl"], {"train": {"epoch": 2}}, "train.epoch"),
+    ], ids=["restore", "train"])
+    def test_unknown_section_key(self, tmp_path, capsys, command, args, user, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(user), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main([command, "--out-dir", str(out_dir), *args, "--config", str(cfg)])
+        assert code == 1
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_section_must_be_object(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"inference": 3}', encoding="utf-8")
+        code = main([
+            "synth", "--out-dir", str(tmp_path / "out"), "--size", "1",
+            "--config", str(cfg),
+        ])
+        assert code == 1
+        assert "inference must be a JSON object" in capsys.readouterr().err
+
 
 # (command, flag, value on the command line, config key, value recorded);
 # "{stopwords}" and "{embeddings}" stand for files the fixture writes
 SETTING_FLAGS = [
+    ("synth", "--seed", "5", "seed", 5),
     *((command, flag, value, key, recorded)
-      for command in ("synth", "label", "train", "restore", "evaluate")
+      for command in ("label", "train", "restore", "evaluate")
       for flag, value, key, recorded in (
           ("--seed", "5", "seed", 5),
           ("--language", "other", "language", "other"),
@@ -267,6 +292,16 @@ class TestSynth:
 
     def test_bad_size(self, tmp_path):
         assert main(["synth", "--out-dir", str(tmp_path), "--size", "0"]) == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--language", "chinese"), ("--stopwords", "/nonexistent"),
+    ])
+    def test_language_flags_rejected(self, tmp_path, capsys, flag, value):
+        # the generator writes English whatever they say
+        out_dir = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(out_dir), flag, value]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestLabel:

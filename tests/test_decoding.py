@@ -21,7 +21,8 @@ from oracles import (
     next_log_probs,
     reference_beam_search,
 )
-from pickgen.autodiff import log_softmax, no_grad
+from pickgen import decoding
+from pickgen.autodiff import Tensor, log_softmax, no_grad
 from pickgen.corpus import (
     EOS_ID,
     EOS_TOKEN,
@@ -43,6 +44,7 @@ from pickgen.corpus import (
 from pickgen.decoding import (
     RESTORE_CHUNK,
     BeamHypothesis,
+    _search,
     InferenceError,
     beam_search,
     default_max_decode_len,
@@ -292,21 +294,87 @@ class TestAgainstReferenceBeam:
         assert greedy_decode(params, [4, 5, 3], max_len=5) == list(prefix[1:])
 
     def test_all_tied_candidates(self):
-        # a zero lm_head ties every candidate: ids alone order them
+        # a zero lm_head ties every candidate: ids alone order them; at
+        # max_len 10 the early stop fires at penalties 0 and 0.5 and must
+        # drop no hypothesis the full-length reference returns
         params = toy_params(3, vocab_size=9)
         params["lm_head"].data[:] = 0.0
-        for penalty in (0.0, 1.0):
-            got = beam_search(params, [4, 5, 3], 4, max_len=4,
-                              length_penalty=penalty, nbest=4)
-            want = reference_beam_search(params, [4, 5, 3], 4, 4, penalty, 4)
-            assert [h.ids for h in got] == [h.ids for h in want]
-            assert [h.logp for h in got] == [h.logp for h in want]
+        for penalty in (0.0, 0.5, 1.0, 2.0):
+            for nbest in (1, 4):
+                got = beam_search(params, [4, 5, 3], 4, max_len=10,
+                                  length_penalty=penalty, nbest=nbest)
+                want = reference_beam_search(params, [4, 5, 3], 4, 10, penalty,
+                                             nbest)
+                assert [h.ids for h in got] == [h.ids for h in want]
+                assert [h.logp for h in got] == [h.logp for h in want]
 
     def test_wide_vocabulary(self):
         params = toy_params(4, vocab_size=300)
         got = beam_search(params, [40, 250, 7, 3], 8, max_len=4, nbest=8)
         want = reference_beam_search(params, [40, 250, 7, 3], 8, 4, nbest=8)
         assert [h.ids for h in got] == [h.ids for h in want]
+
+
+def eos_raised_params(seed, raise_by):
+    """A toy model whose EOS column is raised, so that hypotheses finish
+    early and inputs can stop before max_len."""
+    params = toy_params(seed, vocab_size=9)
+    params["lm_head"].data[:, EOS_ID] += raise_by
+    return params
+
+
+class TestEarlyStop:
+    """An input leaves the batch once no live row can change its n-best; the
+    reference search never stops early."""
+
+    @given(st.integers(0, 30), st.sampled_from((1.0, 2.0, 4.0)),
+           st.lists(st.lists(st.integers(3, 8), min_size=1, max_size=5),
+                    min_size=1, max_size=3),
+           st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.sampled_from((1, 3, 8)),
+           st.sampled_from((1, 3, "beam")), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_same_hypotheses_as_reference(self, seed, raise_by, inputs, penalty,
+                                          beam, nbest, max_len):
+        nbest = beam if nbest == "beam" else nbest
+        params = eos_raised_params(seed, raise_by)
+        batched = _search(params, inputs, beam, max_len, penalty, nbest)
+        for input_ids, in_batch in zip(inputs, batched):
+            got = beam_search(params, input_ids, beam, max_len, penalty, nbest)
+            want = reference_beam_search(params, input_ids, beam, max_len,
+                                         penalty, nbest)
+            for hyps in (got, in_batch):
+                assert [h.ids for h in hyps] == [h.ids for h in want]
+                assert [h.logp for h in hyps] == pytest.approx(
+                    [h.logp for h in want], abs=1e-12)
+
+    def test_stops_before_max_len(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return decode_forward(*args, **kwargs)
+
+        monkeypatch.setattr(decoding, "decode_forward", counted)
+        beam_search(eos_raised_params(0, 2.0), [4, 5, 3], 3, max_len=12)
+        assert 0 < len(calls) < 12
+
+    def test_tied_bound_keeps_input_running(self, monkeypatch):
+        # (SOS, UNK) ties the finished (SOS, EOS) at -log 2 and then adds
+        # EOS at log-prob 0, so (SOS, UNK, EOS) ties it too and wins on ids:
+        # a bound equal to the threshold must not stop the input
+        def fake_decode_forward(enc, ids, params, cache):
+            logits = np.full((len(ids), 1, 9), -1e4)
+            logits[:, 0, EOS_ID] = 0.0
+            if cache.length == 0:
+                logits[:, 0, UNK_ID] = 0.0
+            cache.length += 1
+            return Tensor(logits)
+
+        monkeypatch.setattr(decoding, "decode_forward", fake_decode_forward)
+        hyps = beam_search(toy_params(0, vocab_size=9), [4, 5, 3], 2, max_len=3,
+                           length_penalty=0.0)
+        assert [h.ids for h in hyps] == [(SOS_ID, UNK_ID, EOS_ID)]
+        assert hyps[0].logp == -np.log(2.0)
 
 
 class TestDefaultMaxDecodeLen:
