@@ -58,24 +58,25 @@ class DialogueSample:
 
 @dataclass(frozen=True)
 class LanguageConfig:
-    """Language-dependent normalization and tokenization switches."""
+    """A language tag and its stopwords. Chinese is tokenized per
+    character, everything else on whitespace; only English words are
+    lemmatized and stemmed."""
 
     language: str = "english"
     stopwords: frozenset[str] = field(default_factory=frozenset)
-    lowercase: bool = True
-    lemmatize: bool = True
-    stem: bool = True
-    granularity: str = "whitespace"  # whitespace | character
 
-    def __post_init__(self):
-        if self.granularity not in ("whitespace", "character"):
-            raise ValueError(f"unsupported tokenization granularity {self.granularity!r}")
-        if self.language == "chinese" and (self.lemmatize or self.stem):
-            raise ValueError("chinese configs must disable lemmatization and stemming")
+    @property
+    def by_character(self) -> bool:
+        return self.language == "chinese"
+
+    @property
+    def stems(self) -> bool:
+        """Whether normalization lemmatizes, then stems."""
+        return self.language == "english"
 
     @property
     def joiner(self) -> str:
-        return " " if self.granularity == "whitespace" else ""
+        return "" if self.by_character else " "
 
     @staticmethod
     def for_language(language: str, stopword_path: str | None = None) -> "LanguageConfig":
@@ -86,23 +87,15 @@ class LanguageConfig:
             stops = textnorm.builtin_stopwords(language)
         else:
             stops = frozenset()
-        if language == "chinese":
-            return LanguageConfig(
-                language=language, stopwords=stops,
-                lemmatize=False, stem=False, granularity="character",
-            )
-        if language == "english":
-            return LanguageConfig(language=language, stopwords=stops)
-        return LanguageConfig(
-            language=language, stopwords=stops, lemmatize=False, stem=False,
-        )
+        return LanguageConfig(language, stops)
 
 
 def tokenize(text: str, cfg: LanguageConfig) -> list[str]:
-    """Split text per the configured granularity; never yields empty tokens."""
-    if cfg.granularity == "whitespace":
-        return text.split()
-    return [ch for chunk in text.split() for ch in chunk]
+    """Split text on whitespace, then into characters in character mode;
+    never yields empty tokens."""
+    if cfg.by_character:
+        return [ch for chunk in text.split() for ch in chunk]
+    return text.split()
 
 
 def detokenize(tokens: list[str], cfg: LanguageConfig) -> str:

@@ -32,7 +32,7 @@ from .corpus import (
     detokenize,
     tokenize,
 )
-from .encoding import DEFAULT_MAX_LEN, build_input
+from .encoding import DEFAULT_MAX_LEN, build_input, pad
 from .labeling import BIO_TAGS
 from .model import DecoderCache, ModelParameters, decode_forward, encode, picker_forward
 
@@ -113,15 +113,19 @@ def _search(
     if nbest < 1:
         raise InferenceError("nbest must be >= 1")
     count = len(inputs)
-    ids = np.full((count, max(map(len, inputs))), PAD_ID, dtype=np.int64)
-    mask = np.zeros(ids.shape)
-    for row, seq in enumerate(inputs):
-        ids[row, : len(seq)] = seq
-        mask[row, : len(seq)] = 1.0
+    ids, mask = pad(inputs)
     finished: list[list[BeamHypothesis]] = [[] for _ in inputs]
     # norm[n - 1] divides the log-prob of a length-n hypothesis, and
     # reach[n - 1] is the largest divisor of any length from n to max_len
-    norm = np.array([n**length_penalty for n in range(1, max_len + 1)], dtype=float)
+    try:
+        norm = np.array([n**length_penalty for n in range(1, max_len + 1)], dtype=float)
+    except OverflowError:
+        norm = np.array([np.inf])
+    if not (np.isfinite(norm) & (norm > 0)).all():
+        raise InferenceError(
+            f"length_penalty {length_penalty}: some n ** {length_penalty} with "
+            f"1 <= n <= max_len {max_len} is not a finite positive float"
+        )
     reach = np.maximum.accumulate(norm[::-1])[::-1]
     top = np.full((count, nbest), -np.inf)  # nbest best finished scores, ascending
     with no_grad():
@@ -283,19 +287,18 @@ def predict_picker_tags(
     input_max_len: int = DEFAULT_MAX_LEN,
 ) -> list[list[str]]:
     """Per-context-utterance BIO tags from the picker head (hard mode) by
-    argmax over classes; utterances truncated away get all-O rows."""
+    argmax over classes; words truncated away are tagged O."""
     if params.config.picker_arity != 3:
         raise InferenceError("tag prediction requires a hard-mode (arity 3) picker")
-    input_ids, segments = build_input(sample, vocab, cfg, input_max_len)
-    ids = np.asarray([input_ids], dtype=np.int64)
-    mask = np.ones_like(ids, dtype=np.float64)
+    input_ids, (turn, word) = build_input(sample, vocab, cfg, input_max_len)
     with no_grad():
-        enc = encode(ids, mask, params)
-        classes = picker_forward(enc, params).data[0].argmax(axis=-1)  # (L,)
+        enc = encode(*pad([input_ids]), params)
+        classes = iter(picker_forward(enc, params).data[0].argmax(axis=-1).tolist())
     rows = [["O"] * len(tokenize(u, cfg)) for u in sample.context]
-    for pos, seg in enumerate(segments):
-        if seg.kind == "context":
-            rows[seg.utterance][seg.word] = BIO_TAGS[int(classes[pos])]
+    for k in range(turn, len(rows)):
+        for w in range(word if k == turn else 0, len(rows[k])):
+            rows[k][w] = BIO_TAGS[next(classes)]
+        next(classes)  # the turn's [X1]
     return rows
 
 

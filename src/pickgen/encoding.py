@@ -1,6 +1,12 @@
 """Serialize dialogue samples into model-facing id sequences.
 
-Input layout: h_1 [X1] h_2 [X1] ... h_m [X1] u_1..u_n [X2] </s>.
+Input layout: h_1 [X1] h_2 [X1] ... h_m [X1] u_1..u_n [X2] </s>. Every word
+(every character of Chinese text) is one id, so a serialized position is a
+plain offset into the kept words. An input longer than max_len loses its
+oldest whole context turns, never the last one; if it is still too long,
+the oldest words of the last turn go, then the head of the incomplete
+utterance. The last [X1], [X2] and </s> always stay.
+
 Decoder streams are teacher-forcing shifted: input <s> r_1..r_k, target
 r_1..r_k </s>. Word-level picker labels are aligned onto serialized token
 positions, with an ignore mark on special tokens and padding.
@@ -9,7 +15,6 @@ positions, with an ignore mark on special tokens and padding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,19 +43,6 @@ class EncodingError(ValueError):
     """Raised when a sample cannot be serialized."""
 
 
-class Segment(NamedTuple):
-    """Provenance of one serialized position.
-
-    kind: context | x1 | incomplete | x2 | eos; utterance: original context
-    utterance index (-1 outside context); word: word index within its
-    utterance (-1 for special tokens).
-    """
-
-    kind: str
-    utterance: int
-    word: int
-
-
 @dataclass(frozen=True)
 class EncodedSample:
     id: str
@@ -77,40 +69,30 @@ def build_input(
     vocab: Vocabulary,
     cfg: LanguageConfig,
     max_len: int = DEFAULT_MAX_LEN,
-) -> tuple[list[int], list[Segment]]:
+) -> tuple[list[int], tuple[int, int]]:
     """Serialize context + incomplete utterance with the special-token
-    layout, dropping oldest context turns if the result would exceed
-    max_len."""
-    context_tokens = [tokenize(u, cfg) for u in sample.context]
-    incomplete_tokens = tokenize(sample.incomplete, cfg)
-    fixed = len(incomplete_tokens) + 2  # [X2] and </s>
-    start = 0
-    while start < len(context_tokens) - 1:
-        length = fixed + sum(len(t) + 1 for t in context_tokens[start:])
-        if length <= max_len:
-            break
-        start += 1
-    length = fixed + sum(len(t) + 1 for t in context_tokens[start:])
-    if length > max_len:
-        raise EncodingError(
-            f"sample {sample.id!r}: serialized length {length} exceeds "
-            f"max_len {max_len} even after truncating context"
-        )
+    layout, truncated to max_len as the module docstring says.
+
+    Returns the ids and first = (turn, word), the first context word kept:
+    the input holds context[turn][word:], the later turns whole, then the
+    incomplete utterance. A word index past the end of the last turn counts
+    on into the incomplete utterance, whose head was dropped too.
+    """
+    if max_len < 3:
+        raise EncodingError(f"max_len {max_len} cannot hold [X1] [X2] </s>")
+    turns = [tokenize(u, cfg) for u in sample.context]
+    incomplete = tokenize(sample.incomplete, cfg)
+    length = sum(len(t) + 1 for t in turns) + len(incomplete) + 2
+    turn = 0
+    while length > max_len and turn < len(turns) - 1:
+        length -= len(turns[turn]) + 1
+        turn += 1
+    word = max(0, length - max_len)
     ids: list[int] = []
-    segments: list[Segment] = []
-    for k in range(start, len(context_tokens)):
-        words = context_tokens[k]
-        ids.extend(ids_of(words, vocab))
-        segments.extend(Segment("context", k, w) for w in range(len(words)))
-        ids.append(X1_ID)
-        segments.append(Segment("x1", k, -1))
-    ids.extend(ids_of(incomplete_tokens, vocab))
-    segments.extend(Segment("incomplete", -1, w) for w in range(len(incomplete_tokens)))
-    ids.append(X2_ID)
-    segments.append(Segment("x2", -1, -1))
-    ids.append(EOS_ID)
-    segments.append(Segment("eos", -1, -1))
-    return ids, segments
+    for words in (turns[turn][word:], *turns[turn + 1 :]):
+        ids += ids_of(words, vocab) + [X1_ID]
+    ids += ids_of(incomplete[max(0, word - len(turns[-1])) :], vocab)
+    return ids + [X2_ID, EOS_ID], (turn, word)
 
 
 def build_target(
@@ -124,36 +106,24 @@ def build_target(
     return [SOS_ID] + ids, ids + [EOS_ID]
 
 
-def align_labels(labels: PickerLabels, segments: list[Segment]) -> list[float]:
-    """Map word-level picker labels onto serialized positions.
+def align_labels(
+    labels: PickerLabels, first: tuple[int, int], length: int
+) -> list[float]:
+    """Picker targets of a serialized input of `length` ids whose first
+    kept context word is first = (turn, word), as build_input returns.
 
-    Context words take their own label; incomplete-utterance words get the
-    O class / score 0; special tokens get the ignore mark; padding is
-    handled at collate time.
+    Kept context words take their own label, each turn's [X1] and the
+    closing [X2] </s> the ignore mark, incomplete-utterance words the O
+    class / score 0; padding is handled at collate time.
     """
+    turn, word = first
     rows = labels.tags if labels.tags is not None else labels.scores
     soft = labels.mode == "soft"
     out: list[float] = []
-    for seg in segments:
-        if seg.kind in ("x1", "x2", "eos"):
-            out.append(IGNORE_MARK)
-        elif seg.kind == "incomplete":
-            out.append(0.0)
-        else:
-            if seg.utterance >= len(rows):
-                raise EncodingError(
-                    f"labels cover {len(rows)} utterances, segment refers to "
-                    f"utterance {seg.utterance}"
-                )
-            row = rows[seg.utterance]
-            if seg.word >= len(row):
-                raise EncodingError(
-                    f"utterance {seg.utterance} has {len(row)} labels, "
-                    f"word index {seg.word} out of range"
-                )
-            value = row[seg.word]
-            out.append(float(value) if soft else float(BIO_TO_CLASS[value]))
-    return out
+    for row in (rows[turn][word:], *rows[turn + 1 :]):
+        out += [float(v) if soft else float(BIO_TO_CLASS[v]) for v in row]
+        out.append(IGNORE_MARK)
+    return out + [0.0] * (length - len(out) - 2) + [IGNORE_MARK] * 2
 
 
 def encode_sample(
@@ -163,12 +133,12 @@ def encode_sample(
     labels: PickerLabels | None = None,
     max_len: int = DEFAULT_MAX_LEN,
 ) -> EncodedSample:
-    input_ids, segments = build_input(sample, vocab, cfg, max_len)
+    input_ids, first = build_input(sample, vocab, cfg, max_len)
     if labels is not None:
         problem = alignment_problem(sample, labels, cfg)
         if problem:
             raise EncodingError(f"sample {sample.id!r}: {problem}")
-        picker = align_labels(labels, segments)
+        picker = align_labels(labels, first, len(input_ids))
     else:
         picker = [IGNORE_MARK] * len(input_ids)
     if sample.reference is None:
@@ -183,34 +153,28 @@ def encode_sample(
     )
 
 
+def pad(rows, fill=PAD_ID) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad rows with fill, which sets the dtype, to the longest one:
+    (values, mask), where the mask is 1.0 exactly on the rows' own entries."""
+    values = np.full((len(rows), max(map(len, rows))), fill)
+    mask = np.zeros(values.shape)
+    for i, row in enumerate(rows):
+        values[i, : len(row)] = row
+        mask[i, : len(row)] = 1.0
+    return values, mask
+
+
 def collate(samples: list[EncodedSample]) -> EncodedBatch:
     """Right-pad a list of encoded samples into batch arrays."""
     if not samples:
         raise EncodingError("cannot collate an empty batch")
-    batch = len(samples)
-    max_in = max(len(s.input_ids) for s in samples)
-    input_ids = np.full((batch, max_in), PAD_ID, dtype=np.int64)
-    input_mask = np.zeros((batch, max_in))
-    picker = np.full((batch, max_in), IGNORE_MARK)
-    max_t = max(len(s.decoder_input) for s in samples)
-    dec_in = np.full((batch, max_t), PAD_ID, dtype=np.int64)
-    dec_out = np.full((batch, max_t), PAD_ID, dtype=np.int64)
-    tgt_mask = np.zeros((batch, max_t))
-    for i, s in enumerate(samples):
-        n = len(s.input_ids)
-        input_ids[i, :n] = s.input_ids
-        input_mask[i, :n] = 1.0
-        picker[i, :n] = s.picker_targets
-        t = len(s.decoder_input)
-        dec_in[i, :t] = s.decoder_input
-        dec_out[i, :t] = s.decoder_target
-        tgt_mask[i, :t] = 1.0
+    input_ids, input_mask = pad([s.input_ids for s in samples])
+    decoder_input, target_mask = pad([s.decoder_input for s in samples])
     return EncodedBatch(
         input_ids=input_ids,
         input_mask=input_mask,
-        picker_targets=picker,
-        decoder_input=dec_in,
-        decoder_target=dec_out,
-        target_mask=tgt_mask,
+        picker_targets=pad([s.picker_targets for s in samples], IGNORE_MARK)[0],
+        decoder_input=decoder_input,
+        decoder_target=pad([s.decoder_target for s in samples])[0],
+        target_mask=target_mask,
     )
-

@@ -144,17 +144,16 @@ class LabeledSample:
 
 
 def normalize(tokens: list[str], cfg: LanguageConfig) -> list[tuple[int, str]]:
-    """Drop stopwords, then lowercase / lemmatize / stem survivors as
-    configured, keeping each survivor's original index."""
+    """Drop stopwords, then lowercase survivors and, where the language
+    stems, lemmatize and stem them, keeping each survivor's original
+    index."""
     out: list[tuple[int, str]] = []
     for i, token in enumerate(tokens):
-        form = token.lower() if cfg.lowercase else token
+        form = token.lower()
         if token in cfg.stopwords or form in cfg.stopwords:
             continue
-        if cfg.lemmatize:
-            form = textnorm.lemmatize(form)
-        if cfg.stem:
-            form = textnorm.porter_stem(form)
+        if cfg.stems:
+            form = textnorm.porter_stem(textnorm.lemmatize(form))
         if form:
             out.append((i, form))
     return out

@@ -162,10 +162,8 @@ def init_parameters(cfg: ModelConfig) -> ModelParameters:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     tensors: dict[str, Tensor] = {}
     for name, shape in _tensor_shapes(cfg):
-        if name.endswith((".b0", ".b1", ".b2", ".b3", ".b4", ".b5")):
-            data = np.zeros(shape)
-        elif name.endswith(("norm1", "norm2", "norm3", "_final_norm")):
-            data = np.ones(shape)
+        if len(shape) == 1:  # the picker biases start at zero, norm scales at one
+            data = np.zeros(shape) if name.startswith("picker.") else np.ones(shape)
         elif name in ("embedding", "pe_table"):
             data = rng.standard_normal(shape)
         elif name.endswith("_rel_bias"):

@@ -76,21 +76,16 @@ class TestTokenize:
 
 
 class TestLanguageConfig:
-    def test_chinese_forbids_lemma_and_stem(self):
-        with pytest.raises(ValueError):
-            LanguageConfig(language="chinese", lemmatize=True, stem=False,
-                           granularity="character")
-        with pytest.raises(ValueError):
-            LanguageConfig(language="chinese", lemmatize=False, stem=True,
-                           granularity="character")
-
-    def test_bad_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            LanguageConfig(granularity="bpe")
-
     def test_joiner(self, english, chinese):
         assert english.joiner == " "
         assert chinese.joiner == ""
+
+    def test_settings_follow_the_language(self):
+        assert LanguageConfig("chinese").by_character
+        assert not LanguageConfig("german").by_character
+        assert LanguageConfig("english").stems
+        assert not LanguageConfig("chinese").stems
+        assert not LanguageConfig("german").stems
 
 
 class TestLoadCorpus:

@@ -10,6 +10,7 @@ asserted on pinned model fixtures that were verified to satisfy them.
 
 import dataclasses
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,8 +58,8 @@ from pickgen.decoding import (
     restore_ranked,
     save_predictions,
 )
-from pickgen.encoding import build_input
-from pickgen.labeling import EmbeddingTable, label_corpus
+from pickgen.encoding import IGNORE_MARK, build_input, encode_sample
+from pickgen.labeling import BIO_TO_CLASS, EmbeddingTable, PickerLabels, label_corpus
 from pickgen.model import (
     DecoderCache,
     ModelConfig,
@@ -218,6 +219,19 @@ class TestBeamMechanics:
     def test_bad_nbest(self):
         with pytest.raises(InferenceError, match="nbest"):
             beam_search(toy_params(0), [4, 5, 3], beam_size=2, nbest=0)
+
+    @pytest.mark.parametrize("penalty", [1000.0, 1000, -1000.0, float("nan"),
+                                         float("inf")])
+    def test_extreme_length_penalty_rejected(self, penalty):
+        # 64 ** 1000 overflows a float, 64 ** -1000 underflows to 0
+        with pytest.raises(InferenceError, match="length_penalty"):
+            beam_search(toy_params(0), [4, 5, 3], beam_size=2, max_len=64,
+                        length_penalty=penalty)
+
+    def test_large_penalty_accepted_when_normalizers_fit(self):
+        hyps = beam_search(toy_params(0), [4, 5, 3], beam_size=2, max_len=4,
+                           length_penalty=100.0)
+        assert hyps and all(np.isfinite(h.score(100.0)) for h in hyps)
 
 
 class TestDecoderCache:
@@ -443,6 +457,19 @@ class TestRestore:
             for s in corpus
         ]
 
+    def test_over_long_sample_does_not_abort_the_corpus(self):
+        corpus = generate_corpus(40, seed=0)
+        vocab = build_vocab(corpus, 300, ENGLISH)
+        params = init_parameters(make_model_config(
+            len(vocab), "hard", d_model=8, num_layers=1, num_heads=2,
+            ffn_dim=16, picker_hidden=(4,), dropout=0.0))
+        words = " ".join(vocab.token_of(6 + i % 20) for i in range(600))
+        long = DialogueSample((words,), "where", "where is it", "long")
+        samples = corpus + [long]
+        pairs = restore_corpus(samples, params, vocab, ENGLISH, beam_size=2,
+                               max_len=6)
+        assert [sample_id for sample_id, _ in pairs] == [s.id for s in samples]
+
     def test_trained_model_restores_memorized_sample(self):
         corpus = generate_corpus(2, seed=6)
         labeled = label_corpus(corpus, "hard", EmbeddingTable(), ENGLISH)
@@ -541,6 +568,62 @@ class TestPredictPickerTags:
         rows = predict_picker_tags(sample, params, vocab, ENGLISH,
                                    input_max_len=6)
         assert rows[0] == ["O", "O", "O"]
+
+    def test_dropped_words_tagged_o(self):
+        # a picker that says B everywhere: only the kept words can get it
+        corpus, vocab, params = self._setup()
+        sample = DialogueSample((" ".join(["fly"] * 600),), "where", None, "0")
+        with mock.patch.object(decoding, "picker_forward", _picker_says(
+                lambda n: [BIO_TO_CLASS["B"]] * n)):
+            rows = predict_picker_tags(sample, params, vocab, ENGLISH)
+        dropped = 600 + 1 + 1 + 2 - 512
+        assert rows == [["O"] * dropped + ["B"] * (600 - dropped)]
+
+    @given(st.sampled_from(("english", "chinese")),
+           st.lists(st.lists(st.tuples(st.integers(0, 3), st.booleans()),
+                             min_size=1, max_size=6), min_size=1, max_size=4),
+           st.integers(1, 4), st.integers(3, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_targets_sit_where_tags_are_read(self, language, turns, n_inc,
+                                             max_len):
+        # the picker echoes the training targets, so every kept word must
+        # get back its own label and every dropped word O
+        cfg = LanguageConfig.for_language(language)
+        letters = ("ab", "cd", "ef", "gh") if language == "english" else "他们出发"
+        tags = []
+        for turn in turns:
+            row, prev = [], False
+            for _, marked in turn:
+                row.append(("I" if prev else "B") if marked else "O")
+                prev = marked
+            tags.append(tuple(row))
+        context = tuple(cfg.joiner.join(letters[w] for w, _ in t) for t in turns)
+        incomplete = cfg.joiner.join(letters[i % 4] for i in range(n_inc))
+        sample = DialogueSample(context, incomplete, incomplete, "0")
+        vocab = build_vocab([sample], 100, cfg)
+        enc = encode_sample(sample, vocab, cfg, PickerLabels("hard", tags=tuple(tags)),
+                            max_len)
+        assert len(enc.input_ids) <= max_len
+        targets = [0 if t == IGNORE_MARK else int(t) for t in enc.picker_targets]
+        _, (turn, word) = build_input(sample, vocab, cfg, max_len)
+        expected = [
+            [tag if (k, w) >= (turn, word) else "O" for w, tag in enumerate(row)]
+            for k, row in enumerate(tags)
+        ]
+        params = toy_params(0, vocab_size=len(vocab))
+        with mock.patch.object(decoding, "picker_forward",
+                               _picker_says(lambda n: targets)):
+            rows = predict_picker_tags(sample, params, vocab, cfg, max_len)
+        assert rows == expected
+
+
+def _picker_says(classes):
+    """A stand-in for model.picker_forward whose argmax at each of the n
+    input positions is classes(n)."""
+    def forward(enc, params):
+        n = enc.hidden.data.shape[1]
+        return Tensor(np.eye(3)[None, classes(n)])
+    return forward
 
 
 class TestPredictionsIO:

@@ -19,7 +19,6 @@ from pickgen.corpus import (
 from pickgen.encoding import (
     IGNORE_MARK,
     EncodingError,
-    Segment,
     align_labels,
     build_input,
     build_target,
@@ -42,11 +41,9 @@ class TestBuildInput:
         sample = DialogueSample(("hello there", "hi"), "how are you",
                                 "how are you doing", "0")
         vocab = build_vocab([sample], 100, ENGLISH)
-        ids, segments = build_input(sample, vocab, ENGLISH)
+        ids, first = build_input(sample, vocab, ENGLISH)
         assert _decode(ids, vocab) == "hello there [X1] hi [X1] how are you [X2] </s>"
-        kinds = [s.kind for s in segments]
-        assert kinds == ["context", "context", "x1", "context", "x1",
-                         "incomplete", "incomplete", "incomplete", "x2", "eos"]
+        assert first == (0, 0)
 
     def test_length_accounting(self):
         # each context turn costs len+1 ([X1]); tail costs n+2 ([X2], </s>)
@@ -58,9 +55,9 @@ class TestBuildInput:
     def test_truncation_drops_oldest_first(self):
         sample = DialogueSample(("a b", "c"), "d", "c d", "0")
         vocab = build_vocab([sample], 100, ENGLISH)
-        ids, segments = build_input(sample, vocab, ENGLISH, max_len=5)
+        ids, first = build_input(sample, vocab, ENGLISH, max_len=5)
         assert _decode(ids, vocab) == "c [X1] d [X2] </s>"
-        assert segments[0] == Segment("context", 1, 0)
+        assert first == (1, 0)
 
     def test_truncation_keeps_when_fits(self):
         sample = DialogueSample(("a b", "c"), "d", "c d", "0")
@@ -70,10 +67,30 @@ class TestBuildInput:
         assert ids.count(X1_ID) == 2
 
     def test_last_turn_never_dropped(self):
-        sample = DialogueSample(("a b c d e",), "f", "a f", "0")
+        # the last turn loses its oldest words, not itself
+        sample = DialogueSample(("a b", "c d e"), "f", "a f", "0")
         vocab = build_vocab([sample], 100, ENGLISH)
-        with pytest.raises(EncodingError, match="exceeds"):
-            build_input(sample, vocab, ENGLISH, max_len=6)
+        ids, first = build_input(sample, vocab, ENGLISH, max_len=6)
+        assert _decode(ids, vocab) == "d e [X1] f [X2] </s>"
+        assert first == (1, 1)
+
+    @pytest.mark.parametrize("max_len, text, first", [
+        (5, "[X1] f g [X2] </s>", (0, 5)),
+        (4, "[X1] g [X2] </s>", (0, 6)),
+        (3, "[X1] [X2] </s>", (0, 7)),
+    ])
+    def test_incomplete_head_dropped_last(self, max_len, text, first):
+        sample = DialogueSample(("a b c d e",), "f g", "a f", "0")
+        vocab = build_vocab([sample], 100, ENGLISH)
+        ids, got = build_input(sample, vocab, ENGLISH, max_len=max_len)
+        assert _decode(ids, vocab) == text
+        assert got == first
+
+    def test_max_len_must_hold_the_markers(self):
+        sample = DialogueSample(("a",), "f", "a f", "0")
+        vocab = build_vocab([sample], 100, ENGLISH)
+        with pytest.raises(EncodingError, match=r"\[X1\] \[X2\] </s>"):
+            build_input(sample, vocab, ENGLISH, max_len=2)
 
     def test_oov_context_becomes_unk(self):
         sample = DialogueSample(("hello",), "hi", "hello hi", "0")
@@ -90,12 +107,13 @@ class TestBuildInput:
         sample = DialogueSample(tuple(" ".join(w) for w in ctx_words),
                                 " ".join(inc_words), None, "0")
         vocab = build_vocab([sample], 1000, ENGLISH)
-        ids, segments = build_input(sample, vocab, ENGLISH)
+        ids, first = build_input(sample, vocab, ENGLISH)
         assert ids.count(X1_ID) == len(ctx_words)
         assert ids.count(X2_ID) == 1
         assert ids[-1] == EOS_ID
         assert ids[-2] == X2_ID
-        assert len(ids) == len(segments)
+        assert first == (0, 0)
+        assert len(ids) == sum(len(w) + 1 for w in ctx_words) + len(inc_words) + 2
 
 
 class TestBuildTarget:
@@ -122,35 +140,30 @@ class TestBuildTarget:
 
 
 class TestAlignLabels:
-    def _segments(self):
-        return [
-            Segment("context", 0, 0), Segment("context", 0, 1),
-            Segment("x1", 0, -1),
-            Segment("incomplete", -1, 0),
-            Segment("x2", -1, -1), Segment("eos", -1, -1),
-        ]
-
+    # layout of one two-word turn and a one-word incomplete utterance:
+    # w0 w1 [X1] u [X2] </s>
     def test_hard_identity_alignment(self):
         labels = PickerLabels("hard", tags=(("B", "O"),))
-        out = align_labels(labels, self._segments())
+        out = align_labels(labels, (0, 0), 6)
         assert out == [1.0, 0.0, IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
     def test_soft_identity_alignment(self):
         labels = PickerLabels("soft", scores=((0.9, 0.2),))
-        out = align_labels(labels, self._segments())
+        out = align_labels(labels, (0, 0), 6)
         assert out == [0.9, 0.2, IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
-    def test_out_of_range_word_rejected(self):
-        labels = PickerLabels("hard", tags=(("B",),))
-        segments = [Segment("context", 0, 1), Segment("eos", -1, -1)]
-        with pytest.raises(EncodingError, match="out of range"):
-            align_labels(labels, segments)
+    def test_truncated_start(self):
+        # turn 0 dropped, the first word of turn 1 too: w2 [X1] u [X2] </s>
+        labels = PickerLabels("hard", tags=(("B", "I"), ("O", "B")))
+        out = align_labels(labels, (1, 1), 5)
+        assert out == [1.0, IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
-    def test_out_of_range_utterance_rejected(self):
-        labels = PickerLabels("hard", tags=(("B",),))
-        segments = [Segment("context", 1, 0), Segment("eos", -1, -1)]
-        with pytest.raises(EncodingError, match="utterance 1"):
-            align_labels(labels, segments)
+    def test_incomplete_head_dropped(self):
+        # both words of the only turn and the incomplete head are gone:
+        # [X1] u2 [X2] </s>
+        labels = PickerLabels("soft", scores=((0.9, 0.2),))
+        out = align_labels(labels, (0, 3), 4)
+        assert out == [IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
 
 class TestEncodeSample:
@@ -189,6 +202,22 @@ class TestEncodeSample:
         labels = PickerLabels("hard", tags=(("B", "O"), ("O", "O")))
         with pytest.raises(EncodingError, match="utterance 1"):
             encode_sample(sample, vocab, ENGLISH, labels=labels)
+
+    def test_over_long_turn_truncated_with_aligned_targets(self):
+        words = [f"w{i}" for i in range(600)]
+        sample = DialogueSample((" ".join(words),), "u v", "w0 u v", "long")
+        vocab = build_vocab([sample], 1000, ENGLISH)
+        tags = tuple("B" if i % 3 == 0 else "O" for i in range(600))
+        labels = PickerLabels("hard", tags=(tags,))
+        enc = encode_sample(sample, vocab, ENGLISH, labels, max_len=512)
+        assert len(enc.input_ids) == 512
+        dropped = 600 + 1 + 2 + 2 - 512
+        assert enc.input_ids[:3] == tuple(vocab.id_of(w) for w in words[dropped:dropped + 3])
+        context = 600 - dropped
+        assert enc.picker_targets[:context] == tuple(
+            1.0 if i % 3 == 0 else 0.0 for i in range(dropped, 600))
+        assert enc.picker_targets[context:] == (IGNORE_MARK, 0.0, 0.0,
+                                                 IGNORE_MARK, IGNORE_MARK)
 
     def test_label_row_count_mismatch(self):
         sample = DialogueSample(("a b", "c"), "u", "a u", "0")

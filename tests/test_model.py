@@ -112,6 +112,13 @@ class TestInitParameters:
         assert (params["enc0.norm1"].data == 1.0).all()
         assert (params["dec_final_norm"].data == 1.0).all()
 
+    def test_six_hidden_picker_widths(self):
+        # one bias per picker layer, however many there are
+        p = init_parameters(tiny_config(picker_widths=(4,) * 6 + (3,)))
+        for j in range(7):
+            assert (p[f"picker.b{j}"].data == 0.0).all()
+        assert p["picker.w6"].data.shape == (4, 3)
+
     def test_pe_table_only_when_literal(self):
         assert "pe_table" not in init_parameters(tiny_config()).tensors
         assert "pe_table" in init_parameters(
