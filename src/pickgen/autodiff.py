@@ -6,9 +6,9 @@ gradients from scratch (every grad in the graph is reset to None first), so
 training steps never need an explicit zero-grad call. Gradients are lazy: a
 node's first contribution is stored as is and later ones are added out of
 place, since closures hand one array to several parents; constants get none.
-RMS normalization, the attention core and cross-entropy are each one node
-with a hand-written backward, because at toy sizes each node costs more than
-its arithmetic.
+RMS normalization, multi-head attention (head split and merge included) and
+cross-entropy are each one node with a hand-written backward, because at toy
+sizes each node costs more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -69,10 +69,14 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    def _tracked(self) -> bool:
+        """Whether backward() gives this node a gradient."""
+        return self.requires_grad or bool(self._parents)
+
     @staticmethod
     def _make(data, parents, backward_fn) -> "Tensor":
         out = Tensor(data)
-        if _recording() and any(p.requires_grad or p._parents for p in parents):
+        if _recording() and any(p._tracked() for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward_fn = backward_fn
@@ -105,13 +109,15 @@ class Tensor:
         return Tensor._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = Tensor._coerce(other)
+        if not isinstance(other, Tensor):  # a number or array, such as a dropout mask
+            return Tensor._make(self.data * other, (self,),
+                                lambda g: (_unbroadcast(g * other, self.shape),))
         data = self.data * other.data
 
-        def backward_fn(g):
+        def backward_fn(g):  # a constant operand gets no gradient
             return (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
+                _unbroadcast(g * other.data, self.shape) if self._tracked() else None,
+                _unbroadcast(g * self.data, other.shape) if other._tracked() else None,
             )
 
         return Tensor._make(data, (self, other), backward_fn)
@@ -127,8 +133,8 @@ class Tensor:
         data = (rows @ other.data).reshape(*self.shape[:-1], other.shape[1])
 
         def backward_fn(g):
-            # other.data is read here, not captured above: the optimizer
-            # rebinds it, and the old graph would keep the old weights alive
+            # the optimizer updates other.data in place, so a graph can only
+            # be differentiated before the step that follows it
             w = other.data
             g = g.reshape(-1, w.shape[1])
             rows = self.data.reshape(-1, w.shape[0])
@@ -146,14 +152,6 @@ class Tensor:
         original = self.shape
         return Tensor._make(
             self.data.reshape(shape), (self,), lambda g: (g.reshape(original),)
-        )
-
-    def permute(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inverse = tuple(int(i) for i in np.argsort(axes))
-        return Tensor._make(
-            self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),)
         )
 
     # -- reductions ---------------------------------------------------------
@@ -216,9 +214,11 @@ class Tensor:
         shape = self.shape
 
         def backward_fn(g):
-            grad = np.zeros(shape)
-            np.add.at(grad, ids.reshape(-1), g.reshape(-1, *shape[1:]))
-            return (grad,)
+            # one bin per (row, element): bincount adds in index order, as
+            # np.add.at would, so repeated ids sum to the same bits
+            width = math.prod(shape[1:])
+            bins = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            return (np.bincount(bins, g.reshape(-1), shape[0] * width).reshape(shape),)
 
         return Tensor._make(data, (self,), backward_fn)
 
@@ -241,7 +241,7 @@ class Tensor:
             for parent, grad in zip(node._parents, grads):
                 if parent.grad is not None:
                     parent.grad = parent.grad + grad
-                elif parent.requires_grad or parent._parents:
+                elif parent._tracked():
                     parent.grad = grad
 
 
@@ -252,29 +252,45 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
-              mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q @ kᵀ / sqrt(head_dim) + bias + mask) @ v over (..., L,
-    head_dim) operands of equal leading shape. bias broadcasts onto the
-    logits and gets a gradient; mask is a constant additive array."""
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    logits = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              bias: Tensor | None = None, mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention over (..., L, d) projections of equal leading
+    shape: the last axis holds `heads` heads of d / heads features each. Per
+    head h, softmax(q_h @ k_hᵀ / sqrt(d / heads) + bias[:, :, h] + mask) @ v_h,
+    the heads merged back into (..., Lq, dv). bias, (Lq, Lk, heads), gets a
+    gradient; mask is a constant additive array broadcasting onto (...,
+    heads, Lq, Lk). Heads are split and merged as numpy views."""
+
+    def split(x: np.ndarray) -> np.ndarray:  # (..., L, H*e) -> (..., H, L, e)
+        return np.swapaxes(x.reshape(*x.shape[:-1], heads, -1), -2, -3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (..., H, L, e) -> (..., L, H*e)
+        x = np.swapaxes(x, -2, -3)
+        return x.reshape(*x.shape[:-2], -1)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    logits = (qh @ np.swapaxes(kh, -1, -2)) * scale
     if bias is not None:
-        logits = logits + bias.data
+        per_head = bias.data.transpose(2, 0, 1)  # (H, Lq, Lk)
+        logits = logits + per_head
     if mask is not None:
         logits = logits + mask
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        gp = g @ np.swapaxes(v.data, -1, -2)
+        g = split(g)
+        gp = g @ np.swapaxes(vh, -1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        grads = ((gs @ k.data) * scale, (np.swapaxes(gs, -1, -2) @ q.data) * scale,
-                 np.swapaxes(p, -1, -2) @ g)
-        return grads if bias is None else (*grads, _unbroadcast(gs, bias.shape))
+        grads = (merge((gs @ kh) * scale), merge((np.swapaxes(gs, -1, -2) @ qh) * scale),
+                 merge(np.swapaxes(p, -1, -2) @ g))
+        if bias is None:
+            return grads
+        return (*grads, _unbroadcast(gs, per_head.shape).transpose(1, 2, 0))
 
     parents = (q, k, v) if bias is None else (q, k, v, bias)
-    return Tensor._make(p @ v.data, parents, backward_fn)
+    return Tensor._make(merge(p @ vh), parents, backward_fn)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -300,6 +316,3 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def parameter(data: np.ndarray) -> Tensor:
     return Tensor(data, requires_grad=True)
 
-
-def constant(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64))

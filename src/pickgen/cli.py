@@ -39,9 +39,9 @@ from .labeling import (
     save_labeled_corpus,
 )
 from .metrics import evaluate
-from .model import load_checkpoint
+from .model import ModelError, load_checkpoint
 from .synth import generate_corpus
-from .training import TrainConfig, make_model_config, train
+from .training import TrainConfig, TrainingError, make_model_config, train
 
 DEFAULT_CONFIG: dict = {
     "language": "english",
@@ -267,29 +267,32 @@ def cmd_train(args) -> int:
             or section["subsample_fraction"] < 1.0
             else LARGE_CORPUS_EPOCHS
         )
-    train_cfg = TrainConfig(
-        label_mode=label_mode,
-        seed=config["seed"],
-        max_len=config["max_input_len"],
-        **section,
-    )
-    _ensure_out_dir(args.out_dir)
     raw_samples = [
         item.sample if hasattr(item, "sample") else item for item in corpus
     ]
     vocab = build_vocab(raw_samples, config["vocab_size"], lang)
+    model_section = dict(config["model"])
+    picker_hidden = tuple(model_section.pop("picker_hidden"))
+    try:  # every setting is checked before anything is written
+        train_cfg = TrainConfig(
+            label_mode=label_mode,
+            seed=config["seed"],
+            max_len=config["max_input_len"],
+            **section,
+        )
+        model_cfg = make_model_config(
+            len(vocab),
+            label_mode,
+            seed=config["seed"],
+            picker_hidden=picker_hidden,
+            **model_section,
+        )
+    except (TrainingError, ModelError) as exc:
+        raise UsageError(str(exc)) from exc
+    _ensure_out_dir(args.out_dir)
     vocab_path = os.path.join(args.out_dir, "vocab.json")
     vocab.save(vocab_path)
     vocab_sha = _sha256_of(vocab_path)
-    model_section = dict(config["model"])
-    picker_hidden = tuple(model_section.pop("picker_hidden"))
-    model_cfg = make_model_config(
-        len(vocab),
-        label_mode,
-        seed=config["seed"],
-        picker_hidden=picker_hidden,
-        **model_section,
-    )
     _write_effective_config(config, "train", args.out_dir)
     result = train(
         corpus,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, attention, constant, parameter
+from .autodiff import Tensor, attention, parameter
 
 NORM_EPS = 1e-6
 MASK_NEG = -1e9
@@ -195,8 +195,8 @@ class DecoderCache:
 
     source: np.ndarray  # (R,)
     length: int = 0  # decoder positions held
-    self_kv: list = field(default_factory=list)  # per layer, (R, H, T, dk) tensors
-    cross_kv: list = field(default_factory=list)  # per layer, (S, H, L, dk) tensors
+    self_kv: list = field(default_factory=list)  # per layer, (R, T, d_model) tensors
+    cross_kv: list = field(default_factory=list)  # per layer, (S, L, d_model) tensors
 
     def reorder(self, rows: np.ndarray) -> None:
         """Keep decoder rows `rows` (repeats allowed), in that order; their
@@ -219,7 +219,7 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
     if rng is None or rate <= 0.0:
         return x
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * constant(keep)
+    return x * keep
 
 
 def _rmsnorm(x: Tensor, scale: Tensor) -> Tensor:
@@ -260,29 +260,7 @@ def _rel_bias(table: Tensor, q_len: int, k_len: int, bidirectional: bool,
     idx = relative_position_bucket(
         positions, bidirectional, cfg.rel_pos_buckets, cfg.rel_pos_max_distance
     )
-    bias = table.lookup(idx)  # (Lq, Lk, H)
-    return bias.permute(2, 0, 1)  # (H, Lq, Lk)
-
-
-def _heads(x: Tensor, w: Tensor, cfg: ModelConfig) -> Tensor:
-    """Project (B, L, d_model) to per-head (B, H, L, head_dim)."""
-    b, length, _ = x.shape
-    return (x @ w).reshape(b, length, cfg.num_heads, cfg.head_dim).permute(0, 2, 1, 3)
-
-
-def _attend(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    wo: Tensor,
-    cfg: ModelConfig,
-    extra_bias: Tensor | None,
-    key_mask_bias: np.ndarray | None,
-) -> Tensor:
-    b, _, q_len, _ = q.shape
-    out = attention(q, k, v, extra_bias, key_mask_bias)  # (B, H, Lq, dk)
-    out = out.permute(0, 2, 1, 3).reshape(b, q_len, cfg.d_model)
-    return out @ wo
+    return table.lookup(idx)  # (Lq, Lk, H)
 
 
 def _attn_weights(params: ModelParameters, prefix: str) -> dict[str, Tensor]:
@@ -331,8 +309,8 @@ def encode(
     for i in range(cfg.num_layers):
         h = _rmsnorm(x, params[f"enc{i}.norm1"])
         w = _attn_weights(params, f"enc{i}.attn")
-        q, k, v = (_heads(h, w[name], cfg) for name in ("wq", "wk", "wv"))
-        a = _attend(q, k, v, w["wo"], cfg, rel, key_bias)
+        q, k, v = (h @ w[name] for name in ("wq", "wk", "wv"))
+        a = attention(q, k, v, cfg.num_heads, rel, key_bias) @ w["wo"]
         x = x + _dropout(a, cfg.dropout, dropout_rng)
         h = _rmsnorm(x, params[f"enc{i}.norm2"])
         f = (h @ params[f"enc{i}.ffn.w1"]).relu() @ params[f"enc{i}.ffn.w2"]
@@ -366,18 +344,16 @@ def _self_attention(
 ) -> Tensor:
     """Causal self attention of the positions in h over those the cache holds
     and themselves; the cache then holds their keys and values too."""
-    q = _heads(h, weights["wq"], cfg)
-    k = _heads(h, weights["wk"], cfg)
-    v = _heads(h, weights["wv"], cfg)
+    q, k, v = (h @ weights[name] for name in ("wq", "wk", "wv"))
     if cache.length:
         # only the search reaches this, under no_grad: held keys are constants
         old_k, old_v = cache.self_kv[layer]
-        k = Tensor(np.concatenate([old_k.data, k.data], axis=2))
-        v = Tensor(np.concatenate([old_v.data, v.data], axis=2))
+        k = Tensor(np.concatenate([old_k.data, k.data], axis=1))
+        v = Tensor(np.concatenate([old_v.data, v.data], axis=1))
         cache.self_kv[layer] = (k, v)
     else:
         cache.self_kv.append((k, v))
-    return _attend(q, k, v, weights["wo"], cfg, rel, causal_bias)
+    return attention(q, k, v, cfg.num_heads, rel, causal_bias) @ weights["wo"]
 
 
 def _cross_attention(
@@ -388,19 +364,22 @@ def _cross_attention(
     decoding one encoder row become the query positions of one attention
     over that row's keys, so keys are never copied per row."""
     if not cache.length:
-        cache.cross_kv.append(
-            (_heads(enc.hidden, weights["wk"], cfg), _heads(enc.hidden, weights["wv"], cfg))
-        )
+        cache.cross_kv.append((enc.hidden @ weights["wk"], enc.hidden @ weights["wv"]))
     k, v = cache.cross_kv[layer]
     rows, t, d = h.shape
     sources = enc.hidden.shape[0]
     slot = np.arange(rows) - np.searchsorted(cache.source, cache.source)
     width = int(slot.max()) + 1
-    # (source, slot) -> decoder row; unused slots read row 0 and are dropped
-    members = np.zeros((sources, width), dtype=np.int64)
-    members[cache.source, slot] = np.arange(rows)
-    q = _heads(h.lookup(members).reshape(sources, width * t, d), weights["wq"], cfg)
-    out = _attend(q, k, v, weights["wo"], cfg, None, key_bias)
+    direct = width == 1 and rows == sources  # decoder row r decodes encoder row r
+    q = h
+    if not direct:
+        # (source, slot) -> decoder row; unused slots read row 0 and are dropped
+        members = np.zeros((sources, width), dtype=np.int64)
+        members[cache.source, slot] = np.arange(rows)
+        q = h.lookup(members).reshape(sources, width * t, d)
+    out = attention(q @ weights["wq"], k, v, cfg.num_heads, None, key_bias) @ weights["wo"]
+    if direct:
+        return out
     return out.reshape(sources * width, t, d).lookup(cache.source * width + slot)
 
 

@@ -145,19 +145,25 @@ def joint_loss(lp: Tensor, lg: Tensor, picker_weight: float) -> Tensor:
 def clip_gradients(
     grads: dict[str, np.ndarray], max_norm: float
 ) -> tuple[dict[str, np.ndarray], float]:
-    """Scale gradients so their global L2 norm is at most max_norm."""
+    """Scale gradients in place so their global L2 norm is at most max_norm;
+    no two of them may share memory."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if max_norm <= 0.0 or total <= max_norm or total == 0.0:
         return grads, total
     scale = max_norm / total
-    return {n: g * scale for n, g in grads.items()}, total
+    for g in grads.values():
+        g *= scale
+    return grads, total
 
 
 def optimizer_step(
     state: TrainState, grads: dict[str, np.ndarray], cfg: TrainConfig
 ) -> TrainState:
     """Bias-corrected adaptive-moment update with decoupled weight decay on
-    projection matrices; a non-finite gradient skips the whole step."""
+    projection matrices; a non-finite gradient skips the whole step.
+
+    Moments and weights are updated in place: every tensor keeps its data
+    array, and the arithmetic is that of the plain formula, op for op."""
     for g in grads.values():
         if not np.isfinite(g).all():
             state.skipped_steps += 1
@@ -168,17 +174,28 @@ def optimizer_step(
     t = state.step + 1
     bias1 = 1.0 - cfg.beta1**t
     bias2 = 1.0 - cfg.beta2**t
+    decay = cfg.learning_rate * cfg.weight_decay
     for name, tensor in state.params.named_tensors():
-        g = grads[name]
+        g, w = grads[name], tensor.data
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m[:] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[:] = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
-        new_value = tensor.data - cfg.learning_rate * update
-        if cfg.weight_decay > 0.0 and is_weight_matrix(name, tensor.data.shape):
-            new_value = new_value - cfg.learning_rate * cfg.weight_decay * tensor.data
-        tensor.data = new_value
+        update, tmp = np.empty_like(w), np.empty_like(w)
+        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g²
+        np.add(np.multiply(m, cfg.beta1, out=m),
+               np.multiply(g, 1.0 - cfg.beta1, out=tmp), out=m)
+        np.multiply(v, cfg.beta2, out=v)
+        np.add(v, np.multiply(np.multiply(g, g, out=tmp), 1.0 - cfg.beta2, out=tmp),
+               out=v)
+        # update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.add(np.sqrt(np.divide(v, bias2, out=tmp), out=tmp), cfg.adam_eps, out=tmp)
+        np.divide(np.divide(m, bias1, out=update), tmp, out=update)
+        np.multiply(update, cfg.learning_rate, out=update)
+        decayed = cfg.weight_decay > 0.0 and is_weight_matrix(name, w.shape)
+        if decayed:  # decay from the weights before this step
+            np.multiply(w, decay, out=tmp)
+        np.subtract(w, update, out=w)
+        if decayed:
+            np.subtract(w, tmp, out=w)
     state.step = t
     return state
 

@@ -1,11 +1,14 @@
 """Independent reference implementations used to check derived behavior.
 
-These deliberately avoid the library's own code paths: the decoding
+These deliberately avoid the library's own code paths: the attention
+oracle splits heads into separate arrays before it attends, the decoding
 oracles re-run the decoder from a fresh cache over every whole prefix of
 one unpadded input (teacher forcing, as in training), and the beam oracles build and sort every candidate in
 Python or enumerate every decodable output; the n-gram oracles enumerate
 n-grams positionally instead of via Counter arithmetic.
 """
+
+import math
 
 import numpy as np
 
@@ -14,6 +17,34 @@ from pickgen.corpus import EOS_ID, SOS_ID, tokenize
 from pickgen.decoding import BeamHypothesis
 from pickgen.labeling import normalize, to_bio
 from pickgen.model import EncoderOutput, decode_forward, encode
+
+
+def per_head_attention(q, k, v, heads, bias, mask, g):
+    """Multi-head attention over (B, L, d) arrays in the per-head
+    formulation: every operand is first reshaped and permuted to (B, H, L,
+    e), the (Lq, Lk, H) bias to (H, Lq, Lk), and the result and gradients
+    are permuted and reshaped back. Returns the output and the gradients of
+    sum(output * g) for q, k, v and bias, with the same float ops in the
+    same order as the fused op."""
+
+    def split(x):
+        b, length, d = x.shape
+        return x.reshape(b, length, heads, d // heads).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    bh = bias.transpose(2, 0, 1)
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    logits = (qh @ np.swapaxes(kh, -1, -2)) * scale + bh + mask
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    gp = gh @ np.swapaxes(vh, -1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    grads = (merge((gs @ kh) * scale), merge((np.swapaxes(gs, -1, -2) @ qh) * scale),
+             merge(np.swapaxes(p, -1, -2) @ gh), gs.sum(axis=0).transpose(1, 2, 0))
+    return merge(p @ vh), grads
 
 
 def oracle_hard_rows(sample, cfg):

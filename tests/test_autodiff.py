@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import per_head_attention
 from pickgen.autodiff import (
     Tensor,
     attention,
-    constant,
     log_softmax,
     no_grad,
     parameter,
@@ -152,12 +152,6 @@ class TestMatmulAndShapes:
         a = RNG.standard_normal((2, 6))
         check_unary(lambda t: t.reshape(3, 4) * 2.0, a)
 
-    def test_permute(self):
-        a = RNG.standard_normal((2, 3, 4))
-        t = parameter(a.copy())
-        (t.permute(2, 0, 1) * Tensor(RNG.standard_normal((4, 2, 3)))).sum().backward()
-        assert t.grad.shape == (2, 3, 4)
-
 
 class TestReductions:
     def test_sum_all(self):
@@ -166,10 +160,11 @@ class TestReductions:
 
 def softmax_of(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """The attention weights of 2-D logits: with zero queries and keys the
-    logits are the bias alone, and identity values read the weights out."""
+    logits are the one head's bias alone, and identity values read the
+    weights out."""
     rows, cols = logits.shape
     return attention(Tensor(np.zeros((rows, 1))), Tensor(np.zeros((cols, 1))),
-                     Tensor(np.eye(cols)), logits, mask)
+                     Tensor(np.eye(cols)), 1, logits.reshape(rows, cols, 1), mask)
 
 
 class TestSoftmax:
@@ -231,51 +226,102 @@ class TestRMSNorm:
         assert np.isfinite(t.grad).all()
 
 
+def padding_mask() -> np.ndarray:
+    """(B, 1, 1, Lk) additive mask hiding random keys, never key 0."""
+    mask = np.where(RNG.random((2, 1, 1, 5)) < 0.3, -1e9, 0.0)
+    mask[..., 0] = 0.0
+    return mask
+
+
+def causal_mask() -> np.ndarray:
+    """(1, 1, Lq, Lk): the queries are the last Lq of the Lk positions."""
+    return np.triu(np.full((3, 5), -1e9), k=3)[None, None]
+
+
 class TestAttention:
-    SHAPES = {"q": (2, 2, 3, 4), "k": (2, 2, 5, 4), "v": (2, 2, 5, 3), "bias": (2, 3, 5)}
+    """Two heads over (B, L, d) projections: q and k carry 3 features per
+    head (so the 1/sqrt(3) scale is inexact), v carries 4; the bias is
+    (Lq, Lk, heads)."""
+
+    HEADS = 2
+    SHAPES = {"q": (2, 3, 6), "k": (2, 5, 6), "v": (2, 5, 8), "bias": (3, 5, 2)}
+
+    def _values(self, bias_scale=None):
+        values = {n: RNG.standard_normal(s) for n, s in self.SHAPES.items()}
+        if bias_scale is not None:
+            values["bias"] = np.where(RNG.random(self.SHAPES["bias"]) < 0.5,
+                                      -bias_scale, bias_scale)
+        return values
+
+    def _run(self, values, mask=None, **tensors):
+        args = {n: tensors.get(n, Tensor(a)) for n, a in values.items()}
+        return attention(args["q"], args["k"], args["v"], self.HEADS, args["bias"],
+                         mask)
 
     def _check(self, values, mask=None):
-        weights = RNG.standard_normal((2, 2, 3, 3))
+        weights = RNG.standard_normal((2, 3, 8))
         for name in values:
-            def build(t, name=name):
-                args = {n: Tensor(a) for n, a in values.items()}
-                args[name] = t
-                out = attention(args["q"], args["k"], args["v"], args["bias"], mask)
-                return out * Tensor(weights)
-
-            check_unary(build, values[name].copy())
+            check_unary(lambda t, name=name: self._run(values, mask, **{name: t})
+                        * Tensor(weights), values[name].copy())
 
     def test_grads_match_finite_differences(self):
-        values = {n: RNG.standard_normal(s) for n, s in self.SHAPES.items()}
-        mask = np.where(RNG.random((2, 1, 1, 5)) < 0.3, -1e9, 0.0)
-        mask[..., 0] = 0.0
-        self._check(values, mask)
+        # q, k, v and the bias, at scale 1 and with the bias at +-1000,
+        # under a padding mask and under a causal one
+        for mask in (padding_mask(), causal_mask()):
+            for bias_scale in (None, 1000.0):
+                self._check(self._values(bias_scale), mask)
+
+    def test_heads_see_their_own_features_and_bias(self):
+        # each head equals a one-head attention over its slice of the features
+        values = self._values()
+        mask = padding_mask()
+        out = self._run(values, mask).data
+        for h in range(self.HEADS):
+            cut = {"q": slice(3 * h, 3 * h + 3), "k": slice(3 * h, 3 * h + 3),
+                   "v": slice(4 * h, 4 * h + 4), "bias": slice(h, h + 1)}
+            one = attention(*(Tensor(values[n][..., cut[n]]) for n in ("q", "k", "v")),
+                            1, Tensor(values["bias"][..., cut["bias"]]), mask)
+            np.testing.assert_allclose(out[..., 4 * h:4 * h + 4], one.data, rtol=1e-12)
+
+    @pytest.mark.parametrize("mask_kind", ["padding", "causal"])
+    def test_bit_equal_to_per_head_formulation(self, mask_kind):
+        values = self._values()
+        mask = padding_mask() if mask_kind == "padding" else causal_mask()
+        g = RNG.standard_normal((2, 3, 8))
+        tensors = {n: parameter(a.copy()) for n, a in values.items()}
+        out = self._run(values, mask, **tensors)
+        (out * Tensor(g)).sum().backward()
+        want_out, want_grads = per_head_attention(
+            *(values[n] for n in ("q", "k", "v")), self.HEADS, values["bias"], mask, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        for name, want in zip(("q", "k", "v", "bias"), want_grads):
+            assert tensors[name].grad.shape == want.shape
+            assert tensors[name].grad.tobytes() == want.tobytes(), name
 
     def test_fully_masked_key_row(self):
-        values = {n: RNG.standard_normal(s) for n, s in self.SHAPES.items()}
+        values = self._values()
         mask = np.zeros((1, 1, 1, 5))
         mask[..., 2] = -1e9  # no query sees key 2
         self._check(values, mask)
         k, v = parameter(values["k"]), parameter(values["v"])
-        attention(Tensor(values["q"]), k, v, Tensor(values["bias"]), mask).sum().backward()
-        assert not k.grad[:, :, 2].any() and not v.grad[:, :, 2].any()
-        assert k.grad[:, :, 1].any() and v.grad[:, :, 1].any()
+        self._run(values, mask, k=k, v=v).sum().backward()
+        assert not k.grad[:, 2].any() and not v.grad[:, 2].any()
+        assert k.grad[:, 1].any() and v.grad[:, 1].any()
 
     def test_query_seeing_no_key_stays_finite(self):
-        values = {n: RNG.standard_normal(s) for n, s in self.SHAPES.items()}
+        values = self._values()
         mask = np.zeros((1, 1, 3, 5))
         mask[..., 1, :] = -1e9
         q = parameter(values["q"])
-        out = attention(q, *(Tensor(values[n]) for n in ("k", "v", "bias")), mask)
+        out = self._run(values, mask, q=q)
         out.sum().backward()
         assert np.isfinite(out.data).all() and np.isfinite(q.grad).all()
 
     def test_extreme_logits_stay_finite(self):
-        values = {n: RNG.standard_normal(s) for n, s in self.SHAPES.items()}
-        values["bias"] = np.where(RNG.random((2, 3, 5)) < 0.5, -1000.0, 1000.0)
+        values = self._values(bias_scale=1000.0)
         self._check(values)
         t = parameter(values["bias"])
-        attention(*(Tensor(values[n]) for n in ("q", "k", "v")), t).sum().backward()
+        self._run(values, bias=t).sum().backward()
         assert np.isfinite(t.grad).all()
 
 
@@ -327,6 +373,22 @@ class TestIndexing:
             for i in ids.reshape(-1):
                 expected[i] += 2.0
             np.testing.assert_allclose(table.grad, expected)
+
+    @pytest.mark.parametrize("ids_shape", [(9,), (3, 4), (2, 3, 4), (0,), (2, 0)],
+                             ids=["1d", "2d", "3d", "empty", "empty-2d"])
+    @pytest.mark.parametrize("row_shape", [(3,), (2, 3)], ids=["rows", "blocks"])
+    def test_lookup_grad_bit_equal_to_add_at(self, ids_shape, row_shape):
+        # few rows, many ids: most rows collect several contributions, and
+        # the sums must add in the same order as np.add.at's
+        table = parameter(RNG.standard_normal((4, *row_shape)))
+        ids = RNG.integers(0, 4, size=ids_shape)
+        g = RNG.standard_normal((*ids_shape, *row_shape)) * 10.0 ** RNG.integers(
+            -8, 8, size=(*ids_shape, *row_shape))
+        (table.lookup(ids) * g).sum().backward()
+        expected = np.zeros(table.shape)
+        np.add.at(expected, ids.reshape(-1), g.reshape(-1, *row_shape))
+        assert table.grad.shape == table.shape
+        assert table.grad.tobytes() == expected.tobytes()
 
     def test_lookup_repeated_ids_accumulate(self):
         table = parameter(np.zeros((2, 1)))
@@ -395,11 +457,13 @@ class TestGraphMechanics:
 
     def test_constant_operands_get_no_grad(self):
         x = parameter(RNG.standard_normal((2, 3)))
-        mask = constant(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
-        loss = (x * mask + constant(np.ones(3))).sum()
+        mask = Tensor(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        loss = (x * mask + Tensor(np.ones(3))).sum()
         loss.backward()
         assert mask.grad is None
         np.testing.assert_array_equal(x.grad, mask.data)
+        # an array factor, such as a dropout mask, is no node at all
+        assert (x * mask.data)._parents == (x,)
 
     def test_deep_chain_does_not_overflow_stack(self):
         x = parameter(np.array(1.0))
@@ -429,7 +493,7 @@ class TestGraphMechanics:
         assert x.grad.item() == 2.0
 
     def test_constant_does_not_require_grad(self):
-        c = constant([1.0, 2.0])
+        c = Tensor([1.0, 2.0])
         assert not c.requires_grad
         out = c * 2.0
         assert out._parents == ()
@@ -479,10 +543,10 @@ class TestCompositeExpressions:
         v = RNG.standard_normal((3, 2))
 
         def run(qv):
-            return attention(Tensor(qv), Tensor(k), Tensor(v)) * 3.0
+            return attention(Tensor(qv), Tensor(k), Tensor(v), 2) * 3.0
 
         t = parameter(q.copy())
-        out = attention(t, Tensor(k), Tensor(v)) * 3.0
+        out = attention(t, Tensor(k), Tensor(v), 2) * 3.0
         out.sum().backward()
         expected = numeric_grad(lambda x: run(x).sum().item(), q.copy())
         np.testing.assert_allclose(t.grad, expected, atol=1e-6)

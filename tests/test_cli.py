@@ -428,10 +428,26 @@ class TestTrain:
             "train", "--in", str(labeled), "--out-dir", str(out_dir),
             "--config", tiny_config, "--epochs", epochs,
         ])
-        assert code == 2
+        assert code == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
-        assert not (out_dir / "checkpoint.bin").exists()
-        assert not (out_dir / "loss_log.csv").exists()
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("model,problem", [
+        ({"d_model": 9}, "d_model 9 not divisible by num_heads 2"),
+        ({"dropout": 1.5}, "dropout must lie in [0, 1)"),
+    ], ids=["d_model", "dropout"])
+    def test_bad_model_setting_is_a_usage_error_and_writes_nothing(
+            self, tmp_path, capsys, model, problem):
+        labeled = run_label(tmp_path, run_synth(tmp_path))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "model": {**TINY_CONFIG["model"],
+                                                            **model}}))
+        out_dir = tmp_path / "train"
+        code = main(["train", "--in", str(labeled), "--out-dir", str(out_dir),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert problem in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_alpha_flag_reaches_effective_config(self, tmp_path, tiny_config):
         corpus = run_synth(tmp_path)

@@ -280,6 +280,33 @@ class TestDecoderCache:
                 assert np.abs(got[row] - want).max() <= 1e-12, (step, row)
 
 
+    def test_rows_as_many_as_inputs_but_regrouped(self):
+        # three decoder rows over three encoder rows, decoding inputs 0, 0
+        # and 2: as many rows as inputs, yet row 1 must read input 0
+        params = init_parameters(ModelConfig(
+            vocab_size=11, d_model=8, num_layers=2, num_heads=2, ffn_dim=16,
+            picker_widths=(4, 3), rel_pos_buckets=8, rel_pos_max_distance=6,
+            dropout=0.0, seed=3))
+        rng = np.random.default_rng(3)
+        inputs = [rng.integers(3, 11, size=n).tolist() + [EOS_ID] for n in (4, 2, 6)]
+        ids = np.full((3, 7), PAD_ID)
+        mask = np.zeros((3, 7))
+        for row, seq in enumerate(inputs):
+            ids[row, :len(seq)] = seq
+            mask[row, :len(seq)] = 1.0
+        prefixes = rng.integers(3, 11, size=(3, 5))
+        prefixes[:, 0] = SOS_ID
+        source = np.array([0, 0, 2])
+        with no_grad():
+            enc = encode(ids, mask, params)
+            got = decode_forward(enc, prefixes, params,
+                                 cache=DecoderCache(source=source)).data
+            for row, src in enumerate(source):
+                want = decode_forward(encode_single(params, inputs[src]),
+                                      prefixes[row:row + 1], params).data[0]
+                assert np.abs(got[row] - want).max() <= 1e-12, row
+
+
 class TestAgainstReferenceBeam:
     """The vectorized search keeps the reference's candidates and order."""
 

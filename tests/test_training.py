@@ -13,9 +13,18 @@ import pytest
 
 from pickgen.autodiff import Tensor, parameter
 from pickgen.corpus import LanguageConfig, build_vocab
-from pickgen.encoding import IGNORE_MARK
+from pickgen.encoding import IGNORE_MARK, collate, encode_sample
 from pickgen.labeling import EmbeddingTable, label_corpus
-from pickgen.model import ModelConfig, ModelParameters, load_checkpoint
+from pickgen.model import (
+    ModelConfig,
+    ModelParameters,
+    decode_forward,
+    encode,
+    init_parameters,
+    load_checkpoint,
+    picker_forward,
+)
+from pickgen.model import backward as model_backward
 from pickgen.synth import generate_corpus
 from pickgen.training import (
     LOSS_LOG_HEADER,
@@ -154,7 +163,10 @@ class TestJointLoss:
 class TestClipGradients:
     def test_norm_above_cap_scales(self):
         grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}
+        arrays = list(grads.values())
         clipped, total = clip_gradients(grads, 1.0)
+        assert list(clipped.values()) == arrays  # scaled in place
+        assert all(a is b for a, b in zip(clipped.values(), arrays))
         assert total == pytest.approx(5.0)
         norm = math.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
         assert norm == pytest.approx(1.0, rel=1e-12)
@@ -245,6 +257,79 @@ class TestOptimizerStep:
         assert state.skipped_steps == 1
         np.testing.assert_array_equal(state.params["w"].data, theta0)
         assert "non-finite" in caplog.text
+
+
+    @staticmethod
+    def _three_tensor_state():
+        # a decayed projection, an undecayed embedding, an undecayed bias
+        rng = np.random.default_rng(5)
+        values = {"dec0.self.wq": rng.standard_normal((3, 4)),
+                  "embedding": rng.standard_normal((5, 4)) * 100.0,
+                  "picker.b0": rng.standard_normal(4) * 1e-3}
+        params = ModelParameters(ModelConfig(vocab_size=12), {
+            n: parameter(a.copy()) for n, a in values.items()})
+        return TrainState.fresh(params), values, rng
+
+    def test_updates_arrays_in_place(self):
+        state, values, rng = self._three_tensor_state()
+        held = [t.data for _, t in state.params.named_tensors()]
+        held += [*state.first_moment.values(), *state.second_moment.values()]
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1)
+        for _ in range(2):
+            grads = {n: rng.standard_normal(a.shape) for n, a in values.items()}
+            state = optimizer_step(state, grads, cfg)
+        now = [t.data for _, t in state.params.named_tensors()]
+        now += [*state.first_moment.values(), *state.second_moment.values()]
+        assert all(a is b for a, b in zip(held, now))
+        assert not np.array_equal(now[0], values["dec0.self.wq"])
+
+    def test_bit_equal_to_out_of_place_formula(self):
+        state, values, rng = self._three_tensor_state()
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1)
+        theta = dict(values)
+        m = {n: np.zeros_like(a) for n, a in values.items()}
+        v = {n: np.zeros_like(a) for n, a in values.items()}
+        for t in range(1, 4):
+            grads = {n: rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
+                     for n, a in values.items()}
+            state = optimizer_step(state, grads, cfg)
+            bias1, bias2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for n, g in grads.items():
+                m[n] = cfg.beta1 * m[n] + (1.0 - cfg.beta1) * g
+                v[n] = cfg.beta2 * v[n] + (1.0 - cfg.beta2) * (g * g)
+                update = (m[n] / bias1) / (np.sqrt(v[n] / bias2) + cfg.adam_eps)
+                new = theta[n] - cfg.learning_rate * update
+                if n == "dec0.self.wq":  # the one decayed tensor
+                    new = new - cfg.learning_rate * cfg.weight_decay * theta[n]
+                theta[n] = new
+            for n, tensor in state.params.named_tensors():
+                assert tensor.data.tobytes() == theta[n].tobytes(), (t, n)
+                assert state.first_moment[n].tobytes() == m[n].tobytes()
+                assert state.second_moment[n].tobytes() == v[n].tobytes()
+
+    def test_real_batch_grads_share_no_memory(self):
+        # clip_gradients scales each grad in place, so no two may alias
+        data, vocab, _ = _tiny_setup()
+        mcfg = make_model_config(
+            len(vocab), "hard", seed=1, d_model=8, num_layers=2, num_heads=2,
+            ffn_dim=16, picker_hidden=(4,), literal_pe=True)
+        params = init_parameters(mcfg)
+        batch = collate([encode_sample(item.sample, vocab, ENGLISH, labels=item.labels)
+                         for item in data])
+        rng = np.random.default_rng(0)
+        enc = encode(batch.input_ids, batch.input_mask, params, rng)
+        logits = decode_forward(enc, batch.decoder_input, params, rng)
+        lg = generator_loss(logits, batch.decoder_target, batch.target_mask)
+        lp = picker_loss(picker_forward(enc, params), batch.picker_targets,
+                         batch.input_mask)
+        grads = list(model_backward(joint_loss(lp, lg, 1.0), params).values())
+        assert len(grads) == len(params.tensors)
+        for i, g in enumerate(grads):
+            assert g.flags.writeable
+            for other in grads[i + 1:]:
+                assert not np.shares_memory(g, other)
+            for _, tensor in params.named_tensors():
+                assert not np.shares_memory(g, tensor.data)
 
 
 class TestSubsample:
