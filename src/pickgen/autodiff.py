@@ -6,6 +6,10 @@ gradients from scratch (every grad in the graph is reset to None first), so
 training steps never need an explicit zero-grad call. Gradients are lazy: a
 node's first contribution is stored as is and later ones are added out of
 place, since closures hand one array to several parents; constants get none.
+backward() uses the graph up as it walks it: once an interior node has passed
+its gradient on, it drops that gradient, its parent links and its closure
+(with the arrays the closure captured), so only leaf gradients and node data
+outlive the walk, and differentiating a used-up node again raises ValueError.
 RMS normalization, multi-head attention (head split and merge included) and
 cross-entropy are each one node with a hand-written backward, because at toy
 sizes each node costs more than its arithmetic.
@@ -225,7 +229,11 @@ class Tensor:
     # -- backward -----------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into .grad across the recorded graph."""
+        """Accumulate d(self)/d(node) into .grad of every leaf of the
+        recorded graph, using the graph up: once a node has passed its
+        gradient on, its grad, parent links and closure (with the arrays it
+        captured) are dropped, so only leaf grads and node data remain. A
+        second backward through a used-up node raises ValueError."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
         if self._backward_fn is None and not self._parents:
@@ -234,7 +242,8 @@ class Tensor:
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward_fn is None:
                 continue
             grads = node._backward_fn(node.grad)
@@ -243,6 +252,11 @@ class Tensor:
                     parent.grad = parent.grad + grad
                 elif parent._tracked():
                     parent.grad = grad
+            node.grad, node._parents, node._backward_fn = None, (), _differentiated
+
+
+def _differentiated(g):
+    raise ValueError("this graph was already differentiated; run the forward again")
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

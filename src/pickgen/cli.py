@@ -23,6 +23,8 @@ from .corpus import (
     save_corpus,
 )
 from .decoding import (
+    InferenceError,
+    check_search_settings,
     default_max_decode_len,
     load_predictions,
     restore_ranked,
@@ -345,6 +347,11 @@ def cmd_restore(args) -> int:
     if max_len is None:
         max_len = default_max_decode_len(samples, lang)
         config["inference"]["max_len"] = max_len
+    try:  # every setting is checked before anything is written
+        check_search_settings(inference["beam_size"], max_len,
+                              inference["length_penalty"], inference["nbest"])
+    except InferenceError as exc:
+        raise UsageError(str(exc)) from exc
     _ensure_out_dir(args.out_dir)
     _write_effective_config(config, "restore", args.out_dir)
     out_path = os.path.join(args.out_dir, "predictions.jsonl")

@@ -88,6 +88,30 @@ def _survivors(
     return rows[keep], tokens[keep]
 
 
+def check_search_settings(
+    beam_size: int, max_len: int, length_penalty: float, nbest: int
+) -> np.ndarray:
+    """Raise InferenceError unless a search can run with these settings;
+    return norm, whose norm[n - 1] = n ** length_penalty divides the log-prob
+    of a length-n hypothesis, for n from 1 to max_len."""
+    if beam_size < 1:
+        raise InferenceError("beam_size must be >= 1")
+    if nbest < 1:
+        raise InferenceError("nbest must be >= 1")
+    if max_len < 1:
+        raise InferenceError("max_len must be >= 1")
+    try:
+        norm = np.array([n**length_penalty for n in range(1, max_len + 1)], dtype=float)
+    except OverflowError:
+        norm = np.array([np.inf])
+    if not (np.isfinite(norm) & (norm > 0)).all():
+        raise InferenceError(
+            f"length_penalty {length_penalty}: some n ** {length_penalty} with "
+            f"1 <= n <= max_len {max_len} is not a finite positive float"
+        )
+    return norm
+
+
 def _search(
     params: ModelParameters,
     inputs: list[list[int]],
@@ -108,24 +132,11 @@ def _search(
     could break it. Returns, per input, its nbest best hypotheses: finished
     ones if any exist, else the best live ones at the cutoff.
     """
-    if beam_size < 1:
-        raise InferenceError("beam_size must be >= 1")
-    if nbest < 1:
-        raise InferenceError("nbest must be >= 1")
+    norm = check_search_settings(beam_size, max_len, length_penalty, nbest)
     count = len(inputs)
     ids, mask = pad(inputs)
     finished: list[list[BeamHypothesis]] = [[] for _ in inputs]
-    # norm[n - 1] divides the log-prob of a length-n hypothesis, and
     # reach[n - 1] is the largest divisor of any length from n to max_len
-    try:
-        norm = np.array([n**length_penalty for n in range(1, max_len + 1)], dtype=float)
-    except OverflowError:
-        norm = np.array([np.inf])
-    if not (np.isfinite(norm) & (norm > 0)).all():
-        raise InferenceError(
-            f"length_penalty {length_penalty}: some n ** {length_penalty} with "
-            f"1 <= n <= max_len {max_len} is not a finite positive float"
-        )
     reach = np.maximum.accumulate(norm[::-1])[::-1]
     top = np.full((count, nbest), -np.inf)  # nbest best finished scores, ascending
     with no_grad():

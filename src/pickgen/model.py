@@ -69,10 +69,6 @@ class ModelConfig:
         if self.rel_pos_buckets < 4 or self.rel_pos_buckets % 2 != 0:
             raise ModelError("rel_pos_buckets must be an even count >= 4")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.num_heads
-
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
         data["picker_widths"] = list(self.picker_widths)
@@ -428,7 +424,8 @@ def decode_forward(
 
 def backward(loss: Tensor, params: ModelParameters) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss for every parameter tensor;
-    parameters outside the recorded graph get zero gradients."""
+    parameters outside the recorded graph get zero gradients. The loss's
+    graph is used up (see Tensor.backward)."""
     loss.backward()
     grads: dict[str, np.ndarray] = {}
     for name, tensor in params.named_tensors():

@@ -1,11 +1,12 @@
 """Independent reference implementations used to check derived behavior.
 
 These deliberately avoid the library's own code paths: the attention
-oracle splits heads into separate arrays before it attends, the decoding
-oracles re-run the decoder from a fresh cache over every whole prefix of
-one unpadded input (teacher forcing, as in training), and the beam oracles build and sort every candidate in
-Python or enumerate every decodable output; the n-gram oracles enumerate
-n-grams positionally instead of via Counter arithmetic.
+oracle splits heads into separate arrays before it attends, the backward
+oracle walks a graph without using it up, the decoding oracles re-run the
+decoder from a fresh cache over every whole prefix of one unpadded input
+(teacher forcing, as in training), and the beam oracles build and sort
+every candidate in Python or enumerate every decodable output; the n-gram
+oracles enumerate n-grams positionally instead of via Counter arithmetic.
 """
 
 import math
@@ -45,6 +46,36 @@ def per_head_attention(q, k, v, heads, bias, mask, g):
     grads = (merge((gs @ kh) * scale), merge((np.swapaxes(gs, -1, -2) @ qh) * scale),
              merge(np.swapaxes(p, -1, -2) @ gh), gs.sum(axis=0).transpose(1, 2, 0))
     return merge(p @ vh), grads
+
+
+def retained_backward(loss):
+    """Reverse-mode walk that keeps the whole graph: order every node
+    parents first by depth-first search, reset every grad, then run each
+    closure from the loss down and add gradients out of place, in the order
+    Tensor.backward runs them. Every node keeps its grad, parent links and
+    closure, so the graph can be walked again. Returns the nodes, parents
+    first."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    for node in order:
+        node.grad = None
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward_fn is None:
+            continue
+        for parent, grad in zip(node._parents, node._backward_fn(node.grad)):
+            if parent.grad is not None:
+                parent.grad = parent.grad + grad
+            elif parent.requires_grad or parent._parents:
+                parent.grad = grad
+    return order
 
 
 def oracle_hard_rows(sample, cfg):

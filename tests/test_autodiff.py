@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import per_head_attention
+from oracles import per_head_attention, retained_backward
 from pickgen.autodiff import (
     Tensor,
+    _differentiated,
     attention,
     log_softmax,
     no_grad,
@@ -423,21 +424,59 @@ class TestGraphMechanics:
         assert x.grad.item() == 4.0
 
     def test_repeated_backward_resets_grads(self):
+        # a graph is differentiated once; a new forward starts from zero
         x = parameter(np.array(1.0))
         y = x * 3.0
         y.backward()
-        y.backward()
+        with pytest.raises(ValueError, match="already differentiated"):
+            y.backward()
+        (x * 3.0).backward()
         assert x.grad.item() == 3.0  # not 6.0
 
     def test_repeated_backward_gives_equal_grads(self):
         a = parameter(RNG.standard_normal((2, 3)))
         w = parameter(RNG.standard_normal((3, 4)))
-        loss = ((a @ w).relu() * (a @ w)).sum()
-        loss.backward()
+
+        def forward():
+            return ((a @ w).relu() * (a @ w)).sum()
+
+        forward().backward()
         first = (a.grad.copy(), w.grad.copy())
-        loss.backward()
+        forward().backward()
         np.testing.assert_array_equal(a.grad, first[0])
         np.testing.assert_array_equal(w.grad, first[1])
+
+    def test_backward_uses_up_the_graph(self):
+        a = parameter(RNG.standard_normal((2, 3)))
+        w = parameter(RNG.standard_normal((3, 4)))
+        mask = Tensor(RNG.integers(0, 2, (2, 4)).astype(float))
+        h = a @ w
+        r = h.relu()
+        product = r * h
+        masked = product * mask
+        loss = masked.sum()
+        retained_backward(loss)
+        expected = (a.grad.copy(), w.grad.copy())
+        loss.backward()
+        interior = [h, r, product, masked, loss]
+        for node in interior:
+            assert node.grad is None and node._parents == ()
+            assert node._backward_fn is _differentiated
+        # leaves keep their (bit-equal) gradients, nodes keep their data
+        np.testing.assert_array_equal(a.grad, expected[0])
+        np.testing.assert_array_equal(w.grad, expected[1])
+        assert mask.grad is None
+        np.testing.assert_array_equal(h.data, a.data @ w.data)
+
+    def test_second_loss_over_used_up_subgraph_raises(self):
+        # the first backward used the shared nodes up, so the second cannot
+        # reach x through them; it must raise, not drop x's gradient
+        x = parameter(RNG.standard_normal(3))
+        shared = (x * 2.0).relu()
+        first, second = shared.sum(), (shared * shared).sum()
+        first.backward()
+        with pytest.raises(ValueError, match="already differentiated"):
+            second.backward()
 
     @pytest.mark.parametrize("build", [
         lambda a, b, c: ((a + b) * a + b * b).sum(),

@@ -205,6 +205,15 @@ SETTING_FLAGS = [
     ("evaluate", "--bucket-bleu-n", "3", "evaluation.bucket_bleu_n", 3),
 ]
 
+# (command, flag, value): a setting no run can use, rejected before any file
+INVALID_SETTINGS = [
+    ("restore", "--beam-size", "0"),
+    ("restore", "--max-len", "0"),
+    ("restore", "--max-len", "-3"),
+    ("restore", "--length-penalty", "1000"),
+    ("restore", "--nbest", "0"),
+]
+
 
 class TestSettingFlags:
     """Every flag that sets a config key lands at that key in the
@@ -262,6 +271,18 @@ class TestSettingFlags:
         for part in key.split("."):
             node = node[part]
         assert node == inputs.get(recorded, recorded)
+
+    @pytest.mark.parametrize(
+        "command,flag,value", INVALID_SETTINGS,
+        ids=[f"{c}{flag}={value}" for c, flag, value in INVALID_SETTINGS])
+    def test_invalid_value_is_usage_error_before_any_write(
+            self, tmp_path, capsys, inputs, command, flag, value):
+        out_dir = tmp_path / "out"
+        code = main([command, "--out-dir", str(out_dir), *inputs[command],
+                     flag, value])
+        assert code == 1
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 class TestSynth:

@@ -220,6 +220,12 @@ class TestBeamMechanics:
         with pytest.raises(InferenceError, match="nbest"):
             beam_search(toy_params(0), [4, 5, 3], beam_size=2, nbest=0)
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_bad_max_len(self, max_len):
+        # zero steps would restore every input to the empty string
+        with pytest.raises(InferenceError, match="max_len"):
+            beam_search(toy_params(0), [4, 5, 3], beam_size=2, max_len=max_len)
+
     @pytest.mark.parametrize("penalty", [1000.0, 1000, -1000.0, float("nan"),
                                          float("inf")])
     def test_extreme_length_penalty_rejected(self, penalty):

@@ -6,16 +6,22 @@ so outputs at real positions must be bitwise independent of padding, and
 decoder steps bitwise independent of future tokens.
 """
 
+import gc
 import io
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pickgen.model as M
-from pickgen.autodiff import Tensor
+from oracles import retained_backward
+from pickgen.autodiff import Tensor, _differentiated
+from pickgen.corpus import LanguageConfig, build_vocab
+from pickgen.encoding import collate, encode_sample
+from pickgen.labeling import EmbeddingTable, label_corpus
 from pickgen.model import (
     ModelConfig,
     ModelError,
@@ -30,6 +36,13 @@ from pickgen.model import (
     picker_forward,
     relative_position_bucket,
     save_checkpoint,
+)
+from pickgen.synth import generate_corpus
+from pickgen.training import (
+    generator_loss,
+    joint_loss,
+    make_model_config,
+    picker_loss,
 )
 
 RNG = np.random.default_rng(77)
@@ -55,9 +68,6 @@ def params():
 
 
 class TestModelConfig:
-    def test_head_dim(self):
-        assert tiny_config().head_dim == 4
-
     def test_vocab_must_cover_reserved(self):
         with pytest.raises(ModelError):
             tiny_config(vocab_size=5)
@@ -342,6 +352,63 @@ class TestBackward:
             numeric = (hi - lo) / (2 * eps)
             assert grads[name][idx] == pytest.approx(numeric, rel=1e-4,
                                                      abs=1e-8), name
+
+
+def joint_batch():
+    """The default model and one 12-sample hard-labeled batch, as a
+    training step sees them."""
+    lang = LanguageConfig.for_language("english")
+    corpus = generate_corpus(12, seed=0)
+    vocab = build_vocab(corpus, 2000, lang)
+    labeled = label_corpus(corpus, "hard", EmbeddingTable(), lang)
+    batch = collate([encode_sample(item.sample, vocab, lang, labels=item.labels)
+                     for item in labeled])
+    return init_parameters(make_model_config(len(vocab), "hard", seed=0)), batch
+
+
+def joint_step_loss(params, batch):
+    """One training step's forward and joint loss, dropout included."""
+    rng = np.random.default_rng(3)
+    enc = encode(batch.input_ids, batch.input_mask, params, rng)
+    logits = decode_forward(enc, batch.decoder_input, params, rng)
+    lg = generator_loss(logits, batch.decoder_target, batch.target_mask)
+    lp = picker_loss(picker_forward(enc, params), batch.picker_targets,
+                     batch.input_mask)
+    return joint_loss(lp, lg, 1.0)
+
+
+class TestBackwardUsesUpTheGraph:
+    def test_grads_bit_equal_to_retained_walk(self):
+        params, batch = joint_batch()
+        loss = joint_step_loss(params, batch)
+        nodes = retained_backward(loss)
+        expected = {name: t.grad.copy() for name, t in params.named_tensors()}
+        interior = [node for node in nodes if node._backward_fn is not None]
+        grads = M.backward(loss, params)
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, expected[name], err_msg=name)
+        assert all(node.grad is None and node._parents == ()
+                   and node._backward_fn is _differentiated for node in interior)
+
+    def test_memory_held_after_backward_is_the_grads(self):
+        # with the loss still referenced, as in the training loop until the
+        # next step, only the parameter gradients may outlive backward
+        params, batch = joint_batch()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            loss = joint_step_loss(params, batch)
+            grads = M.backward(loss, params)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        grad_bytes = sum(g.nbytes for g in grads.values())
+        assert held <= grad_bytes + 500_000, (held, grad_bytes)
 
 
 class TestCheckpoint:
