@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .corpus import (
@@ -23,13 +24,14 @@ from .corpus import (
     save_corpus,
 )
 from .decoding import (
-    InferenceError,
+    DEFAULT_BEAM_SIZE,
     check_search_settings,
     default_max_decode_len,
     load_predictions,
     restore_ranked,
     save_predictions,
 )
+from .encoding import DEFAULT_MAX_LEN, check_max_len
 from .labeling import (
     LABEL_MODES,
     EmbeddingTable,
@@ -40,46 +42,34 @@ from .labeling import (
     load_labeled_corpus,
     save_labeled_corpus,
 )
-from .metrics import evaluate
-from .model import ModelError, load_checkpoint
+from .metrics import check_bleu_order, evaluate
+from .model import ModelConfig, load_checkpoint
 from .synth import generate_corpus
-from .training import TrainConfig, TrainingError, make_model_config, train
+from .training import TrainConfig, make_model_config, train
 
+# Model and training defaults are the typed configs' own, minus the fields
+# a run fills in from its corpus, vocabulary, label mode and seed.
 DEFAULT_CONFIG: dict = {
     "language": "english",
     "stopword_path": None,
     "seed": 0,
     "vocab_size": 2000,
-    "max_input_len": 512,
+    "max_input_len": DEFAULT_MAX_LEN,
     "embeddings": None,
     "embedding_fallback": "hash",
     "label_mode": "hard",
     "model": {
-        "d_model": 64,
-        "num_layers": 2,
-        "num_heads": 4,
-        "ffn_dim": 128,
-        "picker_hidden": [64, 32, 16],
-        "rel_pos_buckets": 32,
-        "rel_pos_max_distance": 128,
-        "dropout": 0.1,
-        "literal_pe": False,
-        "max_positions": 512,
+        **{f.name: f.default for f in fields(ModelConfig)
+           if f.name not in ("vocab_size", "picker_widths", "picker_arity", "seed")},
+        "picker_hidden": list(ModelConfig.picker_widths[:-1]),
     },
     "train": {
-        "picker_weight": 1.0,
-        "learning_rate": 5e-5,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "weight_decay": 0.01,
-        "batch_size": 12,
-        "epochs": None,
-        "subsample_fraction": 1.0,
-        "checkpoint_every": 0,
-        "grad_clip": 1.0,
+        **{f.name: f.default for f in fields(TrainConfig)
+           if f.name not in ("adam_eps", "seed", "label_mode", "max_len")},
+        "epochs": None,  # None: chosen from the corpus size
     },
     "inference": {
-        "beam_size": 8,
+        "beam_size": DEFAULT_BEAM_SIZE,
         "max_len": None,
         "length_penalty": 1.0,
         "nbest": 1,
@@ -88,6 +78,16 @@ DEFAULT_CONFIG: dict = {
         "pickup_mode": "any",
         "bucket_bleu_n": 2,
     },
+}
+# The type of each setting whose default is null, and the values a setting
+# with a fixed set of them may take (argparse's choices read them too).
+NULLABLE = {"stopword_path": str, "embeddings": str, "train.epochs": int,
+            "inference.max_len": int}
+CHOICES = {
+    "language": ("english", "chinese", "other"),
+    "embedding_fallback": ("hash", "zero"),
+    "label_mode": (*LABEL_MODES, "none"),
+    "evaluation.pickup_mode": ("any", "all"),
 }
 
 # Corpora below this size (and any subsampled run) default to the
@@ -110,44 +110,61 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
+def _fits(value, kind: type) -> bool:
+    """Whether a JSON value has a setting's type: an int is also a float, a
+    bool is never a number, and a list holds ints."""
+    if kind is list:
+        return isinstance(value, list) and all(_fits(item, int) for item in value)
+    return isinstance(value, (int, float) if kind is float else kind) and (
+        kind is bool or not isinstance(value, bool))
+
+
+def _overlay(config: dict, user, defaults: dict, where: str = "") -> None:
+    """Write user's values over config in place. A key that defaults lacks,
+    a section that is not an object, and a value of another type than its
+    setting's or outside its CHOICES are usage errors naming the key."""
+    if not isinstance(user, dict):
+        raise UsageError(f"{where[:-1] or 'config'} must be a JSON object")
+    unknown = sorted(where + key for key in user if key not in defaults)
+    if unknown:
+        raise UsageError(f"unknown config keys {unknown}")
+    for key, value in user.items():
+        dotted, default = where + key, defaults[key]
+        if isinstance(default, dict):
+            _overlay(config[key], value, default, dotted + ".")
+            continue
+        kind = NULLABLE.get(dotted, type(default))
+        if not (value is None and dotted in NULLABLE or _fits(value, kind)):
+            raise UsageError(f"{dotted} must be of type {kind.__name__}, "
+                             f"not {json.dumps(value)}")
+        if dotted in CHOICES and value not in CHOICES[dotted]:
+            raise UsageError(f"{dotted} must be one of {list(CHOICES[dotted])}, "
+                             f"not {json.dumps(value)}")
+        config[key] = value
 
 
 def load_config(args) -> dict:
-    """DEFAULT_CONFIG, then the --config file, then every flag that was
-    given; a setting flag's dest is its dotted config key."""
+    """DEFAULT_CONFIG, overlaid with the --config file, then with every flag
+    that was given; a setting flag's dest is its dotted config key."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    path = args.config
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
-        if not isinstance(user, dict):
-            raise UsageError(f"{path}: config must be a JSON object")
-        unknown = [key for key in user if key not in DEFAULT_CONFIG]
-        for key, known in DEFAULT_CONFIG.items():
-            if isinstance(known, dict) and key in user:
-                if not isinstance(user[key], dict):
-                    raise UsageError(f"{path}: {key} must be a JSON object")
-                unknown += [f"{key}.{sub}" for sub in user[key] if sub not in known]
-        if unknown:
-            raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
-        config = _deep_merge(config, user)
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            _overlay(config, json.load(fh), DEFAULT_CONFIG)
     for dotted, value in vars(args).items():
-        if value is None or dotted.split(".")[0] not in DEFAULT_CONFIG:
-            continue
-        node = config
-        *parents, leaf = dotted.split(".")
-        for key in parents:
-            node = node[key]
-        node[leaf] = value
+        if value is not None and dotted.split(".")[0] in DEFAULT_CONFIG:
+            for key in reversed(dotted.split(".")):
+                value = {key: value}
+            _overlay(config, value, DEFAULT_CONFIG)
     return config
+
+
+def _checked(where: str, check, *args, **kwargs):
+    """check(*args, **kwargs); the ValueError it raises for a bad setting
+    becomes a usage error, prefixed by where (its key or section)."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{where}{exc}") from exc
 
 
 def _language_config(config: dict) -> LanguageConfig:
@@ -221,17 +238,19 @@ def cmd_label(args) -> int:
     config = load_config(args)
     lang = _language_config(config)
     mode = config["label_mode"]
+    if mode not in LABEL_MODES:
+        raise UsageError(f"label_mode {mode!r}: label writes "
+                         f"{' or '.join(LABEL_MODES)} labels")
+    if mode == "soft" and config["embeddings"] is None \
+            and config["embedding_fallback"] == "zero":
+        raise UsageError("embedding_fallback: soft labeling needs an "
+                         "embeddings file or the hash fallback")
     samples = load_corpus(args.corpus)
     missing = [s.id for s in samples if s.reference is None]
     if missing:
         raise LabelError(
             f"cannot label: {len(missing)} samples lack references "
             f"(first: {missing[0]!r})"
-        )
-    if mode == "soft" and config["embeddings"] is None \
-            and config["embedding_fallback"] == "zero":
-        raise LabelError(
-            "soft labeling needs an embeddings file or the hash fallback"
         )
     emb = _embedding_table(config)
     labeled = label_corpus(samples, mode, emb, lang)
@@ -272,25 +291,14 @@ def cmd_train(args) -> int:
     raw_samples = [
         item.sample if hasattr(item, "sample") else item for item in corpus
     ]
-    vocab = build_vocab(raw_samples, config["vocab_size"], lang)
-    model_section = dict(config["model"])
-    picker_hidden = tuple(model_section.pop("picker_hidden"))
-    try:  # every setting is checked before anything is written
-        train_cfg = TrainConfig(
-            label_mode=label_mode,
-            seed=config["seed"],
-            max_len=config["max_input_len"],
-            **section,
-        )
-        model_cfg = make_model_config(
-            len(vocab),
-            label_mode,
-            seed=config["seed"],
-            picker_hidden=picker_hidden,
-            **model_section,
-        )
-    except (TrainingError, ModelError) as exc:
-        raise UsageError(str(exc)) from exc
+    vocab = _checked("vocab_size: ", build_vocab, raw_samples,
+                     config["vocab_size"], lang)
+    _checked("max_input_len: ", check_max_len, config["max_input_len"])
+    train_cfg = _checked("train.", TrainConfig, label_mode=label_mode,
+                         seed=config["seed"], max_len=config["max_input_len"],
+                         **section)
+    model_cfg = _checked("model.", make_model_config, len(vocab), label_mode,
+                         seed=config["seed"], **config["model"])
     _ensure_out_dir(args.out_dir)
     vocab_path = os.path.join(args.out_dir, "vocab.json")
     vocab.save(vocab_path)
@@ -343,21 +351,17 @@ def cmd_restore(args) -> int:
             f"was trained with"
         )
     inference = config["inference"]
-    max_len = inference["max_len"]
-    if max_len is None:
-        max_len = default_max_decode_len(samples, lang)
-        config["inference"]["max_len"] = max_len
-    try:  # every setting is checked before anything is written
-        check_search_settings(inference["beam_size"], max_len,
-                              inference["length_penalty"], inference["nbest"])
-    except InferenceError as exc:
-        raise UsageError(str(exc)) from exc
+    if inference["max_len"] is None:
+        inference["max_len"] = default_max_decode_len(samples, lang)
+    _checked("max_input_len: ", check_max_len, config["max_input_len"])
+    _checked("inference.", check_search_settings, inference["beam_size"],
+             inference["max_len"], inference["length_penalty"], inference["nbest"])
     _ensure_out_dir(args.out_dir)
     _write_effective_config(config, "restore", args.out_dir)
     out_path = os.path.join(args.out_dir, "predictions.jsonl")
     nbest = inference["nbest"]
     ranked = restore_ranked(
-        samples, params, vocab, lang, inference["beam_size"], max_len,
+        samples, params, vocab, lang, inference["beam_size"], inference["max_len"],
         inference["length_penalty"], config["max_input_len"], nbest,
     )
     rows = [
@@ -372,6 +376,8 @@ def cmd_restore(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args)
     lang = _language_config(config)
+    _checked("evaluation.bucket_bleu_n: ", check_bleu_order,
+             config["evaluation"]["bucket_bleu_n"])
     predictions = load_predictions(args.predictions)
     if _carries_labels(args.gold):
         labeled = load_labeled_corpus(args.gold, lang)
@@ -408,7 +414,7 @@ def _add_common(parser, language: bool = True) -> None:
     parser.add_argument("--out-dir", required=True, help="artifact directory")
     parser.add_argument("--seed", type=int, help="global seed override")
     if language:  # synth generates English and reads no stopwords
-        parser.add_argument("--language", choices=["english", "chinese", "other"])
+        parser.add_argument("--language", choices=CHOICES["language"])
         parser.add_argument("--stopwords", dest="stopword_path",
                             help="stopword file override")
 
@@ -430,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
     p.add_argument("--mode", dest="label_mode", choices=LABEL_MODES)
     p.add_argument("--embeddings", help="word-vector text file")
-    p.add_argument("--embedding-fallback", choices=["hash", "zero"])
+    p.add_argument("--embedding-fallback", choices=CHOICES["embedding_fallback"])
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="joint picker/generator training")
     _add_common(p)
     p.add_argument("--in", dest="corpus", required=True, help="labeled JSONL")
-    p.add_argument("--label-mode", choices=[*LABEL_MODES, "none"])
+    p.add_argument("--label-mode", choices=CHOICES["label_mode"])
     p.add_argument("--alpha", dest="train.picker_weight", type=float,
                    help="picker loss weight")
     p.add_argument("--learning-rate", dest="train.learning_rate", type=float)
@@ -464,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True, help="predictions JSONL")
     p.add_argument("--gold", required=True, help="gold corpus JSONL")
     p.add_argument("--pickup-mode", dest="evaluation.pickup_mode",
-                   choices=["any", "all"])
+                   choices=CHOICES["evaluation.pickup_mode"])
     p.add_argument("--bucket-bleu-n", dest="evaluation.bucket_bleu_n", type=int)
     p.set_defaults(func=cmd_evaluate)
 

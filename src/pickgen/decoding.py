@@ -341,7 +341,8 @@ def load_predictions(path: str) -> dict[str, str]:
                 raise InferenceError(f"{path}:{lineno}: record must be a JSON object")
             if "id" not in record or "prediction" not in record:
                 raise InferenceError(f"{path}:{lineno}: need 'id' and 'prediction'")
-            if record["id"] in out:
-                raise InferenceError(f"{path}:{lineno}: duplicate id {record['id']!r}")
-            out[record["id"]] = record["prediction"]
+            sample_id = str(record["id"])  # as load_corpus reads a numeric id
+            if sample_id in out:
+                raise InferenceError(f"{path}:{lineno}: duplicate id {sample_id!r}")
+            out[sample_id] = record["prediction"]
     return out

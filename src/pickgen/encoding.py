@@ -64,6 +64,12 @@ class EncodedBatch:
     target_mask: np.ndarray  # (B, T) float64
 
 
+def check_max_len(max_len: int) -> None:
+    """Raise EncodingError unless max_len ids hold [X1] [X2] </s>."""
+    if max_len < 3:
+        raise EncodingError(f"max_len {max_len} cannot hold [X1] [X2] </s>")
+
+
 def build_input(
     sample: DialogueSample,
     vocab: Vocabulary,
@@ -78,8 +84,7 @@ def build_input(
     incomplete utterance. A word index past the end of the last turn counts
     on into the incomplete utterance, whose head was dropped too.
     """
-    if max_len < 3:
-        raise EncodingError(f"max_len {max_len} cannot hold [X1] [X2] </s>")
+    check_max_len(max_len)
     turns = [tokenize(u, cfg) for u in sample.context]
     incomplete = tokenize(sample.incomplete, cfg)
     length = sum(len(t) + 1 for t in turns) + len(incomplete) + 2

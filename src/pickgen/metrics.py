@@ -61,14 +61,19 @@ def rouge_n(pred: list[str], ref: list[str], n: int) -> float:
     return _f1(overlap / total_pred, overlap / total_ref)
 
 
+def check_bleu_order(n: int) -> None:
+    """Raise MetricError unless n is a BLEU order, that is, n >= 1."""
+    if n < 1:
+        raise MetricError("n must be >= 1")
+
+
 def bleu_n(pairs: list[tuple[list[str], list[str]]], n: int) -> float:
     """Corpus-level BLEU: geometric mean of clipped modified precisions for
     orders 1..n times the brevity penalty; any zero precision zeroes the
     score (no smoothing)."""
     if not pairs:
         raise MetricError("bleu_n needs a non-empty corpus")
-    if n < 1:
-        raise MetricError("n must be >= 1")
+    check_bleu_order(n)
     log_sum = 0.0
     for order in range(1, n + 1):
         matched = 0

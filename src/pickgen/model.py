@@ -54,8 +54,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size < 6:
             raise ModelError("vocab_size must cover the 6 reserved tokens")
-        if self.num_layers < 1:
-            raise ModelError("num_layers must be >= 1")
+        for name in ("d_model", "num_layers", "num_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1")
         if self.d_model % self.num_heads != 0:
             raise ModelError(
                 f"d_model {self.d_model} not divisible by num_heads {self.num_heads}"

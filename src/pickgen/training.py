@@ -63,14 +63,19 @@ class TrainConfig:
     max_len: int = DEFAULT_MAX_LEN
 
     def __post_init__(self):
-        if self.picker_weight < 0.0:
-            raise TrainingError("picker_weight must be >= 0")
+        if not self.learning_rate > 0.0:
+            raise TrainingError("learning_rate must be > 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise TrainingError(f"{name} must lie in [0, 1)")
+        for name in ("picker_weight", "weight_decay", "grad_clip", "checkpoint_every"):
+            if not getattr(self, name) >= 0:
+                raise TrainingError(f"{name} must be >= 0")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise TrainingError("subsample_fraction must lie in (0, 1]")
-        if self.batch_size < 1:
-            raise TrainingError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise TrainingError("epochs must be >= 1")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise TrainingError(f"{name} must be >= 1")
         if self.label_mode not in (*LABEL_MODES, "none"):
             raise TrainingError(f"unknown label mode {self.label_mode!r}")
 
@@ -366,7 +371,7 @@ def make_model_config(
     output arity is appended automatically.
     """
     arity = 1 if label_mode == "soft" else 3
-    hidden = tuple(overrides.pop("picker_hidden", (64, 32, 16)))
+    hidden = tuple(overrides.pop("picker_hidden", ModelConfig.picker_widths[:-1]))
     defaults = dict(
         vocab_size=vocab_size,
         picker_widths=(*hidden, arity),

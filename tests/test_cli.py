@@ -205,14 +205,74 @@ SETTING_FLAGS = [
     ("evaluate", "--bucket-bleu-n", "3", "evaluation.bucket_bleu_n", 3),
 ]
 
-# (command, flag, value): a setting no run can use, rejected before any file
+# (command, flag, value): a setting no run can use, rejected before any file;
+# the path flags --stopwords and --embeddings are in UNREADABLE_FILES
 INVALID_SETTINGS = [
+    *((command, flag, value)
+      for command in ("label", "train", "evaluate")
+      for flag, value in (("--seed", "x"), ("--language", "klingon"))),
+    ("label", "--mode", "none"),
+    ("label", "--embedding-fallback", "cosine"),
+    ("train", "--label-mode", "bio"),
+    ("train", "--alpha", "-1"),
+    ("train", "--learning-rate", "-1"),
+    ("train", "--batch-size", "0"),
+    ("train", "--epochs", "0"),
+    ("train", "--fraction", "0"),
+    ("train", "--vocab-size", "3"),
+    ("train", "--checkpoint-every", "-1"),
     ("restore", "--beam-size", "0"),
     ("restore", "--max-len", "0"),
     ("restore", "--max-len", "-3"),
     ("restore", "--length-penalty", "1000"),
     ("restore", "--nbest", "0"),
+    ("evaluate", "--pickup-mode", "some"),
+    ("evaluate", "--bucket-bleu-n", "0"),
 ]
+# (command, flag) of each flag that names a file to read: a file that cannot
+# be read is a runtime error (exit 2), as for --in
+UNREADABLE_FILES = [
+    *((command, "--stopwords") for command in ("label", "train", "restore", "evaluate")),
+    ("label", "--embeddings"),
+]
+KEY_OF = {(command, flag): key for command, flag, _, key, _ in SETTING_FLAGS}
+
+# (command, config file, dotted key it gets wrong), each laid over
+# TINY_CONFIG: a value of the wrong type, outside its choices or outside the
+# range its check allows, rejected before any file
+INVALID_CONFIGS = [
+    ("train", {"train": {"batch_size": "3"}}, "train.batch_size"),
+    ("train", {"train": {"batch_size": True}}, "train.batch_size"),
+    ("train", {"model": {"literal_pe": "false"}}, "model.literal_pe"),
+    ("train", {"model": {"picker_hidden": [8, "a"]}}, "model.picker_hidden"),
+    ("restore", {"inference": {"max_len": 2.5}}, "inference.max_len"),
+    ("restore", {"inference": {"beam_size": "3"}}, "inference.beam_size"),
+    ("synth", {"seed": "x"}, "seed"),
+    ("synth", {"seed": None}, "seed"),
+    ("label", {"language": "klingon"}, "language"),
+    ("train", {"model": {"num_heads": 0}}, "model.num_heads"),
+    ("train", {"model": {"d_model": 0}}, "model.d_model"),
+    ("train", {"model": {"ffn_dim": 0}}, "model.ffn_dim"),
+    ("train", {"train": {"learning_rate": 0}}, "train.learning_rate"),
+    ("train", {"train": {"beta1": 1.0}}, "train.beta1"),
+    ("train", {"train": {"beta2": -0.5}}, "train.beta2"),
+    ("train", {"train": {"weight_decay": -0.1}}, "train.weight_decay"),
+    ("train", {"train": {"grad_clip": -1}}, "train.grad_clip"),
+    ("train", {"train": {"checkpoint_every": -1}}, "train.checkpoint_every"),
+    ("train", {"vocab_size": 6}, "vocab_size"),
+    ("train", {"max_input_len": 2}, "max_input_len"),
+    ("restore", {"max_input_len": 2}, "max_input_len"),
+    ("evaluate", {"evaluation": {"bucket_bleu_n": 0}}, "evaluation.bucket_bleu_n"),
+    ("label", {"label_mode": "none"}, "label_mode"),
+    ("label", {"label_mode": "soft", "embedding_fallback": "zero"},
+     "embedding_fallback"),
+]
+
+
+def _laid_over(base: dict, user: dict) -> dict:
+    return {**base, **{key: _laid_over(base[key], value)
+                       if isinstance(value, dict) and key in base else value
+                       for key, value in user.items()}}
 
 
 class TestSettingFlags:
@@ -281,8 +341,48 @@ class TestSettingFlags:
         code = main([command, "--out-dir", str(out_dir), *inputs[command],
                      flag, value])
         assert code == 1
-        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err or KEY_OF[command, flag] in err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize(
+        "command,user,key", INVALID_CONFIGS,
+        ids=[f"{c}-{json.dumps(user)}" for c, user, _ in INVALID_CONFIGS])
+    def test_invalid_config_is_usage_error_before_any_write(
+            self, tmp_path, capsys, inputs, command, user, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_laid_over(TINY_CONFIG, user)), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main([command, "--out-dir", str(out_dir), *inputs[command],
+                     "--config", str(cfg)])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("command,flag", UNREADABLE_FILES)
+    def test_unreadable_file_is_runtime_error_before_any_write(
+            self, tmp_path, inputs, command, flag):
+        out_dir = tmp_path / "out"
+        code = main([command, "--out-dir", str(out_dir), *inputs[command],
+                     flag, str(tmp_path / "missing.txt")])
+        assert code == 2
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("command", ["synth", "label", "train", "restore",
+                                         "evaluate"])
+    def test_effective_config_is_accepted_back_unchanged(
+            self, tmp_path, inputs, command):
+        # the walk must accept every value a run records, nulls included
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([command, "--out-dir", str(first), *inputs[command]]) == 0
+        name = f"effective-config.{command}.json"
+        effective = json.loads((first / name).read_text())
+        del effective["command"]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(effective), encoding="utf-8")
+        assert main([command, "--out-dir", str(second), *inputs[command],
+                     "--config", str(cfg)]) == 0
+        assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 class TestSynth:
@@ -382,13 +482,15 @@ class TestLabel:
         ]
         assert all(r["labels"]["mode"] == "soft" for r in rows)
 
-    def test_soft_zero_fallback_without_embeddings(self, tmp_path):
+    def test_soft_zero_fallback_without_embeddings(self, tmp_path, capsys):
         corpus = run_synth(tmp_path)
         code = main([
             "label", "--in", str(corpus), "--out-dir", str(tmp_path / "out"),
             "--mode", "soft", "--embedding-fallback", "zero",
         ])
-        assert code == 2
+        assert code == 1
+        assert "embedding_fallback" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -646,6 +748,19 @@ class TestRestoreAndEvaluate:
         ]) == 0
         code = main([
             "evaluate", "--predictions", str(restore_dir / "predictions.jsonl"),
+            "--gold", str(corpus), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 0
+
+    def test_evaluate_numeric_prediction_ids(self, pipeline):
+        # load_corpus reads "id": 3 as "3"; a predictions file must match it
+        tmp_path, _, corpus, _, _ = pipeline
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"id": i, "prediction": "x"}) + "\n" for i in range(8)
+        ), encoding="utf-8")
+        code = main([
+            "evaluate", "--predictions", str(preds),
             "--gold", str(corpus), "--out-dir", str(tmp_path / "eval"),
         ])
         assert code == 0

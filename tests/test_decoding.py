@@ -680,6 +680,15 @@ class TestPredictionsIO:
         with pytest.raises(InferenceError, match="duplicate"):
             load_predictions(path)
 
+    def test_numeric_ids_read_as_load_corpus_reads_them(self, tmp_path):
+        path = tmp_path / "predictions.jsonl"
+        path.write_text('{"id": 42, "prediction": "a"}\n', encoding="utf-8")
+        assert load_predictions(path) == {"42": "a"}
+        path.write_text('{"id": 42, "prediction": "a"}\n'
+                        '{"id": "42", "prediction": "b"}\n', encoding="utf-8")
+        with pytest.raises(InferenceError, match="duplicate id '42'"):
+            load_predictions(path)
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "predictions.jsonl"
         path.write_text('{"id": "0"}\n', encoding="utf-8")

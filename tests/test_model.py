@@ -77,6 +77,11 @@ class TestModelConfig:
         with pytest.raises(ModelError):
             tiny_config(d_model=9)
 
+    @pytest.mark.parametrize("name", ["d_model", "num_layers", "num_heads", "ffn_dim"])
+    def test_sizes_at_least_one(self, name):
+        with pytest.raises(ModelError, match=f"^{name} must be >= 1"):
+            tiny_config(**{name: 0})
+
     def test_arity_values(self):
         with pytest.raises(ModelError):
             tiny_config(picker_arity=2, picker_widths=(6, 2))

@@ -480,6 +480,15 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match="unknown label mode"):
             TrainConfig(label_mode="defined")
 
+    @pytest.mark.parametrize("name,value", [
+        ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", math.nan),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5),
+        ("weight_decay", -0.01), ("grad_clip", -1.0), ("checkpoint_every", -1),
+    ])
+    def test_unusable_optimizer_setting_rejected(self, name, value):
+        with pytest.raises(TrainingError, match=f"^{name} must"):
+            TrainConfig(**{name: value})
+
     def test_empty_corpus_rejected(self):
         _, vocab, mcfg = _tiny_setup()
         with pytest.raises(TrainingError, match="empty"):
