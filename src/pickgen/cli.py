@@ -17,11 +17,14 @@ from dataclasses import fields
 
 from . import __version__
 from .corpus import (
+    CorpusError,
     LanguageConfig,
     Vocabulary,
     build_vocab,
     load_corpus,
+    read_jsonl,
     save_corpus,
+    tokenize,
 )
 from .decoding import (
     DEFAULT_BEAM_SIZE,
@@ -43,7 +46,7 @@ from .labeling import (
     save_labeled_corpus,
 )
 from .metrics import check_bleu_order, evaluate
-from .model import ModelConfig, load_checkpoint
+from .model import ModelConfig, check_positions, load_checkpoint
 from .synth import generate_corpus
 from .training import TrainConfig, make_model_config, train
 
@@ -155,6 +158,8 @@ def load_config(args) -> dict:
             for key in reversed(dotted.split(".")):
                 value = {key: value}
             _overlay(config, value, DEFAULT_CONFIG)
+    if config["seed"] < 0:  # numpy seeds its generators from it
+        raise UsageError(f"seed must be >= 0, not {config['seed']}")
     return config
 
 
@@ -201,20 +206,6 @@ def _embedding_table(config: dict) -> EmbeddingTable:
             seed=config["seed"],
         )
     return EmbeddingTable(fallback=config["embedding_fallback"], seed=config["seed"])
-
-
-def _carries_labels(path: str) -> bool:
-    """Whether the first record of a JSONL corpus has a "labels" field; the
-    reader of the file's kind then reports any bad line."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    return False
-                return isinstance(record, dict) and "labels" in record
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +290,11 @@ def cmd_train(args) -> int:
                          **section)
     model_cfg = _checked("model.", make_model_config, len(vocab), label_mode,
                          seed=config["seed"], **config["model"])
+    # the decoder reads <s> and the reference
+    longest = max((len(tokenize(s.reference, lang)) + 1 for s in raw_samples
+                   if s.reference is not None), default=0)
+    _checked("model.", check_positions, model_cfg,
+             max(config["max_input_len"], longest))
     _ensure_out_dir(args.out_dir)
     vocab_path = os.path.join(args.out_dir, "vocab.json")
     vocab.save(vocab_path)
@@ -356,6 +352,8 @@ def cmd_restore(args) -> int:
     _checked("max_input_len: ", check_max_len, config["max_input_len"])
     _checked("inference.", check_search_settings, inference["beam_size"],
              inference["max_len"], inference["length_penalty"], inference["nbest"])
+    _checked("model.", check_positions, params.config,
+             max(config["max_input_len"], inference["max_len"]))
     _ensure_out_dir(args.out_dir)
     _write_effective_config(config, "restore", args.out_dir)
     out_path = os.path.join(args.out_dir, "predictions.jsonl")
@@ -379,12 +377,12 @@ def cmd_evaluate(args) -> int:
     _checked("evaluation.bucket_bleu_n: ", check_bleu_order,
              config["evaluation"]["bucket_bleu_n"])
     predictions = load_predictions(args.predictions)
-    if _carries_labels(args.gold):
+    _, first = next(read_jsonl(args.gold, CorpusError), ("", {}))
+    if "labels" in first:
         labeled = load_labeled_corpus(args.gold, lang)
         gold = [item.sample for item in labeled]
     else:
-        labeled = None
-        gold = load_corpus(args.gold)
+        labeled, gold = None, load_corpus(args.gold)
     report = evaluate(
         predictions,
         gold,

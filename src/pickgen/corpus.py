@@ -3,7 +3,9 @@ for dialogue restoration corpora.
 
 Wire format is JSONL: one object per line with fields "context" (array of
 utterance strings, oldest first), "utterance" (the incomplete utterance),
-optional "reference" (the gold rewrite), and optional "id".
+optional "reference" (the gold rewrite), and optional "id". read_jsonl and
+write_jsonl read and write every JSONL file of the pipeline: this corpus,
+the labeled corpus and the predictions.
 """
 
 from __future__ import annotations
@@ -143,56 +145,66 @@ class Vocabulary:
         return Vocabulary.from_tokens(tokens)
 
 
-def load_corpus(path: str) -> list[DialogueSample]:
-    """Read a JSONL corpus file, assigning sequential string ids when absent."""
-    samples: list[DialogueSample] = []
+def read_jsonl(path: str, error: type[Exception]):
+    """Yield (where, record) for each non-blank line of a JSONL file, where
+    is "path:lineno". A line that is not valid JSON or not an object
+    raises the caller's error class, naming where."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            samples.append(_parse_record(record, path, lineno, default_id=len(samples)))
+                raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise error(f"{where}: record must be a JSON object")
+            yield where, record
+
+
+def write_jsonl(records, path: str) -> None:
+    """Write each record as one JSON line with sorted keys, non-ASCII kept."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
+            fh.write("\n")
+
+
+def load_corpus(path: str) -> list[DialogueSample]:
+    """Read a JSONL corpus file, assigning sequential string ids when absent."""
+    samples = [_parse_record(record, where, default_id=i)
+               for i, (where, record) in enumerate(read_jsonl(path, CorpusError))]
     if not samples:
         raise CorpusError(f"{path}: corpus file is empty")
     return samples
 
 
-def _parse_record(record, path: str, lineno: int, default_id: int) -> DialogueSample:
-    if not isinstance(record, dict):
-        raise CorpusError(f"{path}:{lineno}: record must be a JSON object")
+def _parse_record(record: dict, where: str, default_id: int) -> DialogueSample:
     for fld in ("context", "utterance"):
         if fld not in record:
-            raise CorpusError(f"{path}:{lineno}: missing field {fld!r}")
+            raise CorpusError(f"{where}: missing field {fld!r}")
     context = record["context"]
     if not isinstance(context, list) or not all(isinstance(u, str) for u in context):
-        raise CorpusError(f"{path}:{lineno}: 'context' must be an array of strings")
+        raise CorpusError(f"{where}: 'context' must be an array of strings")
     if not context:
-        raise CorpusError(f"{path}:{lineno}: 'context' must be non-empty")
+        raise CorpusError(f"{where}: 'context' must be non-empty")
     utterance = record["utterance"]
     if not isinstance(utterance, str) or not utterance:
-        raise CorpusError(f"{path}:{lineno}: 'utterance' must be a non-empty string")
+        raise CorpusError(f"{where}: 'utterance' must be a non-empty string")
     reference = record.get("reference")
     if reference is not None and (not isinstance(reference, str) or not reference):
-        raise CorpusError(f"{path}:{lineno}: 'reference' must be a non-empty string")
+        raise CorpusError(f"{where}: 'reference' must be a non-empty string")
     sample_id = record.get("id")
-    if sample_id is None:
-        sample_id = str(default_id)
-    elif not isinstance(sample_id, str):
-        sample_id = str(sample_id)
+    sample_id = str(default_id if sample_id is None else sample_id)
     try:
         return DialogueSample(tuple(context), utterance, reference, sample_id)
     except CorpusError as exc:
-        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        raise CorpusError(f"{where}: {exc}") from exc
 
 
 def save_corpus(samples: list[DialogueSample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample_to_record(sample), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(map(sample_to_record, samples), path)
 
 
 def sample_to_record(sample: DialogueSample) -> dict:

@@ -14,7 +14,6 @@ from its whole (live x vocabulary) score matrix in numpy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,9 @@ from .corpus import (
     LanguageConfig,
     Vocabulary,
     detokenize,
+    read_jsonl,
     tokenize,
+    write_jsonl,
 )
 from .encoding import DEFAULT_MAX_LEN, build_input, pad
 from .labeling import BIO_TAGS
@@ -316,33 +317,23 @@ def predict_picker_tags(
 def save_predictions(rows, path: str) -> None:
     """Write one JSON line per (id, prediction) row. A row may carry a third
     item, its ranked (text, score) list, which is written as "nbest"."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample_id, prediction, *ranked in rows:
-            record = {"id": sample_id, "prediction": prediction}
-            if ranked:
-                record["nbest"] = [
-                    {"prediction": text, "score": score} for text, score in ranked[0]
-                ]
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    records = []
+    for sample_id, prediction, *ranked in rows:
+        records.append({"id": sample_id, "prediction": prediction})
+        if ranked:
+            records[-1]["nbest"] = [
+                {"prediction": text, "score": score} for text, score in ranked[0]
+            ]
+    write_jsonl(records, path)
 
 
 def load_predictions(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InferenceError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise InferenceError(f"{path}:{lineno}: record must be a JSON object")
-            if "id" not in record or "prediction" not in record:
-                raise InferenceError(f"{path}:{lineno}: need 'id' and 'prediction'")
-            sample_id = str(record["id"])  # as load_corpus reads a numeric id
-            if sample_id in out:
-                raise InferenceError(f"{path}:{lineno}: duplicate id {sample_id!r}")
-            out[sample_id] = record["prediction"]
+    for where, record in read_jsonl(path, InferenceError):
+        if "id" not in record or "prediction" not in record:
+            raise InferenceError(f"{where}: need 'id' and 'prediction'")
+        sample_id = str(record["id"])  # as load_corpus reads a numeric id
+        if sample_id in out:
+            raise InferenceError(f"{where}: duplicate id {sample_id!r}")
+        out[sample_id] = record["prediction"]
     return out

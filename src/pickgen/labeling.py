@@ -10,7 +10,6 @@ a clue by word vectors, where an exact string match scores 1.0.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +19,10 @@ from .corpus import (
     DialogueSample,
     LanguageConfig,
     _parse_record,
+    read_jsonl,
     sample_to_record,
     tokenize,
+    write_jsonl,
 )
 
 # Largest float64 strictly below 1.0; non-exact cosine scores are capped
@@ -131,6 +132,13 @@ class PickerLabels:
                     if tag == "I" and prev == "O":
                         raise LabelError("I tag must follow B or I")
                     prev = tag
+
+    def marked(self) -> tuple[tuple[bool, ...], ...]:
+        """Per context word, whether it is marked important: a tag other
+        than O, or a score above 0.5."""
+        if self.tags is not None:
+            return tuple(tuple(tag != "O" for tag in row) for row in self.tags)
+        return tuple(tuple(score > 0.5 for score in row) for row in self.scores)
 
     def per_utterance_lengths(self) -> tuple[int, ...]:
         rows = self.tags if self.tags is not None else self.scores
@@ -296,41 +304,29 @@ def labeled_to_record(labeled: LabeledSample) -> dict:
 
 
 def save_labeled_corpus(labeled: list[LabeledSample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in labeled:
-            fh.write(json.dumps(labeled_to_record(item), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(map(labeled_to_record, labeled), path)
 
 
 def load_labeled_corpus(path: str, cfg: LanguageConfig) -> list[LabeledSample]:
     out: list[LabeledSample] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LabelError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise LabelError(f"{path}:{lineno}: record must be a JSON object")
-            if "labels" not in record:
-                raise LabelError(f"{path}:{lineno}: missing 'labels' field")
-            raw = record.pop("labels")
-            sample = _parse_record(record, path, lineno, default_id=len(out))
-            labels = _parse_labels(raw, path, lineno)
-            problem = alignment_problem(sample, labels, cfg)
-            if problem:
-                raise LabelError(f"{path}:{lineno}: {problem}")
-            out.append(LabeledSample(sample, labels))
+    for where, record in read_jsonl(path, LabelError):
+        if "labels" not in record:
+            raise LabelError(f"{where}: missing 'labels' field")
+        raw = record.pop("labels")
+        sample = _parse_record(record, where, default_id=len(out))
+        labels = _parse_labels(raw, where)
+        problem = alignment_problem(sample, labels, cfg)
+        if problem:
+            raise LabelError(f"{where}: {problem}")
+        out.append(LabeledSample(sample, labels))
     if not out:
         raise LabelError(f"{path}: labeled corpus file is empty")
     return out
 
 
-def _parse_labels(raw, path: str, lineno: int) -> PickerLabels:
+def _parse_labels(raw, where: str) -> PickerLabels:
     if not isinstance(raw, dict) or "mode" not in raw:
-        raise LabelError(f"{path}:{lineno}: 'labels' must be an object with 'mode'")
+        raise LabelError(f"{where}: 'labels' must be an object with 'mode'")
     mode = raw["mode"]
     try:
         if mode == "soft":
@@ -339,7 +335,7 @@ def _parse_labels(raw, path: str, lineno: int) -> PickerLabels:
         tags = tuple(tuple(str(t) for t in row) for row in raw["tags"])
         return PickerLabels(mode, tags=tags)
     except (KeyError, TypeError, LabelError) as exc:
-        raise LabelError(f"{path}:{lineno}: bad labels ({exc})") from exc
+        raise LabelError(f"{where}: bad labels ({exc})") from exc
 
 
 def alignment_problem(
@@ -358,36 +354,18 @@ def alignment_problem(
 
 
 def label_density(labeled: list[LabeledSample]) -> float:
-    """Fraction of context words marked important (B/I tags or score > 0.5)."""
-    marked = 0
-    total = 0
-    for item in labeled:
-        if item.labels.tags is not None:
-            for row in item.labels.tags:
-                marked += sum(1 for t in row if t != "O")
-                total += len(row)
-        else:
-            for row in item.labels.scores:
-                marked += sum(1 for s in row if s > 0.5)
-                total += len(row)
-    return marked / total if total else 0.0
+    """Fraction of context words marked important (PickerLabels.marked)."""
+    rows = [row for item in labeled for row in item.labels.marked()]
+    total = sum(map(len, rows))
+    return sum(map(sum, rows)) / total if total else 0.0
 
 
 def important_token_set(labeled: LabeledSample, cfg: LanguageConfig) -> frozenset[str]:
-    """Normalized forms of the context words a hard labeling marks.
-
-    Used by the pickup-ratio metric; soft labels threshold at > 0.5.
-    """
+    """Normalized forms of the context words the labels mark
+    (PickerLabels.marked); used by the pickup-ratio metric."""
     forms: set[str] = set()
-    for utterance, row in zip(
-        labeled.sample.context,
-        labeled.labels.tags if labeled.labels.tags is not None else labeled.labels.scores,
-    ):
-        words = tokenize(utterance, cfg)
-        for idx, mark in enumerate(row):
-            hit = (mark != "O") if isinstance(mark, str) else (mark > 0.5)
+    for utterance, row in zip(labeled.sample.context, labeled.labels.marked()):
+        for word, hit in zip(tokenize(utterance, cfg), row):
             if hit:
-                normalized = normalize([words[idx]], cfg)
-                if normalized:
-                    forms.add(normalized[0][1])
+                forms.update(form for _, form in normalize([word], cfg))
     return frozenset(forms)

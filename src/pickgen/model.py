@@ -65,10 +65,19 @@ class ModelConfig:
             raise ModelError("picker_arity must be 1 (soft) or 3 (hard BIO)")
         if not self.picker_widths or self.picker_widths[-1] != self.picker_arity:
             raise ModelError("picker_widths must end with picker_arity")
+        if min(self.picker_widths) < 1:
+            raise ModelError(f"picker_hidden widths must be >= 1, "
+                             f"not {list(self.picker_widths[:-1])}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must lie in [0, 1)")
         if self.rel_pos_buckets < 4 or self.rel_pos_buckets % 2 != 0:
             raise ModelError("rel_pos_buckets must be an even count >= 4")
+        # relative_position_bucket divides by log(max_distance / (buckets // 2))
+        if self.rel_pos_max_distance <= self.rel_pos_buckets // 2:
+            raise ModelError(
+                f"rel_pos_max_distance {self.rel_pos_max_distance} must exceed "
+                f"rel_pos_buckets // 2 = {self.rel_pos_buckets // 2}"
+            )
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -274,6 +283,14 @@ def _causal_bias(q_len: int, k_len: int) -> np.ndarray:
     return np.triu(np.full((q_len, k_len), MASK_NEG), k=k_len - q_len + 1)[None, None]
 
 
+def check_positions(cfg: ModelConfig, length: int) -> None:
+    """Raise ModelError when a literal-PE model has no position embedding
+    for each of `length` positions."""
+    if cfg.literal_pe and length > cfg.max_positions:
+        raise ModelError(f"max_positions {cfg.max_positions} cannot hold "
+                         f"{length} positions")
+
+
 def embed(input_ids: np.ndarray, params: ModelParameters, offset: int = 0) -> Tensor:
     """Word embedding rows, plus a learned absolute positional term (for
     positions offset onwards) when the literal-PE flag is on."""
@@ -284,8 +301,7 @@ def embed(input_ids: np.ndarray, params: ModelParameters, offset: int = 0) -> Te
     x = params["embedding"].lookup(ids)
     if cfg.literal_pe:
         length = offset + ids.shape[-1]
-        if length > cfg.max_positions:
-            raise ModelError(f"sequence length {length} exceeds max_positions")
+        check_positions(cfg, length)
         x = x + params["pe_table"].lookup(np.arange(offset, length))
     return x
 

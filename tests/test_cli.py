@@ -228,6 +228,8 @@ INVALID_SETTINGS = [
     ("restore", "--nbest", "0"),
     ("evaluate", "--pickup-mode", "some"),
     ("evaluate", "--bucket-bleu-n", "0"),
+    ("synth", "--seed", "-1"),
+    ("train", "--seed", "-1"),
 ]
 # (command, flag) of each flag that names a file to read: a file that cannot
 # be read is a runtime error (exit 2), as for --in
@@ -266,6 +268,15 @@ INVALID_CONFIGS = [
     ("label", {"label_mode": "none"}, "label_mode"),
     ("label", {"label_mode": "soft", "embedding_fallback": "zero"},
      "embedding_fallback"),
+    ("label", {"seed": -1}, "seed"),
+    ("train", {"model": {"rel_pos_max_distance": 0}}, "model.rel_pos_max_distance"),
+    ("train", {"model": {"rel_pos_max_distance": 4}}, "model.rel_pos_max_distance"),
+    ("train", {"model": {"picker_hidden": [0]}}, "model.picker_hidden"),
+    ("train", {"model": {"literal_pe": True, "max_positions": 3}},
+     "model.max_positions"),
+    # inputs fit in 7 positions, but the longest <s> + reference takes 8
+    ("train", {"max_input_len": 7, "model": {"literal_pe": True, "max_positions": 7}},
+     "model.max_positions"),
 ]
 
 
@@ -273,6 +284,11 @@ def _laid_over(base: dict, user: dict) -> dict:
     return {**base, **{key: _laid_over(base[key], value)
                        if isinstance(value, dict) and key in base else value
                        for key, value in user.items()}}
+
+
+# TINY_CONFIG with a literal position table just long enough for its inputs
+PE_CONFIG = _laid_over(TINY_CONFIG, {
+    "max_input_len": 24, "model": {"literal_pe": True, "max_positions": 24}})
 
 
 class TestSettingFlags:
@@ -291,6 +307,9 @@ class TestSettingFlags:
             "restore", "--in", str(corpus), "--out-dir", str(tmp_path / "restore"),
             "--checkpoint", str(train_dir / "checkpoint.bin"), "--config", str(config),
         ]) == 0
+        pe_config = tmp_path / "pe-config.json"
+        pe_config.write_text(json.dumps(PE_CONFIG), encoding="utf-8")
+        pe_dir = run_train(tmp_path, labeled, str(pe_config), out="train-pe")
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_text("the\na\n", encoding="utf-8")
         embeddings = tmp_path / "vectors.txt"
@@ -303,6 +322,8 @@ class TestSettingFlags:
                         "--checkpoint", str(train_dir / "checkpoint.bin")],
             "evaluate": ["--gold", str(labeled), "--predictions",
                          str(tmp_path / "restore" / "predictions.jsonl")],
+            "restore-pe": ["--in", str(corpus),
+                           "--checkpoint", str(pe_dir / "checkpoint.bin")],
             "{stopwords}": str(stopwords),
             "{embeddings}": str(embeddings),
         }
@@ -358,6 +379,26 @@ class TestSettingFlags:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("user,ok", [
+        ({}, True),
+        ({"max_input_len": 25}, False),
+        ({"inference": {"max_len": 24}}, True),
+        ({"inference": {"max_len": 25}}, False),
+    ], ids=["fits", "max_input_len", "max_len-fits", "max_len"])
+    def test_restore_checks_positions_of_literal_pe_before_any_write(
+            self, tmp_path, capsys, inputs, user, ok):
+        # the checkpoint's position table holds 24 positions
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_laid_over(PE_CONFIG, user)), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main(["restore", "--out-dir", str(out_dir), *inputs["restore-pe"],
+                     "--config", str(cfg)])
+        assert code == (0 if ok else 1)
+        if not ok:
+            assert "model.max_positions 24 cannot hold 25 positions" in \
+                capsys.readouterr().err
+            assert not out_dir.exists() or not any(out_dir.iterdir())
 
     @pytest.mark.parametrize("command,flag", UNREADABLE_FILES)
     def test_unreadable_file_is_runtime_error_before_any_write(

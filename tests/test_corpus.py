@@ -21,9 +21,13 @@ from pickgen.corpus import (
     detokenize,
     ids_of,
     load_corpus,
+    read_jsonl,
     save_corpus,
     tokenize,
+    write_jsonl,
 )
+from pickgen.decoding import InferenceError, load_predictions
+from pickgen.labeling import LabelError, load_labeled_corpus
 
 
 @pytest.fixture
@@ -155,6 +159,55 @@ class TestLoadCorpus:
         back = load_corpus(path)
         assert [s.context for s in back] == [s.context for s in samples]
         assert back[1].reference is None
+
+
+def _load_labeled(path):
+    return load_labeled_corpus(path, LanguageConfig.for_language("english"))
+
+
+# (reader, its error class, a record it accepts): corpus, labeled corpus and
+# predictions files share read_jsonl's rules for blank and malformed lines
+READERS = [
+    (load_corpus, CorpusError,
+     {"context": ["a b"], "utterance": "u", "reference": "a u"}),
+    (_load_labeled, LabelError,
+     {"context": ["a b"], "utterance": "u", "reference": "a u",
+      "labels": {"mode": "hard", "tags": [["B", "O"]]}}),
+    (load_predictions, InferenceError, {"id": "0", "prediction": "a u"}),
+]
+READER_IDS = ["corpus", "labeled", "predictions"]
+
+
+class TestJsonlReaders:
+    @pytest.mark.parametrize("reader,error,record", READERS, ids=READER_IDS)
+    def test_blank_lines_skipped(self, tmp_path, reader, error, record):
+        path = tmp_path / "f.jsonl"
+        lines = ["", json.dumps(record), "   ", json.dumps({**record, "id": "1"}), ""]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert len(reader(str(path))) == 2
+
+    @pytest.mark.parametrize("bad,problem", [
+        ("{not json", "invalid JSON"),
+        ('["a", "b"]', "record must be a JSON object"),
+        ("3", "record must be a JSON object"),
+    ], ids=["json", "array", "number"])
+    @pytest.mark.parametrize("reader,error,record", READERS, ids=READER_IDS)
+    def test_bad_line_raises_readers_own_error(self, tmp_path, reader, error,
+                                               record, bad, problem):
+        path = tmp_path / "f.jsonl"
+        path.write_text(f"{json.dumps(record)}\n\n{bad}\n", encoding="utf-8")
+        with pytest.raises(error) as info:
+            reader(str(path))
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{path}:3: {problem}")
+
+    def test_write_sorts_keys_and_keeps_non_ascii(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        write_jsonl([{"b": "\u4f60\u597d", "a": 1}, {"c": None}], str(path))
+        assert path.read_bytes() == (
+            '{"a": 1, "b": "\u4f60\u597d"}\n{"c": null}\n'.encode("utf-8"))
+        assert list(read_jsonl(str(path), CorpusError)) == [
+            (f"{path}:1", {"a": 1, "b": "\u4f60\u597d"}), (f"{path}:2", {"c": None})]
 
 
 def _vocab(*extra: str) -> Vocabulary:

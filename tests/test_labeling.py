@@ -18,6 +18,7 @@ from pickgen.corpus import DialogueSample, LanguageConfig, tokenize
 from pickgen.labeling import (
     EmbeddingTable,
     LabelError,
+    LabeledSample,
     PickerLabels,
     extract_clue_tokens,
     hard_labels,
@@ -449,3 +450,13 @@ class TestDensityAndImportantSet:
                                 "when did paramore start to tour", "0")
         labeled = label_sample(sample, "hard", EmbeddingTable(), ENGLISH)
         assert important_token_set(labeled, ENGLISH) == frozenset({"paramor"})
+
+    def test_marked_rule_is_tags_other_than_o_or_scores_above_half(self):
+        hard = PickerLabels("hard", tags=(("B", "I", "O"), ("O", "B")))
+        soft = PickerLabels("soft", scores=((0.5, 0.51, 1.0), (0.0, 0.2)))
+        assert hard.marked() == ((True, True, False), (False, True))
+        assert soft.marked() == ((False, True, True), (False, False))
+        sample = DialogueSample(("a b c", "d e"), "u", "r", "0")
+        samples = [LabeledSample(sample, labels) for labels in (hard, soft)]
+        assert label_density(samples) == 5 / 10
+        assert important_token_set(samples[1], ENGLISH) == frozenset({"b", "c"})

@@ -27,6 +27,7 @@ from pickgen.model import (
     ModelError,
     NonFiniteError,
     _tensor_shapes,
+    check_positions,
     decode_forward,
     embed,
     encode,
@@ -97,6 +98,17 @@ class TestModelConfig:
     def test_bucket_count(self):
         with pytest.raises(ModelError):
             tiny_config(rel_pos_buckets=7)
+
+    @pytest.mark.parametrize("buckets,distance", [(8, 4), (8, 0), (32, 12), (32, 16)])
+    def test_max_distance_must_exceed_half_the_buckets(self, buckets, distance):
+        with pytest.raises(ModelError, match="^rel_pos_max_distance"):
+            tiny_config(rel_pos_buckets=buckets, rel_pos_max_distance=distance)
+        tiny_config(rel_pos_buckets=buckets, rel_pos_max_distance=buckets // 2 + 1)
+
+    @pytest.mark.parametrize("widths", [(0, 3), (6, -1, 3)])
+    def test_picker_widths_at_least_one(self, widths):
+        with pytest.raises(ModelError, match="^picker_hidden widths must be >= 1"):
+            tiny_config(picker_widths=widths)
 
     def test_dict_round_trip(self):
         cfg = tiny_config(literal_pe=True)
@@ -176,6 +188,17 @@ class TestRelativePositionBucket:
         causal = relative_position_bucket(rel, False, 8, 16)
         assert causal.min() >= 0 and causal.max() <= 7
 
+    @pytest.mark.parametrize("buckets", [4, 8, 32])
+    def test_range_at_smallest_accepted_distance(self, buckets):
+        # the closest max_distance ModelConfig accepts still maps every
+        # offset, both ways, into a row of the bias table
+        distance = buckets // 2 + 1
+        tiny_config(rel_pos_buckets=buckets, rel_pos_max_distance=distance)
+        rel = np.arange(-300, 300)
+        for bidirectional in (True, False):
+            out = relative_position_bucket(rel, bidirectional, buckets, distance)
+            assert out.min() >= 0 and out.max() < buckets
+
     def test_monotone_in_distance_causal(self):
         rel = -np.arange(0, 200)
         out = relative_position_bucket(rel, False, 32, 128)
@@ -204,8 +227,17 @@ class TestEmbed:
 
     def test_literal_pe_length_cap(self):
         p = init_parameters(tiny_config(literal_pe=True, max_positions=3))
-        with pytest.raises(ModelError, match="max_positions"):
+        with pytest.raises(ModelError, match="max_positions 3 cannot hold 4"):
             embed(np.array([[1, 2, 3, 4]]), p)
+        with pytest.raises(ModelError, match="max_positions 3 cannot hold 4"):
+            embed(np.array([[1]]), p, offset=3)
+        embed(np.array([[1]]), p, offset=2)
+
+    def test_check_positions_only_with_literal_pe(self):
+        check_positions(tiny_config(literal_pe=True, max_positions=3), 3)
+        check_positions(tiny_config(max_positions=3), 4)
+        with pytest.raises(ModelError, match="^max_positions 3 cannot hold 4"):
+            check_positions(tiny_config(literal_pe=True, max_positions=3), 4)
 
 
 class TestEncode:
