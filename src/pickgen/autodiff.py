@@ -10,9 +10,13 @@ backward() uses the graph up as it walks it: once an interior node has passed
 its gradient on, it drops that gradient, its parent links and its closure
 (with the arrays the closure captured), so only leaf gradients and node data
 outlive the walk, and differentiating a used-up node again raises ValueError.
-RMS normalization, multi-head attention (head split and merge included) and
-cross-entropy are each one node with a hand-written backward, because at toy
-sizes each node costs more than its arithmetic.
+RMS normalization, multi-head attention (head split and merge included),
+cross-entropy, a residual branch's projection under dropout (residual) and
+a projection's relu (relu_matmul) are each one node with a hand-written
+backward, because at toy sizes each node costs more than its arithmetic.
+Each node holds only the arrays its own backward reads: residual keeps its
+dropout mask as bools, relu_matmul its output alone, and rmsnorm recomputes
+its normalized input, so a training graph holds little beyond node data.
 """
 
 from __future__ import annotations
@@ -131,20 +135,8 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         """(..., d_in) @ (d_in, d_out), a projection: one GEMM over every
         row, both ways."""
-        if other.data.ndim != 2:
-            raise ValueError("matmul takes a 2-D right operand")
-        rows = self.data.reshape(-1, other.shape[0])
-        data = (rows @ other.data).reshape(*self.shape[:-1], other.shape[1])
-
-        def backward_fn(g):
-            # the optimizer updates other.data in place, so a graph can only
-            # be differentiated before the step that follows it
-            w = other.data
-            g = g.reshape(-1, w.shape[1])
-            rows = self.data.reshape(-1, w.shape[0])
-            return (g @ w.T).reshape(self.shape), rows.T @ g
-
-        return Tensor._make(data, (self, other), backward_fn)
+        return Tensor._make(_project(self, other), (self, other),
+                            lambda g: _project_grads(g, self, other))
 
     __matmul__ = matmul
 
@@ -183,14 +175,14 @@ class Tensor:
         """x / sqrt(mean(x**2 over the last axis) + eps) * scale."""
         x = self.data
         inv = ((x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + eps) ** -0.5
-        normed = x * inv
 
-        def backward_fn(g):
+        def backward_fn(g):  # recomputes x * inv rather than holding it
+            normed = x * inv
             gn = g * scale.data
             inner = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
             return (inv * (gn - normed * inner), _unbroadcast(g * normed, scale.shape))
 
-        return Tensor._make(normed * scale.data, (self, scale), backward_fn)
+        return Tensor._make(x * inv * scale.data, (self, scale), backward_fn)
 
     def cross_entropy(self, targets: np.ndarray, weights: np.ndarray) -> "Tensor":
         """sum(weights * -log softmax(self)[targets]) over every position;
@@ -264,6 +256,48 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     a value lies below the maximum."""
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _project(a: Tensor, w: Tensor) -> np.ndarray:
+    """a @ w for a (..., d_in) operand and a (d_in, d_out) weight, as one GEMM
+    over the rows of every leading axis."""
+    if w.data.ndim != 2:
+        raise ValueError("matmul takes a 2-D right operand")
+    rows = a.data.reshape(-1, w.shape[0])
+    return (rows @ w.data).reshape(*a.shape[:-1], w.shape[1])
+
+
+def _project_grads(g: np.ndarray, a: Tensor, w: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of a and w from the gradient g of a @ w."""
+    # the optimizer updates w.data in place, so a graph can only be
+    # differentiated before the step that follows it
+    g = g.reshape(-1, w.shape[1])
+    rows = a.data.reshape(-1, w.shape[0])
+    return (g @ w.data.T).reshape(a.shape), rows.T @ g
+
+
+def residual(x: Tensor, a: Tensor, w: Tensor, keep: np.ndarray | None,
+             rate: float) -> Tensor:
+    """x + (a @ w) * (keep / (1 - rate)): a residual branch's projection
+    under inverted dropout, as one node; a @ w has x's shape. keep is a bool
+    mask of that shape, or None for no dropout (x + a @ w). The node holds
+    keep itself; its backward recomputes the float factor from it."""
+    proj = _project(a, w)
+    if keep is not None:
+        proj = proj * (keep / (1.0 - rate))
+
+    def backward_fn(g):
+        branch = g if keep is None else g * (keep / (1.0 - rate))
+        return (g, *_project_grads(branch, a, w))
+
+    return Tensor._make(x.data + proj, (x, a, w), backward_fn)
+
+
+def relu_matmul(h: Tensor, w: Tensor) -> Tensor:
+    """max(h @ w, 0) as one node that holds only its output: out > 0 exactly
+    where h @ w > 0, NaN included."""
+    data = np.maximum(_project(h, w), 0.0)
+    return Tensor._make(data, (h, w), lambda g: _project_grads(g * (data > 0.0), h, w))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,

@@ -48,7 +48,7 @@ from .labeling import (
 from .metrics import check_bleu_order, evaluate
 from .model import ModelConfig, check_positions, load_checkpoint
 from .synth import generate_corpus
-from .training import TrainConfig, make_model_config, train
+from .training import TrainConfig, TrainingError, make_model_config, train
 
 # Model and training defaults are the typed configs' own, minus the fields
 # a run fills in from its corpus, vocabulary, label mode and seed.
@@ -198,6 +198,14 @@ def _sha256_of(path: str) -> str:
     return digest.hexdigest()
 
 
+def _require_references(samples, verb: str, error: type) -> None:
+    """Raise error(...) when any sample lacks a reference."""
+    missing = [s.id for s in samples if s.reference is None]
+    if missing:
+        raise error(f"cannot {verb}: {len(missing)} samples lack references "
+                    f"(first: {missing[0]!r})")
+
+
 def _embedding_table(config: dict) -> EmbeddingTable:
     if config["embeddings"] is not None:
         return load_embeddings(
@@ -215,9 +223,14 @@ def cmd_synth(args) -> int:
     config = load_config(args)
     templates = None
     if args.templates:
-        templates = tuple(int(t) for t in args.templates.split(","))
+        try:
+            templates = tuple(int(t) for t in args.templates.split(","))
+        except ValueError:
+            raise UsageError(f"--templates must be comma-separated integers, "
+                             f"not {args.templates!r}") from None
+    # a bad --size or --templates is refused before the out dir is made
+    samples = _checked("--", generate_corpus, args.size, config["seed"], templates)
     _ensure_out_dir(args.out_dir)
-    samples = generate_corpus(args.size, config["seed"], templates)
     out_path = os.path.join(args.out_dir, "corpus.jsonl")
     save_corpus(samples, out_path)
     _write_effective_config(config, "synth", args.out_dir)
@@ -237,12 +250,7 @@ def cmd_label(args) -> int:
         raise UsageError("embedding_fallback: soft labeling needs an "
                          "embeddings file or the hash fallback")
     samples = load_corpus(args.corpus)
-    missing = [s.id for s in samples if s.reference is None]
-    if missing:
-        raise LabelError(
-            f"cannot label: {len(missing)} samples lack references "
-            f"(first: {missing[0]!r})"
-        )
+    _require_references(samples, "label", LabelError)
     emb = _embedding_table(config)
     labeled = label_corpus(samples, mode, emb, lang)
     _ensure_out_dir(args.out_dir)
@@ -282,6 +290,7 @@ def cmd_train(args) -> int:
     raw_samples = [
         item.sample if hasattr(item, "sample") else item for item in corpus
     ]
+    _require_references(raw_samples, "train", TrainingError)
     vocab = _checked("vocab_size: ", build_vocab, raw_samples,
                      config["vocab_size"], lang)
     _checked("max_input_len: ", check_max_len, config["max_input_len"])

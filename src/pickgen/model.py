@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, attention, parameter
+from .autodiff import Tensor, attention, parameter, relu_matmul, residual
 
 NORM_EPS = 1e-6
 MASK_NEG = -1e9
@@ -228,6 +228,12 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
     return x * keep
 
 
+def _residual(x: Tensor, branch: Tensor, w: Tensor, rate: float, rng) -> Tensor:
+    """x + dropout(branch @ w), one graph node."""
+    keep = None if rng is None or rate <= 0.0 else rng.random(x.shape) >= rate
+    return residual(x, branch, w, keep, rate)
+
+
 def _rmsnorm(x: Tensor, scale: Tensor) -> Tensor:
     return x.rmsnorm(scale, NORM_EPS)
 
@@ -323,11 +329,11 @@ def encode(
         h = _rmsnorm(x, params[f"enc{i}.norm1"])
         w = _attn_weights(params, f"enc{i}.attn")
         q, k, v = (h @ w[name] for name in ("wq", "wk", "wv"))
-        a = attention(q, k, v, cfg.num_heads, rel, key_bias) @ w["wo"]
-        x = x + _dropout(a, cfg.dropout, dropout_rng)
+        a = attention(q, k, v, cfg.num_heads, rel, key_bias)
+        x = _residual(x, a, w["wo"], cfg.dropout, dropout_rng)
         h = _rmsnorm(x, params[f"enc{i}.norm2"])
-        f = (h @ params[f"enc{i}.ffn.w1"]).relu() @ params[f"enc{i}.ffn.w2"]
-        x = x + _dropout(f, cfg.dropout, dropout_rng)
+        f = relu_matmul(h, params[f"enc{i}.ffn.w1"])
+        x = _residual(x, f, params[f"enc{i}.ffn.w2"], cfg.dropout, dropout_rng)
         _check_finite(x, f"encoder layer {i}")
     x = _rmsnorm(x, params["enc_final_norm"])
     return EncoderOutput(hidden=x, mask=mask)
@@ -356,7 +362,8 @@ def _self_attention(
     cfg: ModelConfig, rel: Tensor, causal_bias: np.ndarray,
 ) -> Tensor:
     """Causal self attention of the positions in h over those the cache holds
-    and themselves; the cache then holds their keys and values too."""
+    and themselves, before the out-projection; the cache then holds their
+    keys and values too."""
     q, k, v = (h @ weights[name] for name in ("wq", "wk", "wv"))
     if cache.length:
         # only the search reaches this, under no_grad: held keys are constants
@@ -366,16 +373,17 @@ def _self_attention(
         cache.self_kv[layer] = (k, v)
     else:
         cache.self_kv.append((k, v))
-    return attention(q, k, v, cfg.num_heads, rel, causal_bias) @ weights["wo"]
+    return attention(q, k, v, cfg.num_heads, rel, causal_bias)
 
 
 def _cross_attention(
     cache: DecoderCache, layer: int, h: Tensor, enc: EncoderOutput,
     weights: dict[str, Tensor], cfg: ModelConfig, key_bias: np.ndarray,
 ) -> Tensor:
-    """Attention of the decoder rows over their encoder rows' keys. The rows
-    decoding one encoder row become the query positions of one attention
-    over that row's keys, so keys are never copied per row."""
+    """Attention of the decoder rows over their encoder rows' keys, before
+    the out-projection. The rows decoding one encoder row become the query
+    positions of one attention over that row's keys, so keys are never
+    copied per row."""
     if not cache.length:
         cache.cross_kv.append((enc.hidden @ weights["wk"], enc.hidden @ weights["wv"]))
     k, v = cache.cross_kv[layer]
@@ -390,7 +398,7 @@ def _cross_attention(
         members = np.zeros((sources, width), dtype=np.int64)
         members[cache.source, slot] = np.arange(rows)
         q = h.lookup(members).reshape(sources, width * t, d)
-    out = attention(q @ weights["wq"], k, v, cfg.num_heads, None, key_bias) @ weights["wo"]
+    out = attention(q @ weights["wq"], k, v, cfg.num_heads, None, key_bias)
     if direct:
         return out
     return out.reshape(sources * width, t, d).lookup(cache.source * width + slot)
@@ -425,14 +433,14 @@ def decode_forward(
         h = _rmsnorm(y, params[f"dec{i}.norm1"])
         weights = _attn_weights(params, f"dec{i}.self")
         a = _self_attention(cache, i, h, weights, cfg, rel, self_bias)
-        y = y + _dropout(a, cfg.dropout, dropout_rng)
+        y = _residual(y, a, weights["wo"], cfg.dropout, dropout_rng)
         h = _rmsnorm(y, params[f"dec{i}.norm2"])
         weights = _attn_weights(params, f"dec{i}.cross")
         a = _cross_attention(cache, i, h, enc, weights, cfg, cross_bias)
-        y = y + _dropout(a, cfg.dropout, dropout_rng)
+        y = _residual(y, a, weights["wo"], cfg.dropout, dropout_rng)
         h = _rmsnorm(y, params[f"dec{i}.norm3"])
-        f = (h @ params[f"dec{i}.ffn.w1"]).relu() @ params[f"dec{i}.ffn.w2"]
-        y = y + _dropout(f, cfg.dropout, dropout_rng)
+        f = relu_matmul(h, params[f"dec{i}.ffn.w1"])
+        y = _residual(y, f, params[f"dec{i}.ffn.w2"], cfg.dropout, dropout_rng)
         _check_finite(y, f"decoder layer {i}")
     cache.length += t
     y = _rmsnorm(y, params["dec_final_norm"])

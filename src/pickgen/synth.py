@@ -106,14 +106,13 @@ def generate_corpus(
 ) -> list[DialogueSample]:
     """Seed-deterministic corpus of templated restoration samples."""
     if size < 1:
-        raise ValueError("size must be >= 1")
-    selected = (
-        TEMPLATES
-        if templates is None
-        else tuple(TEMPLATES[i] for i in templates)
-    )
-    if not selected:
-        raise ValueError("at least one template index required")
+        raise ValueError(f"size must be >= 1, not {size}")
+    if templates is not None and not (
+        templates and all(0 <= i < len(TEMPLATES) for i in templates)
+    ):
+        raise ValueError(f"templates must be one or more indices in "
+                         f"0..{len(TEMPLATES) - 1}, not {list(templates)}")
+    selected = TEMPLATES if templates is None else tuple(TEMPLATES[i] for i in templates)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     samples = []
     for i in range(size):

@@ -2,7 +2,9 @@
 
 Every differentiable op is verified against central finite differences on
 random inputs (matmul also on hypothesis-drawn shapes), the fused ones (RMS
-norm, attention, cross-entropy) also at extreme inputs. Structural behavior
+norm, attention, cross-entropy) also at extreme inputs. The fused
+projections (residual, relu_matmul) must also equal the primitive ops they
+replace bit for bit, output and every gradient. Structural behavior
 (graph recording, lazy accumulation, toposort on shared subgraphs, no_grad)
 is tested separately.
 """
@@ -19,6 +21,8 @@ from pickgen.autodiff import (
     log_softmax,
     no_grad,
     parameter,
+    relu_matmul,
+    residual,
 )
 
 RNG = np.random.default_rng(1234)
@@ -225,6 +229,74 @@ class TestRMSNorm:
         t = parameter(np.zeros((1, 4)))
         t.rmsnorm(parameter(np.ones(4)), 1e-6).sum().backward()
         assert np.isfinite(t.grad).all()
+
+
+def grads_of(out: Tensor, g: np.ndarray, leaves) -> list[bytes]:
+    """Output bytes and every leaf's gradient bytes after backward of
+    sum(out * g)."""
+    (out * Tensor(g)).sum().backward()
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+class TestFusedProjections:
+    """residual and relu_matmul against the primitive compositions they
+    stand for: bit-equal forward and backward, and finite differences."""
+
+    def _residual_values(self, scale, rate):
+        x = RNG.standard_normal((2, 3, 4)) * scale
+        a = RNG.standard_normal((2, 3, 5)) * scale
+        w = RNG.standard_normal((5, 4))
+        keep = RNG.random(x.shape) >= rate if rate else None
+        return x, a, w, keep
+
+    @pytest.mark.parametrize("scale", [1.0, 1000.0])
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_residual_bit_equal_to_composition(self, scale, rate):
+        x, a, w, keep = self._residual_values(scale, rate)
+        g = RNG.standard_normal(x.shape)
+        fused = [parameter(v.copy()) for v in (x, a, w)]
+        got = grads_of(residual(*fused, keep, rate), g, fused)
+        tx, ta, tw = plain = [parameter(v.copy()) for v in (x, a, w)]
+        branch = ta @ tw
+        if keep is not None:
+            branch = branch * (keep / (1.0 - rate))
+        assert got == grads_of(tx + branch, g, plain)
+
+    @pytest.mark.parametrize("scale", [1.0, 1000.0])
+    def test_relu_matmul_bit_equal_to_composition(self, scale):
+        h = RNG.standard_normal((2, 3, 4)) * scale
+        w1, w2 = RNG.standard_normal((4, 6)), RNG.standard_normal((6, 5))
+        g = RNG.standard_normal((2, 3, 5))
+        for nan in (False, True):
+            if nan:
+                h[1, 2, 0] = np.nan
+            fused = [parameter(v.copy()) for v in (h, w1, w2)]
+            got = grads_of(relu_matmul(fused[0], fused[1]) @ fused[2], g, fused)
+            th, tw1, tw2 = plain = [parameter(v.copy()) for v in (h, w1, w2)]
+            assert got == grads_of((th @ tw1).relu() @ tw2, g, plain), nan
+
+    def test_relu_matmul_nan_row_stays_nan(self):
+        h = RNG.standard_normal((2, 4))
+        h[0, 1] = np.nan
+        out = relu_matmul(Tensor(h), Tensor(RNG.standard_normal((4, 3)))).data
+        assert np.isnan(out[0]).all() and (out[1] >= 0.0).all()
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_residual_grads_match_finite_differences(self, rate):
+        values = self._residual_values(1.0, rate)
+        keep = values[3]
+        g = RNG.standard_normal(values[0].shape)
+        for i in range(3):
+            def build(t, i=i):
+                args = [t if j == i else Tensor(v) for j, v in enumerate(values[:3])]
+                return residual(*args, keep, rate) * Tensor(g)
+            check_unary(build, values[i].copy())
+
+    def test_relu_matmul_grads_match_finite_differences(self):
+        h, w = RNG.standard_normal((2, 3, 4)), RNG.standard_normal((4, 6))
+        g = RNG.standard_normal((2, 3, 6))
+        check_unary(lambda t: relu_matmul(t, Tensor(w)) * Tensor(g), h.copy())
+        check_unary(lambda t: relu_matmul(Tensor(h), t) * Tensor(g), w.copy())
 
 
 def padding_mask() -> np.ndarray:

@@ -452,8 +452,23 @@ class TestSynth:
         ]
         assert all(r["utterance"] == "what album should i try first" for r in rows)
 
-    def test_bad_size(self, tmp_path):
-        assert main(["synth", "--out-dir", str(tmp_path), "--size", "0"]) == 2
+    def test_bad_size(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(out_dir), "--size", "0"]) == 1
+        assert "--size must be >= 1, not 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value,problem", [
+        ("9", "--templates must be one or more indices in 0..5, not [9]"),
+        ("-1", "not [-1]"),
+        ("1,6", "not [1, 6]"),
+        ("1,x", "--templates must be comma-separated integers, not '1,x'"),
+    ], ids=["9", "-1", "1,6", "1,x"])
+    def test_bad_templates(self, tmp_path, capsys, value, problem):
+        out_dir = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(out_dir), "--templates", value]) == 1
+        assert problem in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--language", "chinese"), ("--stopwords", "/nonexistent"),
@@ -575,6 +590,20 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{labeled}:2: {problem}" in err
+
+    def test_unlabeled_mode_needs_references(self, tmp_path, tiny_config, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"context": ["a"], "utterance": "b", "id": "s0"}\n',
+                          encoding="utf-8")
+        out_dir = tmp_path / "train"
+        code = main([
+            "train", "--in", str(corpus), "--out-dir", str(out_dir),
+            "--config", tiny_config, "--label-mode", "none",
+        ])
+        assert code == 2
+        assert "cannot train: 1 samples lack references (first: 's0')" \
+            in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unlabeled_mode_trains_from_raw_corpus(self, tmp_path, tiny_config):
         corpus = run_synth(tmp_path)

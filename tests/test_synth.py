@@ -44,6 +44,13 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError):
             generate_corpus(1, seed=0, templates=())
 
+    @pytest.mark.parametrize("templates", [(6,), (-1,), (0, 9)],
+                             ids=["6", "-1", "0,9"])
+    def test_template_index_outside_range_rejected(self, templates):
+        # a negative index would silently pick a template from the end
+        with pytest.raises(ValueError, match=r"indices in 0\.\.5"):
+            generate_corpus(1, seed=0, templates=templates)
+
     def test_every_template_reachable(self):
         for index in range(len(TEMPLATES)):
             corpus = generate_corpus(3, seed=index, templates=(index,))
