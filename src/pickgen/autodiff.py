@@ -11,12 +11,13 @@ its gradient on, it drops that gradient, its parent links and its closure
 (with the arrays the closure captured), so only leaf gradients and node data
 outlive the walk, and differentiating a used-up node again raises ValueError.
 RMS normalization, multi-head attention (head split and merge included),
-cross-entropy, a residual branch's projection under dropout (residual) and
-a projection's relu (relu_matmul) are each one node with a hand-written
-backward, because at toy sizes each node costs more than its arithmetic.
-Each node holds only the arrays its own backward reads: residual keeps its
-dropout mask as bools, relu_matmul its output alone, and rmsnorm recomputes
-its normalized input, so a training graph holds little beyond node data.
+cross-entropy, dropout, a residual branch's projection under dropout
+(residual) and a projection's relu (relu_matmul) are each one node with a
+hand-written backward, because at toy sizes each node costs more than its
+arithmetic. Each node holds only the arrays its own backward reads: dropout
+and residual keep their masks as bools, relu_matmul its output alone, and
+rmsnorm recomputes its normalized input, so a training graph holds little
+beyond node data.
 """
 
 from __future__ import annotations
@@ -274,6 +275,14 @@ def _project_grads(g: np.ndarray, a: Tensor, w: Tensor) -> tuple[np.ndarray, np.
     g = g.reshape(-1, w.shape[1])
     rows = a.data.reshape(-1, w.shape[0])
     return (g @ w.data.T).reshape(a.shape), rows.T @ g
+
+
+def dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """x * (keep / (1 - rate)), inverted dropout with the bool mask keep, as
+    one node that holds keep itself and recomputes the float factor in its
+    backward."""
+    return Tensor._make(x.data * (keep / (1.0 - rate)), (x,),
+                        lambda g: (g * (keep / (1.0 - rate)),))
 
 
 def residual(x: Tensor, a: Tensor, w: Tensor, keep: np.ndarray | None,

@@ -20,6 +20,7 @@ from .corpus import (
     CorpusError,
     LanguageConfig,
     Vocabulary,
+    atomic_write,
     build_vocab,
     load_corpus,
     read_jsonl,
@@ -182,7 +183,7 @@ def _write_effective_config(config: dict, command: str, out_dir: str) -> None:
     payload = dict(config)
     payload["command"] = command
     path = os.path.join(out_dir, f"effective-config.{command}.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -402,12 +403,10 @@ def cmd_evaluate(args) -> int:
     )
     _ensure_out_dir(args.out_dir)
     _write_effective_config(config, "evaluate", args.out_dir)
-    json_path = os.path.join(args.out_dir, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out_dir, "report.json")) as fh:
         fh.write(report.to_json())
     table = report.to_table()
-    table_path = os.path.join(args.out_dir, "report.txt")
-    with open(table_path, "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out_dir, "report.txt")) as fh:
         fh.write(table)
     print(table, end="")
     return 0

@@ -5,13 +5,16 @@ Wire format is JSONL: one object per line with fields "context" (array of
 utterance strings, oldest first), "utterance" (the incomplete utterance),
 optional "reference" (the gold rewrite), and optional "id". read_jsonl and
 write_jsonl read and write every JSONL file of the pipeline: this corpus,
-the labeled corpus and the predictions.
+the labeled corpus and the predictions. Every artifact of the pipeline is
+written through atomic_write, so a failed write leaves the file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import textnorm
@@ -132,7 +135,7 @@ class Vocabulary:
 
     def save(self, path: str) -> None:
         """Persist as a JSON token list in id order."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(list(self.id_to_token), fh, ensure_ascii=False)
             fh.write("\n")
 
@@ -143,6 +146,22 @@ class Vocabulary:
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise CorpusError(f"{path}: vocabulary file must be a JSON list of strings")
         return Vocabulary.from_tokens(tokens)
+
+
+@contextmanager
+def atomic_write(path: str, binary: bool = False):
+    """Yield a file open for writing (UTF-8 text, or bytes) in place of
+    path: it replaces path when the block completes, and is removed when the
+    block raises, so a failed write leaves path as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_jsonl(path: str, error: type[Exception]):
@@ -165,7 +184,7 @@ def read_jsonl(path: str, error: type[Exception]):
 
 def write_jsonl(records, path: str) -> None:
     """Write each record as one JSON line with sorted keys, non-ASCII kept."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
@@ -245,5 +264,8 @@ def build_vocab(
 
 
 def ids_of(tokens: list[str], vocab: Vocabulary) -> list[int]:
-    """Token ids with UNK fallback; length-preserving."""
-    return [vocab.id_of(t) for t in tokens]
+    """Token ids with UNK fallback; length-preserving. A word of the text
+    that spells a reserved token, such as "</s>", is UNK too: only the
+    encoder's layout places control ids."""
+    reserved = len(RESERVED_TOKENS)
+    return [i if (i := vocab.id_of(t)) >= reserved else UNK_ID for t in tokens]

@@ -78,15 +78,18 @@ def _survivors(
 
     Candidates rank by score, then by their ids. All candidates of a round
     have the same length, so the ids order is that of the parent prefix,
-    then of the token. A candidate below its row's beam_size-th best score
-    cannot survive, so only the others are sorted.
+    then of the token: one key, parent_rank * V + token. A candidate below
+    its row's beam_size-th best score cannot survive, so only the others
+    are sorted.
     """
-    k = min(beam_size, scores.shape[1])
+    vocab = scores.shape[1]
+    k = min(beam_size, vocab)
     kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1 : k]
     rows, tokens = np.nonzero(scores >= kth)
     parent_rank = np.empty(len(prefixes), dtype=np.int64)
     parent_rank[np.lexsort(prefixes.T[::-1])] = np.arange(len(prefixes))
-    order = np.lexsort((tokens, parent_rank[rows], -scores[rows, tokens], source[rows]))
+    ids_key = parent_rank[rows] * vocab + tokens
+    order = np.lexsort((ids_key, -scores[rows, tokens], source[rows]))
     rows, tokens = rows[order], tokens[order]
     group = source[rows]
     keep = np.arange(len(rows)) - np.searchsorted(group, group) < beam_size

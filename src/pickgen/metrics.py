@@ -31,40 +31,95 @@ DEFAULT_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
 )
 
 
-def ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-    )
+Counts = tuple[int, int, int]  # clipped matches, prediction n-grams, reference n-grams
 
 
-def _clipped_overlap(a: Counter, b: Counter) -> int:
-    return sum(min(count, b[gram]) for gram, count in a.items())
+def _overlap(pred_grams: list, ref_grams: list) -> Counts:
+    """Clipped matches of two n-gram lists, and both lengths."""
+    unmatched = Counter(ref_grams)
+    matched = 0
+    for gram in pred_grams:
+        if unmatched[gram] > 0:
+            unmatched[gram] -= 1
+            matched += 1
+    return matched, len(pred_grams), len(ref_grams)
 
 
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
+def _restored_flags(tokens: list[str], budget: Counter) -> list[bool]:
+    """Per position, whether the occurrence is restored: the first budget[t]
+    occurrences of t are carried over, later ones restored."""
+    seen: Counter = Counter()
+    flags = []
+    for tok in tokens:
+        seen[tok] += 1
+        flags.append(seen[tok] > budget[tok])
+    return flags
+
+
+def count_ngrams(
+    pred: list[str], ref: list[str], incomplete: list[str], orders: int,
+    restored_orders: int = 0,
+) -> tuple[list[Counts], list[Counts]]:
+    """Count a prediction against its reference once: (plain, restored),
+    where plain[n - 1] holds the Counts of all n-grams for n = 1..orders and
+    restored[n - 1] those of the restored n-grams (holding an occurrence that
+    _restored_flags marks against incomplete's budget) for n up to
+    restored_orders."""
+    budget = Counter(incomplete)
+    pred_flags, ref_flags = _restored_flags(pred, budget), _restored_flags(ref, budget)
+    pred_window, ref_window = [False] * len(pred), [False] * len(ref)
+    plain: list[Counts] = []
+    restored: list[Counts] = []
+    for n in range(1, max(orders, restored_orders) + 1):
+        pred_grams = pred if n == 1 else list(zip(*(pred[i:] for i in range(n))))
+        ref_grams = ref if n == 1 else list(zip(*(ref[i:] for i in range(n))))
+        if n <= orders:
+            plain.append(_overlap(pred_grams, ref_grams))
+        if n <= restored_orders:  # an n-gram is restored if any of its n positions is
+            pred_window = [a or b for a, b in zip(pred_window, pred_flags[n - 1:])]
+            ref_window = [a or b for a, b in zip(ref_window, ref_flags[n - 1:])]
+            restored.append(_overlap([g for g, hit in zip(pred_grams, pred_window) if hit],
+                                     [g for g, hit in zip(ref_grams, ref_window) if hit]))
+    return plain, restored
+
+
+def _overlap_f1(counts: Counts, empty: float = 0.0) -> float:
+    """Clipped-overlap F1 of Counts: `empty` when neither side has an
+    n-gram, 0 when one side has none."""
+    matched, total_pred, total_ref = counts
+    if total_pred == 0 and total_ref == 0:
+        return empty
+    if matched == 0:
         return 0.0
+    precision, recall = matched / total_pred, matched / total_ref
     return 2.0 * precision * recall / (precision + recall)
 
 
 def rouge_n(pred: list[str], ref: list[str], n: int) -> float:
     """Clipped n-gram overlap F1; either side without n-grams scores 0."""
-    if n < 1:
-        raise MetricError("n must be >= 1")
-    pred_grams = ngrams(pred, n)
-    ref_grams = ngrams(ref, n)
-    total_pred = sum(pred_grams.values())
-    total_ref = sum(ref_grams.values())
-    if total_pred == 0 or total_ref == 0:
-        return 0.0
-    overlap = _clipped_overlap(pred_grams, ref_grams)
-    return _f1(overlap / total_pred, overlap / total_ref)
+    check_bleu_order(n)
+    return _overlap_f1(count_ngrams(pred, ref, [], n)[0][n - 1])
 
 
 def check_bleu_order(n: int) -> None:
-    """Raise MetricError unless n is a BLEU order, that is, n >= 1."""
+    """Raise MetricError unless n is an n-gram order, that is, n >= 1."""
     if n < 1:
         raise MetricError("n must be >= 1")
+
+
+def _corpus_bleu(samples: list[list[Counts]], n: int) -> float:
+    """Corpus BLEU-n from each sample's plain Counts for orders 1..n, summed
+    over the corpus; the order-1 totals are the token lengths."""
+    log_sum = 0.0
+    for order in range(n):
+        matched = sum(counts[order][0] for counts in samples)
+        total = sum(counts[order][1] for counts in samples)
+        if total == 0 or matched == 0:
+            return 0.0
+        log_sum += math.log(matched / total)
+    pred_len, ref_len = (sum(counts[0][k] for counts in samples) for k in (1, 2))
+    brevity = math.exp(min(0.0, 1.0 - ref_len / pred_len))
+    return brevity * math.exp(log_sum / n)
 
 
 def bleu_n(pairs: list[tuple[list[str], list[str]]], n: int) -> float:
@@ -74,44 +129,7 @@ def bleu_n(pairs: list[tuple[list[str], list[str]]], n: int) -> float:
     if not pairs:
         raise MetricError("bleu_n needs a non-empty corpus")
     check_bleu_order(n)
-    log_sum = 0.0
-    for order in range(1, n + 1):
-        matched = 0
-        total = 0
-        for pred, ref in pairs:
-            pred_grams = ngrams(pred, order)
-            matched += _clipped_overlap(pred_grams, ngrams(ref, order))
-            total += sum(pred_grams.values())
-        if total == 0 or matched == 0:
-            return 0.0
-        log_sum += math.log(matched / total)
-    pred_len = sum(len(p) for p, _ in pairs)
-    ref_len = sum(len(r) for _, r in pairs)
-    if pred_len == 0:
-        return 0.0
-    brevity = math.exp(min(0.0, 1.0 - ref_len / pred_len))
-    return brevity * math.exp(log_sum / n)
-
-
-def restored_ngrams(tokens: list[str], incomplete: list[str], n: int) -> Counter:
-    """N-grams containing at least one restored token occurrence.
-
-    Occurrences are budgeted per type: the first count_incomplete(t)
-    occurrences of t are considered carried over, later ones restored.
-    """
-    budget = Counter(incomplete)
-    seen: Counter = Counter()
-    restored_positions = []
-    for i, tok in enumerate(tokens):
-        seen[tok] += 1
-        if seen[tok] > budget[tok]:
-            restored_positions.append(i)
-    restored = set(restored_positions)
-    out: Counter = Counter()
-    for i in range(len(tokens) - n + 1):
-        if any(j in restored for j in range(i, i + n)):
-            out[tuple(tokens[i : i + n])] += 1
-    return out
+    return _corpus_bleu([count_ngrams(pred, ref, [], n)[0] for pred, ref in pairs], n)
 
 
 def restoration_f(
@@ -119,16 +137,8 @@ def restoration_f(
 ) -> float:
     """Clipped-overlap F1 between restored n-gram multisets; both sides
     empty scores 1 (nothing to restore, nothing invented)."""
-    pred_restored = restored_ngrams(pred, incomplete, n)
-    ref_restored = restored_ngrams(ref, incomplete, n)
-    total_pred = sum(pred_restored.values())
-    total_ref = sum(ref_restored.values())
-    if total_pred == 0 and total_ref == 0:
-        return 1.0
-    if total_pred == 0 or total_ref == 0:
-        return 0.0
-    overlap = _clipped_overlap(pred_restored, ref_restored)
-    return _f1(overlap / total_pred, overlap / total_ref)
+    check_bleu_order(n)
+    return _overlap_f1(count_ngrams(pred, ref, incomplete, 0, n)[1][n - 1], empty=1.0)
 
 
 def _squash_whitespace(text: str) -> str:
@@ -170,22 +180,6 @@ def length_difference(pairs: list[tuple[str, str]]) -> float:
         abs(len(_squash_whitespace(p)) - len(_squash_whitespace(r)))
         for p, r in pairs
     ) / len(pairs)
-
-
-def bleu_by_length(
-    triples: list[tuple[list[str], list[str], int]], n: int = 2
-) -> tuple[dict[str, float], dict[str, int]]:
-    """Corpus BLEU-n per DEFAULT_BUCKETS input-length bucket; triples carry
-    the input character length; empty buckets are absent from the result."""
-    grouped: dict[str, list[tuple[list[str], list[str]]]] = {}
-    for pred, ref, length in triples:
-        for label, lo, hi in DEFAULT_BUCKETS:
-            if length >= lo and (hi is None or length <= hi):
-                grouped.setdefault(label, []).append((pred, ref))
-                break
-    scores = {label: bleu_n(pairs, n) for label, pairs in grouped.items()}
-    counts = {label: len(pairs) for label, pairs in grouped.items()}
-    return scores, counts
 
 
 def input_char_length(sample: DialogueSample, cfg: LanguageConfig) -> int:
@@ -290,21 +284,20 @@ def evaluate(
         by_id = {s.id: label_sample(s, "hard", EmbeddingTable(), cfg) for s in gold}
 
     pred_tokens = {s.id: tokenize(predictions[s.id], cfg) for s in gold}
-    ref_tokens = {s.id: tokenize(s.reference, cfg) for s in gold}
-    inc_tokens = {s.id: tokenize(s.incomplete, cfg) for s in gold}
-    pairs = [(pred_tokens[s.id], ref_tokens[s.id]) for s in gold]
+    plain, restored = zip(*(
+        count_ngrams(pred_tokens[s.id], tokenize(s.reference, cfg),
+                     tokenize(s.incomplete, cfg), max(4, bucket_bleu_n), 3)
+        for s in gold
+    ))
 
     def mean(values) -> float:
         values = list(values)
         return sum(values) / len(values)
 
-    rouge1 = mean(rouge_n(pred_tokens[s.id], ref_tokens[s.id], 1) for s in gold)
-    rouge2 = mean(rouge_n(pred_tokens[s.id], ref_tokens[s.id], 2) for s in gold)
+    rouge1 = mean(_overlap_f1(c[0]) for c in plain)
+    rouge2 = mean(_overlap_f1(c[1]) for c in plain)
     f_scores = {
-        n: mean(
-            restoration_f(pred_tokens[s.id], ref_tokens[s.id], inc_tokens[s.id], n)
-            for s in gold
-        )
+        n: mean(_overlap_f1(r[n - 1], empty=1.0) for r in restored)
         for n in (1, 2, 3)
     }
     em = mean(exact_match(predictions[s.id], s.reference) for s in gold)
@@ -319,17 +312,20 @@ def evaluate(
     difference = length_difference(
         [(predictions[s.id], s.reference) for s in gold]
     )
-    triples = [
-        (pred_tokens[s.id], ref_tokens[s.id], input_char_length(s, cfg))
-        for s in gold
-    ]
-    bucket_scores, bucket_counts = bleu_by_length(triples, bucket_bleu_n)
+    check_bleu_order(bucket_bleu_n)
+    buckets: dict[str, list[list[Counts]]] = {}  # in order of first sample
+    for s, sample_plain in zip(gold, plain):
+        length = input_char_length(s, cfg)
+        for label, lo, hi in DEFAULT_BUCKETS:
+            if length >= lo and (hi is None or length <= hi):
+                buckets.setdefault(label, []).append(sample_plain)
+                break
     return EvalReport(
         rouge1=100.0 * rouge1,
         rouge2=100.0 * rouge2,
-        bleu1=100.0 * bleu_n(pairs, 1),
-        bleu2=100.0 * bleu_n(pairs, 2),
-        bleu4=100.0 * bleu_n(pairs, 4),
+        bleu1=100.0 * _corpus_bleu(plain, 1),
+        bleu2=100.0 * _corpus_bleu(plain, 2),
+        bleu4=100.0 * _corpus_bleu(plain, 4),
         f1=100.0 * f_scores[1],
         f2=100.0 * f_scores[2],
         f3=100.0 * f_scores[3],
@@ -337,7 +333,10 @@ def evaluate(
         pickup_ratio=100.0 * pickup,
         pickup_mode=pickup_mode,
         difference=difference,
-        bleu_by_length={k: 100.0 * v for k, v in bucket_scores.items()},
-        bucket_counts=bucket_counts,
+        bleu_by_length={
+            label: 100.0 * _corpus_bleu(group, bucket_bleu_n)
+            for label, group in buckets.items()
+        },
+        bucket_counts={label: len(group) for label, group in buckets.items()},
         sample_count=len(gold),
     )

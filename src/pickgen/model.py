@@ -15,12 +15,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, attention, parameter, relu_matmul, residual
+from .autodiff import Tensor, attention, dropout, parameter, relu_matmul, residual
+from .corpus import atomic_write
 
 NORM_EPS = 1e-6
 MASK_NEG = -1e9
@@ -224,8 +224,7 @@ def _check_finite(x: Tensor, where: str) -> None:
 def _dropout(x: Tensor, rate: float, rng) -> Tensor:
     if rng is None or rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * keep
+    return dropout(x, rng.random(x.shape) >= rate, rate)
 
 
 def _residual(x: Tensor, branch: Tensor, w: Tensor, rate: float, rng) -> Tensor:
@@ -469,7 +468,7 @@ def backward(loss: Tensor, params: ModelParameters) -> dict[str, np.ndarray]:
 def save_checkpoint(
     params: ModelParameters, path: str, vocab_sha256: str | None = None
 ) -> None:
-    """Write via a temp file and os.replace: a failed write leaves path as it was."""
+    """Write through atomic_write: a failed write leaves path as it was."""
     entries = []
     offset = 0
     payloads = []
@@ -492,16 +491,9 @@ def save_checkpoint(
         "vocab_sha256": vocab_sha256,
         "tensors": entries,
     }
-    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n")
-            fh.writelines(payloads)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, binary=True) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n")
+        fh.writelines(payloads)
 
 
 def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:

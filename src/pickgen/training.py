@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import LanguageConfig, Vocabulary
+from .corpus import LanguageConfig, Vocabulary, atomic_write
 from .encoding import (
     DEFAULT_MAX_LEN,
     IGNORE_MARK,
@@ -356,7 +356,7 @@ def train(
 
 def write_loss_log(rows, path: str) -> None:
     """CSV loss log; floats rendered by repr for lossless determinism."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(LOSS_LOG_HEADER + "\n")
         for epoch, step, lp, lg, joint in rows:
             fh.write(f"{epoch},{step},{lp!r},{lg!r},{joint!r}\n")

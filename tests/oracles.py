@@ -6,17 +6,36 @@ oracle walks a graph without using it up, the decoding oracles re-run the
 decoder from a fresh cache over every whole prefix of one unpadded input
 (teacher forcing, as in training), and the beam oracles build and sort
 every candidate in Python or enumerate every decodable output; the n-gram
-oracles enumerate n-grams positionally instead of via Counter arithmetic.
+oracles enumerate n-grams positionally instead of via Counter arithmetic,
+and the per-metric evaluate recounts every sample for every metric.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from pickgen.autodiff import Tensor, log_softmax, no_grad
-from pickgen.corpus import EOS_ID, SOS_ID, tokenize
+from pickgen.corpus import EOS_ID, SOS_ID, DialogueSample, LanguageConfig, tokenize
 from pickgen.decoding import BeamHypothesis
-from pickgen.labeling import normalize, to_bio
+from pickgen.labeling import (
+    EmbeddingTable,
+    LabeledSample,
+    important_token_set,
+    label_sample,
+    normalize,
+    to_bio,
+)
+from pickgen.metrics import (
+    DEFAULT_BUCKETS,
+    EvalReport,
+    MetricError,
+    check_bleu_order,
+    exact_match,
+    input_char_length,
+    length_difference,
+    pickup_ratio,
+)
 from pickgen.model import EncoderOutput, decode_forward, encode
 
 
@@ -224,3 +243,197 @@ def restoration_f_by_enumeration(pred, ref, incomplete, n):
     if not pred_grams or not ref_grams:
         return 0.0
     return _clipped_f1(pred_grams, ref_grams)
+
+
+# ---------------------------------------------------------------------------
+# The per-metric evaluate: every metric recounts the samples' n-grams with
+# Counters, as metrics.evaluate did before it counted each sample once.
+# metrics.evaluate's report must be byte-equal to this one's.
+
+def _ngrams(tokens: list[str], n: int) -> Counter:
+    return Counter(
+        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
+    )
+
+
+def _clipped_overlap(a: Counter, b: Counter) -> int:
+    return sum(min(count, b[gram]) for gram, count in a.items())
+
+
+def _f1(precision: float, recall: float) -> float:
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def _rouge_n(pred: list[str], ref: list[str], n: int) -> float:
+    """Clipped n-gram overlap F1; either side without n-grams scores 0."""
+    if n < 1:
+        raise MetricError("n must be >= 1")
+    pred_grams = _ngrams(pred, n)
+    ref_grams = _ngrams(ref, n)
+    total_pred = sum(pred_grams.values())
+    total_ref = sum(ref_grams.values())
+    if total_pred == 0 or total_ref == 0:
+        return 0.0
+    overlap = _clipped_overlap(pred_grams, ref_grams)
+    return _f1(overlap / total_pred, overlap / total_ref)
+
+
+def _bleu_n(pairs: list[tuple[list[str], list[str]]], n: int) -> float:
+    """Corpus-level BLEU: geometric mean of clipped modified precisions for
+    orders 1..n times the brevity penalty; any zero precision zeroes the
+    score (no smoothing)."""
+    if not pairs:
+        raise MetricError("bleu_n needs a non-empty corpus")
+    check_bleu_order(n)
+    log_sum = 0.0
+    for order in range(1, n + 1):
+        matched = 0
+        total = 0
+        for pred, ref in pairs:
+            pred_grams = _ngrams(pred, order)
+            matched += _clipped_overlap(pred_grams, _ngrams(ref, order))
+            total += sum(pred_grams.values())
+        if total == 0 or matched == 0:
+            return 0.0
+        log_sum += math.log(matched / total)
+    pred_len = sum(len(p) for p, _ in pairs)
+    ref_len = sum(len(r) for _, r in pairs)
+    if pred_len == 0:
+        return 0.0
+    brevity = math.exp(min(0.0, 1.0 - ref_len / pred_len))
+    return brevity * math.exp(log_sum / n)
+
+
+def _restored_ngrams(tokens: list[str], incomplete: list[str], n: int) -> Counter:
+    """N-grams containing at least one restored token occurrence.
+
+    Occurrences are budgeted per type: the first count_incomplete(t)
+    occurrences of t are considered carried over, later ones restored.
+    """
+    budget = Counter(incomplete)
+    seen: Counter = Counter()
+    restored_positions = []
+    for i, tok in enumerate(tokens):
+        seen[tok] += 1
+        if seen[tok] > budget[tok]:
+            restored_positions.append(i)
+    restored = set(restored_positions)
+    out: Counter = Counter()
+    for i in range(len(tokens) - n + 1):
+        if any(j in restored for j in range(i, i + n)):
+            out[tuple(tokens[i : i + n])] += 1
+    return out
+
+
+def _restoration_f(
+    pred: list[str], ref: list[str], incomplete: list[str], n: int
+) -> float:
+    """Clipped-overlap F1 between restored n-gram multisets; both sides
+    empty scores 1 (nothing to restore, nothing invented)."""
+    pred_restored = _restored_ngrams(pred, incomplete, n)
+    ref_restored = _restored_ngrams(ref, incomplete, n)
+    total_pred = sum(pred_restored.values())
+    total_ref = sum(ref_restored.values())
+    if total_pred == 0 and total_ref == 0:
+        return 1.0
+    if total_pred == 0 or total_ref == 0:
+        return 0.0
+    overlap = _clipped_overlap(pred_restored, ref_restored)
+    return _f1(overlap / total_pred, overlap / total_ref)
+
+
+def _bleu_by_length(
+    triples: list[tuple[list[str], list[str], int]], n: int = 2
+) -> tuple[dict[str, float], dict[str, int]]:
+    """Corpus BLEU-n per DEFAULT_BUCKETS input-length bucket; triples carry
+    the input character length; empty buckets are absent from the result."""
+    grouped: dict[str, list[tuple[list[str], list[str]]]] = {}
+    for pred, ref, length in triples:
+        for label, lo, hi in DEFAULT_BUCKETS:
+            if length >= lo and (hi is None or length <= hi):
+                grouped.setdefault(label, []).append((pred, ref))
+                break
+    scores = {label: _bleu_n(pairs, n) for label, pairs in grouped.items()}
+    counts = {label: len(pairs) for label, pairs in grouped.items()}
+    return scores, counts
+
+
+def evaluate_per_metric(
+    predictions: dict[str, str],
+    gold: list[DialogueSample],
+    cfg: LanguageConfig,
+    labeled: list[LabeledSample] | None = None,
+    pickup_mode: str = "any",
+    bucket_bleu_n: int = 2,
+) -> EvalReport:
+    """Aggregate every reported metric over a prediction/gold pairing.
+
+    Pickup ratio uses the provided labels when given; otherwise hard labels
+    are derived on the fly (they read no word vectors).
+    """
+    if not gold:
+        raise MetricError("gold corpus is empty")
+    for sample in gold:
+        if sample.id not in predictions:
+            raise MetricError(f"missing prediction for sample id {sample.id!r}")
+        if sample.reference is None:
+            raise MetricError(f"sample {sample.id!r} lacks a reference")
+    if labeled is not None:
+        by_id = {item.sample.id: item for item in labeled}
+    else:
+        by_id = {s.id: label_sample(s, "hard", EmbeddingTable(), cfg) for s in gold}
+
+    pred_tokens = {s.id: tokenize(predictions[s.id], cfg) for s in gold}
+    ref_tokens = {s.id: tokenize(s.reference, cfg) for s in gold}
+    inc_tokens = {s.id: tokenize(s.incomplete, cfg) for s in gold}
+    pairs = [(pred_tokens[s.id], ref_tokens[s.id]) for s in gold]
+
+    def mean(values) -> float:
+        values = list(values)
+        return sum(values) / len(values)
+
+    rouge1 = mean(_rouge_n(pred_tokens[s.id], ref_tokens[s.id], 1) for s in gold)
+    rouge2 = mean(_rouge_n(pred_tokens[s.id], ref_tokens[s.id], 2) for s in gold)
+    f_scores = {
+        n: mean(
+            _restoration_f(pred_tokens[s.id], ref_tokens[s.id], inc_tokens[s.id], n)
+            for s in gold
+        )
+        for n in (1, 2, 3)
+    }
+    em = mean(exact_match(predictions[s.id], s.reference) for s in gold)
+    pickup_items = []
+    for s in gold:
+        item = by_id.get(s.id)
+        if item is None:
+            raise MetricError(f"missing labels for sample id {s.id!r}")
+        pred_forms = {form for _, form in normalize(pred_tokens[s.id], cfg)}
+        pickup_items.append((pred_forms, important_token_set(item, cfg)))
+    pickup = pickup_ratio(pickup_items, pickup_mode)
+    difference = length_difference(
+        [(predictions[s.id], s.reference) for s in gold]
+    )
+    triples = [
+        (pred_tokens[s.id], ref_tokens[s.id], input_char_length(s, cfg))
+        for s in gold
+    ]
+    bucket_scores, bucket_counts = _bleu_by_length(triples, bucket_bleu_n)
+    return EvalReport(
+        rouge1=100.0 * rouge1,
+        rouge2=100.0 * rouge2,
+        bleu1=100.0 * _bleu_n(pairs, 1),
+        bleu2=100.0 * _bleu_n(pairs, 2),
+        bleu4=100.0 * _bleu_n(pairs, 4),
+        f1=100.0 * f_scores[1],
+        f2=100.0 * f_scores[2],
+        f3=100.0 * f_scores[3],
+        em=100.0 * em,
+        pickup_ratio=100.0 * pickup,
+        pickup_mode=pickup_mode,
+        difference=difference,
+        bleu_by_length={k: 100.0 * v for k, v in bucket_scores.items()},
+        bucket_counts=bucket_counts,
+        sample_count=len(gold),
+    )

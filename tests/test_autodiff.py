@@ -18,6 +18,7 @@ from pickgen.autodiff import (
     Tensor,
     _differentiated,
     attention,
+    dropout,
     log_softmax,
     no_grad,
     parameter,
@@ -261,6 +262,15 @@ class TestFusedProjections:
         if keep is not None:
             branch = branch * (keep / (1.0 - rate))
         assert got == grads_of(tx + branch, g, plain)
+
+    def test_dropout_bit_equal_to_float_mask_product(self):
+        x, g = RNG.standard_normal((2, 3, 4)), RNG.standard_normal((2, 3, 4))
+        keep = RNG.random(x.shape) >= 0.1
+        fused = parameter(x.copy())
+        got = grads_of(dropout(fused, keep, 0.1), g, [fused])
+        plain = parameter(x.copy())
+        assert got == grads_of(plain * (keep / (1.0 - 0.1)), g, [plain])
+        check_unary(lambda t: dropout(t, keep, 0.1) * Tensor(g), x.copy())
 
     @pytest.mark.parametrize("scale", [1.0, 1000.0])
     def test_relu_matmul_bit_equal_to_composition(self, scale):

@@ -302,6 +302,10 @@ class TestIdsOf:
         vocab = _vocab("hello")
         assert ids_of(["hello", "mars"], vocab) == [6, UNK_ID]
 
+    def test_reserved_strings_become_unk(self):
+        vocab = _vocab("go")
+        assert ids_of(["go", *RESERVED_TOKENS], vocab) == [6] + [UNK_ID] * 6
+
     @given(st.lists(st.sampled_from(["a", "b", "c", "qqq"]), max_size=8))
     def test_length_preserved(self, tokens):
         vocab = _vocab("a", "b", "c")

@@ -212,6 +212,30 @@ class TestBeamMechanics:
         b = beam_search(params, [4, 5, 3], beam_size=8, max_len=4)
         assert a == b
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_survivors_rank_by_score_then_ids(self, data):
+        # three score values make ties common; a sort of every candidate in
+        # Python breaks them by parent prefix, then row, then token
+        per_source = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        rows, vocab = sum(per_source), data.draw(st.integers(1, 5))
+        beam = data.draw(st.integers(1, 6))
+        scores = np.array(data.draw(st.lists(
+            st.sampled_from([-1.0, -2.0, -3.0]), min_size=rows * vocab,
+            max_size=rows * vocab))).reshape(rows, vocab)
+        prefixes = np.array(data.draw(st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=rows,
+            max_size=rows)), dtype=np.int64)
+        source = np.repeat(np.arange(len(per_source)), per_source)
+        expected = []
+        for s in range(len(per_source)):
+            candidates = sorted(
+                (-scores[r, t], tuple(prefixes[r].tolist()), r, t)
+                for r in np.flatnonzero(source == s).tolist() for t in range(vocab))
+            expected += [(r, t) for _, _, r, t in candidates[:beam]]
+        got_rows, got_tokens = decoding._survivors(scores, prefixes, source, beam)
+        assert list(zip(got_rows.tolist(), got_tokens.tolist())) == expected
+
     def test_bad_beam_size(self):
         with pytest.raises(InferenceError):
             beam_search(toy_params(0), [4, 5, 3], beam_size=0)

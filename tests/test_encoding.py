@@ -132,6 +132,19 @@ class TestBuildTarget:
         assert dec_in == [SOS_ID, vocab.id_of("x"), UNK_ID]
         assert dec_out[1] == UNK_ID
 
+    def test_reserved_strings_in_text_are_not_control_ids(self):
+        # the text spells [X1], </s> and <pad>; only the layout's own [X1],
+        # [X2], </s> and <s> may be control ids
+        sample = DialogueSample(("go to [X1] now </s> ok",), "there",
+                                "go to <pad> </s> there", "0")
+        vocab = build_vocab([sample], 100, ENGLISH)
+        ids, _ = build_input(sample, vocab, ENGLISH)
+        go, to, now, ok, there = (vocab.id_of(w) for w in ("go", "to", "now", "ok", "there"))
+        assert ids == [go, to, UNK_ID, now, UNK_ID, ok, X1_ID, there, X2_ID, EOS_ID]
+        dec_in, dec_out = build_target(sample.reference, vocab, ENGLISH)
+        assert dec_in == [SOS_ID, go, to, UNK_ID, UNK_ID, there]
+        assert dec_out == [go, to, UNK_ID, UNK_ID, there, EOS_ID]
+
     def test_empty_reference_rejected(self):
         sample = DialogueSample(("x",), "u", "x", "0")
         vocab = build_vocab([sample], 100, ENGLISH)

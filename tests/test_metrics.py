@@ -2,31 +2,35 @@
 
 The clipped n-gram scores are checked against an independent positional
 enumeration oracle over short sequences from a small alphabet (exact
-equality), plus hand-computed anchor values.
+equality), plus hand-computed anchor values. evaluate's report is checked
+byte for byte against the per-metric evaluate in oracles.py, which recounts
+every sample for every metric.
 """
 
 import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import ngram_f1_by_enumeration, restoration_f_by_enumeration
+from oracles import (
+    evaluate_per_metric,
+    ngram_f1_by_enumeration,
+    restoration_f_by_enumeration,
+)
 from pickgen.corpus import DialogueSample, LanguageConfig
 from pickgen.labeling import EmbeddingTable, label_corpus
 from pickgen.metrics import (
     MetricError,
-    bleu_by_length,
     bleu_n,
+    count_ngrams,
     evaluate,
     exact_match,
     input_char_length,
     length_difference,
-    ngrams,
     picker_f1,
     pickup_ratio,
     restoration_f,
-    restored_ngrams,
     rouge_n,
 )
 from pickgen.synth import generate_corpus
@@ -105,26 +109,37 @@ class TestBleu:
 
 
 class TestRestoredNgrams:
+    """count_ngrams' restored Counts: (clipped matches, prediction n-grams,
+    reference n-grams) over the n-grams holding a restored occurrence."""
+
     def test_budgeted_positions(self):
         tokens = ["what", "about", "the", "album"]
-        restored = restored_ngrams(tokens, ["what", "about"], 1)
-        assert restored == {("the",): 1, ("album",): 1}
+        _, restored = count_ngrams(tokens, ["the", "album"], ["what", "about"], 0, 1)
+        assert restored == [(2, 2, 2)]
 
     def test_bigrams_touching_restored(self):
         tokens = ["what", "about", "the", "album"]
-        restored = restored_ngrams(tokens, ["what", "about"], 2)
-        assert restored == {("about", "the"): 1, ("the", "album"): 1}
+        _, restored = count_ngrams(
+            tokens, ["x", "about", "the", "album"], ["what", "about", "x"], 0, 2
+        )
+        # bigrams (about, the) and (the, album) on both sides
+        assert restored[1] == (2, 2, 2)
 
     def test_repeated_token_budget(self):
         # first "a" is carried over, the second exceeds the budget
-        restored = restored_ngrams(["a", "a", "b"], ["a"], 1)
-        assert restored == {("a",): 1, ("b",): 1}
+        _, restored = count_ngrams(["a", "a", "b"], ["b", "a"], ["a"], 0, 1)
+        assert restored == [(1, 2, 1)]
 
     def test_everything_restored_when_incomplete_empty(self):
-        assert restored_ngrams(["x", "y"], [], 1) == {("x",): 1, ("y",): 1}
+        assert count_ngrams(["x", "y"], ["y"], [], 0, 1)[1] == [(1, 2, 1)]
 
     def test_nothing_restored_when_fully_covered(self):
-        assert restored_ngrams(["x", "y"], ["y", "x"], 1) == {}
+        assert count_ngrams(["x", "y"], ["x"], ["y", "x"], 0, 1)[1] == [(0, 0, 0)]
+
+    def test_plain_counts_every_order(self):
+        plain, restored = count_ngrams(["a", "b", "a"], ["a", "b"], [], 3)
+        assert plain == [(2, 3, 2), (1, 2, 1), (0, 1, 0)]
+        assert restored == []
 
 
 class TestRestorationF:
@@ -213,25 +228,33 @@ class TestLengthDifference:
             length_difference([])
 
 
+def _sample_of_length(length: int, sample_id: str) -> DialogueSample:
+    """A sample whose input is `length` characters long; "apple" is in its
+    context and reference, so its hard labels mark an important token."""
+    context = "apple " + "x" * (length - 8)
+    return DialogueSample((context,), "y", "y apple", sample_id)
+
+
 class TestBleuByLength:
     def test_bucket_boundaries(self):
-        triples = [
-            (["a"], ["a"], 99),
-            (["b"], ["b"], 100),
-            (["c"], ["c"], 200),
-            (["d"], ["d"], 201),
-        ]
-        scores, counts = bleu_by_length(triples, 1)
-        assert counts == {"<100": 1, "100-200": 2, ">200": 1}
-        assert scores == {"<100": 1.0, "100-200": 1.0, ">200": 1.0}
+        gold = [_sample_of_length(n, str(n)) for n in (99, 100, 200, 201)]
+        assert [input_char_length(s, ENGLISH) for s in gold] == [99, 100, 200, 201]
+        predictions = {s.id: s.reference for s in gold}
+        report = evaluate(predictions, gold, ENGLISH, bucket_bleu_n=1)
+        assert report.bucket_counts == {"<100": 1, "100-200": 2, ">200": 1}
+        assert report.bleu_by_length == {"<100": 100.0, "100-200": 100.0, ">200": 100.0}
 
     def test_empty_buckets_absent(self):
-        scores, counts = bleu_by_length([(["a"], ["a"], 5)], 1)
-        assert set(scores) == set(counts) == {"<100"}
+        gold = [_sample_of_length(20, "0")]
+        report = evaluate({"0": "y apple"}, gold, ENGLISH)
+        assert set(report.bleu_by_length) == set(report.bucket_counts) == {"<100"}
 
-    def test_default_buckets_are_valid(self):
-        scores, counts = bleu_by_length([], 1)
-        assert scores == {} and counts == {}
+    def test_rows_in_order_of_first_sample(self):
+        gold = [_sample_of_length(n, str(n)) for n in (250, 20, 150, 30)]
+        predictions = {s.id: s.reference for s in gold}
+        table = evaluate(predictions, gold, ENGLISH).to_table()
+        rows = [line.split()[2] for line in table.splitlines() if line.startswith("bleu2 len")]
+        assert rows == [">200", "<100", "100-200"]
 
 
 class TestInputCharLength:
@@ -350,3 +373,99 @@ class TestEvaluate:
         a = evaluate(predictions, gold, ENGLISH).to_json()
         b = evaluate(predictions, gold, ENGLISH).to_json()
         assert a == b
+
+
+WORDS = st.sampled_from(["a", "b", "c", "d"])
+
+
+@st.composite
+def eval_corpora(draw):
+    """A gold corpus and its predictions over a four-word alphabet, so that
+    tokens repeat and predictions share tokens with the incomplete
+    utterance; a filler word of 0-240 characters in the context spreads the
+    samples over the three length buckets. Predictions may be empty, and
+    either side may be shorter than any n-gram order."""
+    gold, predictions = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        context = draw(st.lists(WORDS, min_size=1, max_size=5))
+        filler = draw(st.integers(0, 240))
+        if filler:
+            context.append("z" * filler)
+        incomplete = draw(st.lists(WORDS, min_size=1, max_size=4))
+        reference = draw(st.lists(WORDS, min_size=1, max_size=7))
+        sample_id = f"s{i}"
+        gold.append(DialogueSample(
+            (" ".join(context),), " ".join(incomplete), " ".join(reference), sample_id))
+        predictions[sample_id] = " ".join(draw(st.lists(WORDS, max_size=7)))
+    return gold, predictions
+
+
+def _outcome(evaluate_fn, *args, **kwargs):
+    """The report's JSON and table, or the MetricError's message."""
+    try:
+        report = evaluate_fn(*args, **kwargs)
+    except MetricError as exc:
+        return "error", str(exc)
+    return report.to_json(), report.to_table()
+
+
+class TestEvaluateMatchesPerMetricOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpus=eval_corpora(),
+        language=st.sampled_from(["english", "chinese"]),
+        labels=st.sampled_from([None, "hard", "soft"]),
+        pickup_mode=st.sampled_from(["any", "all"]),
+        bucket_bleu_n=st.integers(1, 6),
+    )
+    def test_report_bytes(self, corpus, language, labels, pickup_mode, bucket_bleu_n):
+        gold, predictions = corpus
+        cfg = LanguageConfig.for_language(language)
+        labeled = None if labels is None else label_corpus(gold, labels, EmbeddingTable(), cfg)
+        args = (predictions, gold, cfg)
+        kwargs = dict(labeled=labeled, pickup_mode=pickup_mode, bucket_bleu_n=bucket_bleu_n)
+        assert _outcome(evaluate, *args, **kwargs) == _outcome(
+            evaluate_per_metric, *args, **kwargs)
+
+    def test_real_predictions_score_as_the_oracle_does(self):
+        gold = generate_corpus(30, seed=3)
+        incompletes = [s.incomplete for s in gold]
+        for predictions in (
+            {s.id: s.reference for s in gold},
+            {s.id: incompletes[i - 1] for i, s in enumerate(gold)},
+        ):
+            assert _outcome(evaluate, predictions, gold, ENGLISH, bucket_bleu_n=4) == (
+                _outcome(evaluate_per_metric, predictions, gold, ENGLISH, bucket_bleu_n=4))
+
+
+def _malformed_cases():
+    gold = generate_corpus(3, seed=0)
+    predictions = {s.id: s.reference for s in gold}
+    no_ref = DialogueSample(("a b",), "b", None, "n")
+    labeled = label_corpus(gold[:2], "hard", EmbeddingTable(), ENGLISH)
+    unimportant = [DialogueSample(("a",), "b", "b", "u")]
+    return {
+        "empty gold": ({}, [], {}),
+        "missing prediction": ({gold[0].id: "x"}, gold, {}),
+        "missing reference": ({"n": "x"}, [no_ref], {}),
+        "reference before a later missing prediction": (
+            {"n": "x"}, [no_ref, *gold], {}),
+        "missing labels": (predictions, gold, {"labeled": labeled}),
+        "missing labels before a bad pickup mode": (
+            predictions, gold, {"labeled": labeled, "pickup_mode": "some"}),
+        "bad pickup mode": (predictions, gold, {"pickup_mode": "some"}),
+        "bad pickup mode before a bad order": (
+            predictions, gold, {"pickup_mode": "some", "bucket_bleu_n": 0}),
+        "no important tokens": ({"u": "b"}, unimportant, {}),
+        "no important tokens before a bad order": (
+            {"u": "b"}, unimportant, {"bucket_bleu_n": 0}),
+        "bad order": (predictions, gold, {"bucket_bleu_n": 0}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_cases()))
+def test_malformed_input_raises_as_the_oracle_does(case):
+    predictions, gold, kwargs = _malformed_cases()[case]
+    outcome = _outcome(evaluate, predictions, gold, ENGLISH, **kwargs)
+    assert outcome[0] == "error"
+    assert outcome == _outcome(evaluate_per_metric, predictions, gold, ENGLISH, **kwargs)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import pickgen.model as M
+from pickgen import corpus
 from oracles import retained_backward
 from pickgen.autodiff import Tensor, _differentiated
 from pickgen.corpus import LanguageConfig, build_vocab
@@ -501,7 +502,7 @@ class TestCheckpoint:
                     raise failure
                 return super().write(data)
 
-        monkeypatch.setattr(M, "open", FailingFile, raising=False)
+        monkeypatch.setattr(corpus, "open", FailingFile, raising=False)
         with pytest.raises(type(failure)):
             save_checkpoint(params, path)
         monkeypatch.undo()

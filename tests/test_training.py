@@ -5,6 +5,7 @@ weight decay off, bias-corrected moments collapse to m-hat = g and
 v-hat = g*g, so after N steps theta = theta0 - N * lr * g / (|g| + eps).
 """
 
+import dataclasses
 import logging
 import math
 
@@ -24,6 +25,7 @@ from pickgen.model import (
     load_checkpoint,
     picker_forward,
 )
+from pickgen import model as model_module
 from pickgen.model import backward as model_backward
 from pickgen.synth import generate_corpus
 from pickgen.training import (
@@ -416,6 +418,28 @@ class TestTrainLoop:
                (d2 / "checkpoint.bin").read_bytes()
         assert (d1 / "loss_log.csv").read_bytes() == \
                (d2 / "loss_log.csv").read_bytes()
+
+    def test_bool_mask_dropout_keeps_artifact_bytes(self, tmp_path, monkeypatch):
+        # the embedding dropout node holds a bool mask; training with the
+        # float mask product it replaced writes the same bytes
+        data, vocab, mcfg = _tiny_setup()
+        mcfg = dataclasses.replace(mcfg, dropout=0.1)
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=7, learning_rate=1e-3)
+
+        def float_mask_dropout(x, rate, rng):
+            if rng is None or rate <= 0.0:
+                return x
+            return x * ((rng.random(x.shape) >= rate) / (1.0 - rate))
+
+        runs = []
+        for name in ("bool", "float"):
+            if name == "float":
+                monkeypatch.setattr(model_module, "_dropout", float_mask_dropout)
+            out = tmp_path / name
+            out.mkdir()
+            train(data, cfg, mcfg, vocab, ENGLISH, out_dir=str(out))
+            runs.append([(out / f).read_bytes() for f in ("loss_log.csv", "checkpoint.bin")])
+        assert runs[0] == runs[1]
 
     def test_different_seed_differs(self):
         data, vocab, mcfg = _tiny_setup()
