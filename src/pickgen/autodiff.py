@@ -10,6 +10,7 @@ backward() uses the graph up as it walks it: once an interior node has passed
 its gradient on, it drops that gradient, its parent links and its closure
 (with the arrays the closure captured), so only leaf gradients and node data
 outlive the walk, and differentiating a used-up node again raises ValueError.
+A training step's graph and gradients are freed when that step ends.
 RMS normalization, multi-head attention (head split and merge included),
 cross-entropy, dropout, a residual branch's projection under dropout
 (residual) and a projection's relu (relu_matmul) are each one node with a

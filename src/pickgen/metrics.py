@@ -273,6 +273,11 @@ def evaluate(
     """
     if not gold:
         raise MetricError("gold corpus is empty")
+    seen: set[str] = set()
+    for sample in gold:
+        if sample.id in seen:
+            raise MetricError(f"repeated gold sample id {sample.id!r}")
+        seen.add(sample.id)
     for sample in gold:
         if sample.id not in predictions:
             raise MetricError(f"missing prediction for sample id {sample.id!r}")

@@ -263,6 +263,25 @@ def _validate_model_cfg(cfg: TrainConfig, model_cfg: ModelConfig) -> None:
         raise TrainingError("hard labels need picker_arity 3")
 
 
+def _train_step(state: TrainState, samples: list[EncodedSample], epoch: int,
+                cfg: TrainConfig, use_picker: bool, dropout_rng) -> tuple:
+    """One batch's forward, joint loss, backward, clipping and AdamW update;
+    returns its loss-log row. Its batch, graph and gradients die with it."""
+    params = state.params
+    batch = collate(samples)
+    enc = encode(batch.input_ids, batch.input_mask, params, dropout_rng)
+    logits = decode_forward(enc, batch.decoder_input, params, dropout_rng)
+    lg = generator_loss(logits, batch.decoder_target, batch.target_mask)
+    loss, lp_value = lg, 0.0
+    if use_picker:
+        preds = picker_forward(enc, params)
+        lp = picker_loss(preds, batch.picker_targets, batch.input_mask)
+        loss, lp_value = joint_loss(lp, lg, cfg.picker_weight), lp.item()
+    grads, _ = clip_gradients(backward(loss, params), cfg.grad_clip)
+    state = optimizer_step(state, grads, cfg)
+    return epoch, state.step, lp_value, lg.item(), loss.item()
+
+
 def train(
     corpus,
     cfg: TrainConfig,
@@ -274,7 +293,8 @@ def train(
 ) -> TrainResult:
     """Joint training: shuffled seeded mini-batches, forward, joint loss,
     exact backward, clipped AdamW steps; emits a per-step loss log and
-    (when out_dir is set) checkpoints."""
+    (when out_dir is set) checkpoints. Each step's graph and gradients are
+    freed when that step ends, so no step's arrays outlive it."""
     if not corpus:
         raise TrainingError("training corpus is empty")
     _validate_model_cfg(cfg, model_cfg)
@@ -306,33 +326,17 @@ def train(
     )
     rows: list[tuple[int, int, float, float, float]] = []
     checkpoint_path = None
+    starts = range(0, len(encoded), cfg.batch_size)
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(encoded))
-        sums = {"picker": 0.0, "generator": 0.0, "joint": 0.0}
-        batches = 0
-        for lo in range(0, len(encoded), cfg.batch_size):
-            batch = collate([encoded[i] for i in order[lo : lo + cfg.batch_size]])
-            enc = encode(batch.input_ids, batch.input_mask, params, dropout_rng)
-            logits = decode_forward(enc, batch.decoder_input, params, dropout_rng)
-            lg = generator_loss(logits, batch.decoder_target, batch.target_mask)
-            if use_picker:
-                preds = picker_forward(enc, params)
-                lp = picker_loss(preds, batch.picker_targets, batch.input_mask)
-                loss = joint_loss(lp, lg, cfg.picker_weight)
-                lp_value = lp.item()
-            else:
-                loss = lg
-                lp_value = 0.0
-            grads = backward(loss, params)
-            grads, _ = clip_gradients(grads, cfg.grad_clip)
-            state = optimizer_step(state, grads, cfg)
-            rows.append((epoch, state.step, lp_value, lg.item(), loss.item()))
-            sums["picker"] += lp_value
-            sums["generator"] += lg.item()
-            sums["joint"] += loss.item()
-            batches += 1
+        sums = [0.0, 0.0, 0.0]
+        for lo in starts:
+            samples = [encoded[i] for i in order[lo : lo + cfg.batch_size]]
+            rows.append(_train_step(state, samples, epoch, cfg, use_picker, dropout_rng))
+            sums = [s + loss for s, loss in zip(sums, rows[-1][2:])]
         state.epoch = epoch
-        state.epoch_losses = {k: s / batches for k, s in sums.items()}
+        names = ("picker", "generator", "joint")
+        state.epoch_losses = {k: s / len(starts) for k, s in zip(names, sums)}
         if out_dir and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
             save_checkpoint(
                 params,

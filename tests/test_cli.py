@@ -846,6 +846,23 @@ class TestRestoreAndEvaluate:
         assert code == 2
         assert "missing prediction" in capsys.readouterr().err
 
+    def test_evaluate_repeated_gold_id(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(
+            '{"id": "a", "context": ["the cat"], "utterance": "it sat", '
+            '"reference": "the cat sat"}\n'
+            '{"id": "a", "context": ["the dog"], "utterance": "it ran", '
+            '"reference": "the dog ran"}\n', encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "a", "prediction": "the cat sat"}\n', encoding="utf-8")
+        code = main([
+            "evaluate", "--predictions", str(preds),
+            "--gold", str(gold), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        assert "repeated gold sample id 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
     def test_evaluate_bad_labeled_gold_line(self, tmp_path, capsys):
         # line 3's first label row is one word short: the labeled file is
         # refused, not re-read as a raw corpus

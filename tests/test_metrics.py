@@ -337,6 +337,13 @@ class TestEvaluate:
         with pytest.raises(MetricError, match="empty"):
             evaluate({}, [], ENGLISH)
 
+    def test_repeated_gold_id_rejected(self):
+        # one prediction must not score two gold samples
+        gold = [DialogueSample(("the cat",), "it sat", "the cat sat", "a"),
+                DialogueSample(("the dog",), "it ran", "the dog ran", "a")]
+        with pytest.raises(MetricError, match="repeated gold sample id 'a'"):
+            evaluate({"a": "the cat sat"}, gold, ENGLISH)
+
     def test_accepts_precomputed_labels(self):
         gold = self._corpus(size=4)
         labeled = label_corpus(gold, "hard", EmbeddingTable(), ENGLISH)

@@ -8,6 +8,7 @@ v-hat = g*g, so after N steps theta = theta0 - N * lr * g / (|g| + eps).
 import dataclasses
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from pickgen.model import (
     picker_forward,
 )
 from pickgen import model as model_module
+from pickgen import training as training_module
 from pickgen.model import backward as model_backward
 from pickgen.synth import generate_corpus
 from pickgen.training import (
@@ -440,6 +442,28 @@ class TestTrainLoop:
             train(data, cfg, mcfg, vocab, ENGLISH, out_dir=str(out))
             runs.append([(out / f).read_bytes() for f in ("loss_log.csv", "checkpoint.bin")])
         assert runs[0] == runs[1]
+
+    def test_step_gradients_freed_before_next_step(self, monkeypatch):
+        # a step's gradients do not outlive it: when a step starts its
+        # forward, every gradient array of the steps before it is freed
+        data, vocab, mcfg = _tiny_setup(size=8)
+        refs, alive = [], []
+
+        def recording_backward(loss, params):
+            grads = model_backward(loss, params)
+            refs.extend(weakref.ref(g) for g in grads.values())
+            return grads
+
+        def counting_encode(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return encode(*args)
+
+        monkeypatch.setattr(training_module, "backward", recording_backward)
+        monkeypatch.setattr(training_module, "encode", counting_encode)
+        train(data, TrainConfig(epochs=1, batch_size=2, seed=0), mcfg, vocab, ENGLISH)
+        names = list(init_parameters(mcfg).named_tensors())
+        assert len(alive) == 4 and len(refs) == 4 * len(names)
+        assert alive == [0, 0, 0, 0]
 
     def test_different_seed_differs(self):
         data, vocab, mcfg = _tiny_setup()
