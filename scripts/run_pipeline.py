@@ -17,29 +17,24 @@ from pickgen.cli import main as pickgen
 from pickgen.labeling import LABEL_MODES
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--work-dir", required=True)
-    parser.add_argument("--size", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--config", help="JSON config forwarded to every stage")
-    parser.add_argument("--label-mode", choices=LABEL_MODES, default="hard")
-    args = parser.parse_args()
-
-    work = Path(args.work_dir)
-    config = ["--config", args.config] if args.config else []
+def run_pipeline(work_dir, size: int = 200, seed: int = 0, config=None,
+                 label_mode: str = "hard") -> int:
+    """Run the five stages into work_dir, forwarding the JSON config file
+    config (if any) to each; returns the first non-zero exit code, or 0."""
+    work = Path(work_dir)
+    config = ["--config", str(config)] if config else []
     corpus = work / "synth" / "corpus.jsonl"
     labeled = work / "label" / "labeled.jsonl"
     checkpoint = work / "train" / "checkpoint.bin"
     predictions = work / "restore" / "predictions.jsonl"
 
     stages = [
-        ["synth", "--out-dir", str(work / "synth"), "--size", str(args.size),
-         "--seed", str(args.seed), *config],
+        ["synth", "--out-dir", str(work / "synth"), "--size", str(size),
+         "--seed", str(seed), *config],
         ["label", "--in", str(corpus), "--out-dir", str(work / "label"),
-         "--mode", args.label_mode, *config],
+         "--mode", label_mode, *config],
         ["train", "--in", str(labeled), "--out-dir", str(work / "train"),
-         "--label-mode", args.label_mode, "--seed", str(args.seed), *config],
+         "--label-mode", label_mode, "--seed", str(seed), *config],
         ["restore", "--in", str(corpus), "--checkpoint", str(checkpoint),
          "--out-dir", str(work / "restore"), *config],
         ["evaluate", "--predictions", str(predictions), "--gold", str(labeled),
@@ -52,6 +47,18 @@ def main() -> int:
             return code
     print(f"done; report at {work / 'eval' / 'report.json'}")
     return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--work-dir", required=True)
+    parser.add_argument("--size", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--config", help="JSON config forwarded to every stage")
+    parser.add_argument("--label-mode", choices=LABEL_MODES, default="hard")
+    args = parser.parse_args()
+    return run_pipeline(args.work_dir, args.size, args.seed, args.config,
+                        args.label_mode)
 
 
 if __name__ == "__main__":

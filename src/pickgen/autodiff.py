@@ -11,14 +11,15 @@ its gradient on, it drops that gradient, its parent links and its closure
 (with the arrays the closure captured), so only leaf gradients and node data
 outlive the walk, and differentiating a used-up node again raises ValueError.
 A training step's graph and gradients are freed when that step ends.
+The elementwise algebra is Tensor + Tensor and Tensor * (number or array).
 RMS normalization, multi-head attention (head split and merge included),
-cross-entropy, dropout, a residual branch's projection under dropout
-(residual) and a projection's relu (relu_matmul) are each one node with a
-hand-written backward, because at toy sizes each node costs more than its
-arithmetic. Each node holds only the arrays its own backward reads: dropout
-and residual keep their masks as bools, relu_matmul its output alone, and
-rmsnorm recomputes its normalized input, so a training graph holds little
-beyond node data.
+cross-entropy, binary cross-entropy with logits, dropout, a residual
+branch's projection under dropout (residual) and a projection's relu
+(relu_matmul) are each one node with a hand-written backward, because at
+toy sizes each node costs more than its arithmetic. Each node holds only
+the arrays its own backward reads: dropout and residual keep their masks as
+bools, relu_matmul its output alone, and rmsnorm recomputes its normalized
+input, so a training graph holds little beyond node data.
 """
 
 from __future__ import annotations
@@ -94,45 +95,17 @@ class Tensor:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(np.asarray(value))
-
-    def __add__(self, other):
-        other = Tensor._coerce(other)
-        data = self.data + other.data
-
+    def __add__(self, other: "Tensor") -> "Tensor":
         def backward_fn(g):
             return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
 
-        return Tensor._make(data, (self, other), backward_fn)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Tensor._make(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        return self + (-Tensor._coerce(other))
-
-    def __rsub__(self, other):
-        return Tensor._coerce(other) + (-self)
+        return Tensor._make(self.data + other.data, (self, other), backward_fn)
 
     def __mul__(self, other):
-        if not isinstance(other, Tensor):  # a number or array, such as a dropout mask
-            return Tensor._make(self.data * other, (self,),
-                                lambda g: (_unbroadcast(g * other, self.shape),))
-        data = self.data * other.data
-
-        def backward_fn(g):  # a constant operand gets no gradient
-            return (
-                _unbroadcast(g * other.data, self.shape) if self._tracked() else None,
-                _unbroadcast(g * self.data, other.shape) if other._tracked() else None,
-            )
-
-        return Tensor._make(data, (self, other), backward_fn)
-
-    __rmul__ = __mul__
+        """self * other for a number or array other, such as a dropout mask
+        or a loss weight; other is no graph node."""
+        return Tensor._make(self.data * other, (self,),
+                            lambda g: (_unbroadcast(g * other, self.shape),))
 
     def matmul(self, other: "Tensor") -> "Tensor":
         """(..., d_in) @ (d_in, d_out), a projection: one GEMM over every
@@ -152,26 +125,11 @@ class Tensor:
             self.data.reshape(shape), (self,), lambda g: (g.reshape(original),)
         )
 
-    # -- reductions ---------------------------------------------------------
-
-    def sum(self) -> "Tensor":
-        shape = self.shape
-        return Tensor._make(self.data.sum(), (self,),
-                            lambda g: (np.broadcast_to(g, shape).copy(),))
-
     # -- nonlinearities -----------------------------------------------------
 
     def relu(self) -> "Tensor":
         data = np.maximum(self.data, 0.0)
         return Tensor._make(data, (self,), lambda g: (g * (self.data > 0.0),))
-
-    def softplus(self) -> "Tensor":
-        """log(1 + exp(x)), finite at any x; its derivative is sigmoid(x)."""
-        x = self.data
-        e = np.exp(-np.abs(x))
-        data = np.maximum(x, 0.0) + np.log1p(e)
-        sig = np.where(x >= 0.0, 1.0, e) / (1.0 + e)
-        return Tensor._make(data, (self,), lambda g: (g * sig,))
 
     def rmsnorm(self, scale: "Tensor", eps: float) -> "Tensor":
         """x / sqrt(mean(x**2 over the last axis) + eps) * scale."""
@@ -199,6 +157,22 @@ class Tensor:
             picked = np.take_along_axis(grad, idx, axis=-1)
             np.put_along_axis(grad, idx, picked - coef, axis=-1)
             return (grad,)
+
+        return Tensor._make(data, (self,), backward_fn)
+
+    def bce_with_logits(self, targets: np.ndarray, weights: np.ndarray) -> "Tensor":
+        """sum(weights * (softplus(self) - targets * self)): binary
+        cross-entropy with logits against targets in [0, 1]; targets and
+        weights have self's shape. softplus(x) = log(1 + exp(x)) is finite at
+        any x; its derivative sigmoid(x) is recomputed from exp(-|x|) in the
+        backward."""
+        x = self.data
+        e = np.exp(-np.abs(x))
+        data = (weights * ((np.maximum(x, 0.0) + np.log1p(e)) - targets * x)).sum()
+
+        def backward_fn(g):
+            gw = np.broadcast_to(g, x.shape) * weights
+            return (gw * (np.where(x >= 0.0, 1.0, e) / (1.0 + e)) - gw * targets,)
 
         return Tensor._make(data, (self,), backward_fn)
 

@@ -71,6 +71,9 @@ class TrainConfig:
         for name in ("picker_weight", "weight_decay", "grad_clip", "checkpoint_every"):
             if not getattr(self, name) >= 0:
                 raise TrainingError(f"{name} must be >= 0")
+        for name in ("learning_rate", "picker_weight", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise TrainingError(f"{name} must be finite")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise TrainingError("subsample_fraction must lie in (0, 1]")
         for name in ("batch_size", "epochs"):
@@ -105,27 +108,22 @@ class TrainState:
 # work in log space, so a confidently wrong prediction still gets a finite
 # loss and a gradient.
 
-def picker_loss(
-    logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None
-) -> Tensor:
-    """Mean picker loss over positions not carrying the ignore mark.
+def picker_loss(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean picker loss over unmasked positions not carrying the ignore mark.
 
     3-D logits (B, L, 3): cross-entropy against BIO class ids.
     2-D logits (B, L): binary cross-entropy with logits against soft scores.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    valid = (targets != IGNORE_MARK).astype(np.float64)
-    if mask is not None:
-        valid = valid * np.asarray(mask, dtype=np.float64)
+    valid = (targets != IGNORE_MARK) * np.asarray(mask, dtype=np.float64)
     count = valid.sum()
     if count == 0.0:
         return Tensor(0.0)
     if logits.data.ndim == 3:
         classes = np.where(valid > 0.0, targets, 0.0).astype(np.int64)
         return logits.cross_entropy(classes, valid) * (1.0 / count)
-    q = np.where(valid > 0.0, targets, 0.0)
-    per_pos = logits.softplus() - Tensor(q) * logits
-    return (per_pos * Tensor(valid)).sum() * (1.0 / count)
+    scores = np.where(valid > 0.0, targets, 0.0)
+    return logits.bce_with_logits(scores, valid) * (1.0 / count)
 
 
 def generator_loss(
@@ -151,8 +149,14 @@ def clip_gradients(
     grads: dict[str, np.ndarray], max_norm: float
 ) -> tuple[dict[str, np.ndarray], float]:
     """Scale gradients in place so their global L2 norm is at most max_norm;
-    no two of them may share memory."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    no two of them may share memory. A norm whose squares overflow while
+    every gradient is finite is taken again over g / max|g|."""
+    with np.errstate(over="ignore"):
+        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if not math.isfinite(total) and all(np.isfinite(g).all() for g in grads.values()):
+        top = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+        squares = sum(float(((g / top) ** 2).sum()) for g in grads.values())
+        total = top * math.sqrt(squares)
     if max_norm <= 0.0 or total <= max_norm or total == 0.0:
         return grads, total
     scale = max_norm / total

@@ -8,6 +8,8 @@ decoder from a fresh cache over every whole prefix of one unpadded input
 every candidate in Python or enumerate every decodable output; the n-gram
 oracles enumerate n-grams positionally instead of via Counter arithmetic,
 and the per-metric evaluate recounts every sample for every metric.
+weighted_sum, the one graph node here, is how tests start a backward with
+a chosen upstream gradient.
 """
 
 import math
@@ -65,6 +67,14 @@ def per_head_attention(q, k, v, heads, bias, mask, g):
     grads = (merge((gs @ kh) * scale), merge((np.swapaxes(gs, -1, -2) @ qh) * scale),
              merge(np.swapaxes(p, -1, -2) @ gh), gs.sum(axis=0).transpose(1, 2, 0))
     return merge(p @ vh), grads
+
+
+def weighted_sum(out, g=1.0):
+    """sum(out * g) as one scalar node whose backward hands out the array g
+    (broadcast to out's shape) times the upstream gradient: the way a test
+    starts backward at out with a chosen gradient."""
+    g = np.broadcast_to(np.asarray(g, dtype=np.float64), out.shape)
+    return Tensor._make((out.data * g).sum(), (out,), lambda up: (g * up,))
 
 
 def retained_backward(loss):

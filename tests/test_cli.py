@@ -6,6 +6,7 @@ covers the installed console script. Exit codes: 0 success, 1 usage error,
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -216,6 +217,8 @@ INVALID_SETTINGS = [
     ("train", "--label-mode", "bio"),
     ("train", "--alpha", "-1"),
     ("train", "--learning-rate", "-1"),
+    ("train", "--alpha", "inf"),
+    ("train", "--learning-rate", "inf"),
     ("train", "--batch-size", "0"),
     ("train", "--epochs", "0"),
     ("train", "--fraction", "0"),
@@ -259,6 +262,7 @@ INVALID_CONFIGS = [
     ("train", {"train": {"beta1": 1.0}}, "train.beta1"),
     ("train", {"train": {"beta2": -0.5}}, "train.beta2"),
     ("train", {"train": {"weight_decay": -0.1}}, "train.weight_decay"),
+    ("train", {"train": {"weight_decay": math.inf}}, "train.weight_decay"),
     ("train", {"train": {"grad_clip": -1}}, "train.grad_clip"),
     ("train", {"train": {"checkpoint_every": -1}}, "train.checkpoint_every"),
     ("train", {"vocab_size": 6}, "vocab_size"),

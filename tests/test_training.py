@@ -8,6 +8,7 @@ v-hat = g*g, so after N steps theta = theta0 - N * lr * g / (|g| + eps).
 import dataclasses
 import logging
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -59,14 +60,14 @@ class TestPickerLoss:
     def test_uniform_hard_gives_log3(self):
         logits = Tensor(np.zeros((1, 3, 3)))
         targets = np.array([[0.0, 1.0, 2.0]])
-        loss = picker_loss(logits, targets)
+        loss = picker_loss(logits, targets, np.ones(targets.shape))
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_ignore_marks_excluded(self):
         logits = Tensor(np.array([[[0.0, -800.0, -800.0],
                                    [0.0, 0.0, 0.0]]]))
         targets = np.array([[0.0, IGNORE_MARK]])
-        loss = picker_loss(logits, targets)
+        loss = picker_loss(logits, targets, np.ones(targets.shape))
         # only the perfect position counts: -log(1) = 0
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -80,31 +81,31 @@ class TestPickerLoss:
     def test_all_ignored_gives_zero(self):
         logits = Tensor(np.zeros((1, 2, 3)))
         targets = np.full((1, 2), IGNORE_MARK)
-        loss = picker_loss(logits, targets)
+        loss = picker_loss(logits, targets, np.ones(targets.shape))
         assert loss.item() == 0.0
 
     def test_soft_bce_hand_value(self):
         logits = Tensor(np.array([[0.0]]))
         targets = np.array([[0.5]])
-        loss = picker_loss(logits, targets)
+        loss = picker_loss(logits, targets, np.ones(targets.shape))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_soft_perfect_confidence(self):
         logits = Tensor(np.array([[40.0, -40.0]]))
         targets = np.array([[1.0, 0.0]])
-        loss = picker_loss(logits, targets)
+        loss = picker_loss(logits, targets, np.ones(targets.shape))
         assert 0.0 <= loss.item() < 1e-17
 
     def test_gradient_flows(self):
         logits = parameter(np.zeros((1, 2, 3)))
-        loss = picker_loss(logits, np.array([[1.0, 0.0]]))
+        loss = picker_loss(logits, np.array([[1.0, 0.0]]), np.ones((1, 2)))
         loss.backward()
         assert (logits.grad != 0.0).any()
 
     def test_confidently_wrong_hard_still_learns(self):
         # target class 0 sits 40 below the maximum logit
         logits = parameter(np.array([[[0.0, 40.0, 0.0]]]))
-        loss = picker_loss(logits, np.array([[0.0]]))
+        loss = picker_loss(logits, np.array([[0.0]]), np.ones((1, 1)))
         loss.backward()
         assert loss.item() == pytest.approx(40.0, abs=1e-12)
         assert logits.grad[0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
@@ -112,7 +113,7 @@ class TestPickerLoss:
 
     def test_confidently_wrong_soft_still_learns(self):
         logits = parameter(np.array([[-40.0]]))
-        loss = picker_loss(logits, np.array([[1.0]]))
+        loss = picker_loss(logits, np.array([[1.0]]), np.ones((1, 1)))
         loss.backward()
         assert loss.item() == pytest.approx(40.0, abs=1e-12)
         assert logits.grad[0, 0] == pytest.approx(-1.0, abs=1e-12)
@@ -192,6 +193,24 @@ class TestClipGradients:
         clipped, total = clip_gradients(grads, 1.0)
         assert total == 0.0
         assert clipped is grads
+
+    def test_huge_finite_gradients_are_scaled_not_zeroed(self):
+        # g * g overflows to inf here; the norm is taken again over g / max|g|
+        grads = {"a": np.array([1e200, 1e200]), "b": np.array([3.0])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped, total = clip_gradients(grads, 1.0)
+        assert total == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
+        norm = math.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
+        assert norm == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(clipped["a"], [math.sqrt(0.5)] * 2, rtol=1e-12)
+        assert 0.0 < clipped["b"][0] < 1e-199
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_gradient_keeps_a_non_finite_norm(self, bad):
+        # cap 0: the norm alone, without scaling by a non-finite factor
+        _, total = clip_gradients({"a": np.array([1e200, bad])}, 0.0)
+        assert not math.isfinite(total)
 
 
 class TestOptimizerStep:
@@ -536,6 +555,14 @@ class TestTrainLoop:
     def test_unusable_optimizer_setting_rejected(self, name, value):
         with pytest.raises(TrainingError, match=f"^{name} must"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["learning_rate", "picker_weight", "weight_decay"])
+    def test_infinite_setting_rejected(self, name):
+        with pytest.raises(TrainingError, match=f"^{name} must be finite"):
+            TrainConfig(**{name: math.inf})
+
+    def test_infinite_grad_clip_never_clips(self):
+        assert TrainConfig(grad_clip=math.inf).grad_clip == math.inf
 
     def test_empty_corpus_rejected(self):
         _, vocab, mcfg = _tiny_setup()
