@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Pin what five pipeline modes produce at --size 40 --seed 0.
 
-The modes are the four that CI runs (hard labels; soft labels; n-best 3
-with length penalty 0.5; the chinese language config) and a fifth whose
-max_input_len truncates every input. For each, the pinned values are every
-prediction text and n-best score, report.json, the sha256 of the corpus,
-labels and vocab files, and the loss_log.csv values. The checkpoint is left
-out: its <f4 rounding can move with the BLAS build.
+The modes are hard labels; soft labels; n-best 3 with length penalty 0.5;
+the chinese language config; and a fifth whose max_input_len truncates
+every input. For each, the pinned values are every prediction text and
+n-best score, report.json, the sha256 of the corpus, labels and vocab
+files, and the loss_log.csv values. The checkpoint is left out: its <f4
+rounding can move with the BLAS build.
 
     PYTHONPATH=src python3 scripts/pipeline_fixture.py
 

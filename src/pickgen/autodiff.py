@@ -80,14 +80,10 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _tracked(self) -> bool:
-        """Whether backward() gives this node a gradient."""
-        return self.requires_grad or bool(self._parents)
-
     @staticmethod
     def _make(data, parents, backward_fn) -> "Tensor":
         out = Tensor(data)
-        if _recording() and any(p._tracked() for p in parents):
+        if _recording() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward_fn = backward_fn
@@ -218,7 +214,7 @@ class Tensor:
             for parent, grad in zip(node._parents, grads):
                 if parent.grad is not None:
                     parent.grad = parent.grad + grad
-                elif parent._tracked():
+                elif parent.requires_grad:
                     parent.grad = grad
             node.grad, node._parents, node._backward_fn = None, (), _differentiated
 

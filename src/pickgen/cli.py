@@ -25,7 +25,6 @@ from .corpus import (
     load_corpus,
     read_jsonl,
     save_corpus,
-    tokenize,
 )
 from .decoding import (
     DEFAULT_BEAM_SIZE,
@@ -46,8 +45,8 @@ from .labeling import (
     load_labeled_corpus,
     save_labeled_corpus,
 )
-from .metrics import check_bleu_order, evaluate
-from .model import ModelConfig, check_positions, load_checkpoint
+from .metrics import evaluate
+from .model import ModelConfig, load_checkpoint
 from .synth import generate_corpus
 from .training import TrainConfig, TrainingError, make_model_config, train
 
@@ -80,7 +79,6 @@ DEFAULT_CONFIG: dict = {
     },
     "evaluation": {
         "pickup_mode": "any",
-        "bucket_bleu_n": 2,
     },
 }
 # The type of each setting whose default is null, and the values a setting
@@ -115,12 +113,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fits(value, kind: type) -> bool:
-    """Whether a JSON value has a setting's type: an int is also a float, a
-    bool is never a number, and a list holds ints."""
+    """Whether a JSON value has a setting's type: an int is also a float, no
+    setting takes a bool, and a list holds ints."""
     if kind is list:
         return isinstance(value, list) and all(_fits(item, int) for item in value)
-    return isinstance(value, (int, float) if kind is float else kind) and (
-        kind is bool or not isinstance(value, bool))
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and not isinstance(value, bool))
 
 
 def _overlay(config: dict, user, defaults: dict, where: str = "") -> None:
@@ -300,11 +298,6 @@ def cmd_train(args) -> int:
                          **section)
     model_cfg = _checked("model.", make_model_config, len(vocab), label_mode,
                          seed=config["seed"], **config["model"])
-    # the decoder reads <s> and the reference
-    longest = max((len(tokenize(s.reference, lang)) + 1 for s in raw_samples
-                   if s.reference is not None), default=0)
-    _checked("model.", check_positions, model_cfg,
-             max(config["max_input_len"], longest))
     _ensure_out_dir(args.out_dir)
     vocab_path = os.path.join(args.out_dir, "vocab.json")
     vocab.save(vocab_path)
@@ -362,8 +355,6 @@ def cmd_restore(args) -> int:
     _checked("max_input_len: ", check_max_len, config["max_input_len"])
     _checked("inference.", check_search_settings, inference["beam_size"],
              inference["max_len"], inference["length_penalty"], inference["nbest"])
-    _checked("model.", check_positions, params.config,
-             max(config["max_input_len"], inference["max_len"]))
     _ensure_out_dir(args.out_dir)
     _write_effective_config(config, "restore", args.out_dir)
     out_path = os.path.join(args.out_dir, "predictions.jsonl")
@@ -384,8 +375,6 @@ def cmd_restore(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args)
     lang = _language_config(config)
-    _checked("evaluation.bucket_bleu_n: ", check_bleu_order,
-             config["evaluation"]["bucket_bleu_n"])
     predictions = load_predictions(args.predictions)
     _, first = next(read_jsonl(args.gold, CorpusError), ("", {}))
     if "labels" in first:
@@ -399,7 +388,6 @@ def cmd_evaluate(args) -> int:
         lang,
         labeled=labeled,
         pickup_mode=config["evaluation"]["pickup_mode"],
-        bucket_bleu_n=config["evaluation"]["bucket_bleu_n"],
     )
     _ensure_out_dir(args.out_dir)
     _write_effective_config(config, "evaluate", args.out_dir)
@@ -477,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True, help="gold corpus JSONL")
     p.add_argument("--pickup-mode", dest="evaluation.pickup_mode",
                    choices=CHOICES["evaluation.pickup_mode"])
-    p.add_argument("--bucket-bleu-n", dest="evaluation.bucket_bleu_n", type=int)
     p.set_defaults(func=cmd_evaluate)
 
     return parser

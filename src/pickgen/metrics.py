@@ -264,7 +264,6 @@ def evaluate(
     cfg: LanguageConfig,
     labeled: list[LabeledSample] | None = None,
     pickup_mode: str = "any",
-    bucket_bleu_n: int = 2,
 ) -> EvalReport:
     """Aggregate every reported metric over a prediction/gold pairing.
 
@@ -291,7 +290,7 @@ def evaluate(
     pred_tokens = {s.id: tokenize(predictions[s.id], cfg) for s in gold}
     plain, restored = zip(*(
         count_ngrams(pred_tokens[s.id], tokenize(s.reference, cfg),
-                     tokenize(s.incomplete, cfg), max(4, bucket_bleu_n), 3)
+                     tokenize(s.incomplete, cfg), 4, 3)
         for s in gold
     ))
 
@@ -317,7 +316,6 @@ def evaluate(
     difference = length_difference(
         [(predictions[s.id], s.reference) for s in gold]
     )
-    check_bleu_order(bucket_bleu_n)
     buckets: dict[str, list[list[Counts]]] = {}  # in order of first sample
     for s, sample_plain in zip(gold, plain):
         length = input_char_length(s, cfg)
@@ -339,7 +337,7 @@ def evaluate(
         pickup_mode=pickup_mode,
         difference=difference,
         bleu_by_length={
-            label: 100.0 * _corpus_bleu(group, bucket_bleu_n)
+            label: 100.0 * _corpus_bleu(group, 2)
             for label, group in buckets.items()
         },
         bucket_counts={label: len(group) for label, group in buckets.items()},

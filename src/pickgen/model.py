@@ -5,9 +5,7 @@ Architecture follows the T5 family: pre-norm residual blocks with RMS
 normalization, no biases on attention or feed-forward projections, shared
 input embedding between encoder and decoder, and bucketed relative-position
 biases added to attention logits (bidirectional buckets in the encoder,
-unidirectional in the decoder, none on cross attention). An optional flag
-also adds a learned absolute position embedding to the input; the
-relative-position biases apply either way.
+unidirectional in the decoder, none on cross attention).
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .corpus import atomic_write
 
 NORM_EPS = 1e-6
 MASK_NEG = -1e9
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ModelError(ValueError):
@@ -47,8 +45,6 @@ class ModelConfig:
     rel_pos_buckets: int = 32
     rel_pos_max_distance: int = 128
     dropout: float = 0.1
-    literal_pe: bool = False
-    max_positions: int = 512
     seed: int = 0
 
     def __post_init__(self):
@@ -100,8 +96,6 @@ def _tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("enc_rel_bias", (cfg.rel_pos_buckets, h)),
         ("dec_rel_bias", (cfg.rel_pos_buckets, h)),
     ]
-    if cfg.literal_pe:
-        shapes.append(("pe_table", (cfg.max_positions, d)))
     for i in range(cfg.num_layers):
         shapes += [
             (f"enc{i}.norm1", (d,)),
@@ -143,7 +137,7 @@ def is_weight_matrix(name: str, shape: tuple[int, ...]) -> bool:
     excluding embeddings, relative-bias tables, norms, and biases."""
     if len(shape) != 2:
         return False
-    return name not in ("embedding", "pe_table") and not name.endswith("_rel_bias")
+    return name != "embedding" and not name.endswith("_rel_bias")
 
 
 @dataclass
@@ -170,7 +164,7 @@ def init_parameters(cfg: ModelConfig) -> ModelParameters:
     for name, shape in _tensor_shapes(cfg):
         if len(shape) == 1:  # the picker biases start at zero, norm scales at one
             data = np.zeros(shape) if name.startswith("picker.") else np.ones(shape)
-        elif name in ("embedding", "pe_table"):
+        elif name == "embedding":
             data = rng.standard_normal(shape)
         elif name.endswith("_rel_bias"):
             data = rng.standard_normal(shape) * 0.1
@@ -288,27 +282,13 @@ def _causal_bias(q_len: int, k_len: int) -> np.ndarray:
     return np.triu(np.full((q_len, k_len), MASK_NEG), k=k_len - q_len + 1)[None, None]
 
 
-def check_positions(cfg: ModelConfig, length: int) -> None:
-    """Raise ModelError when a literal-PE model has no position embedding
-    for each of `length` positions."""
-    if cfg.literal_pe and length > cfg.max_positions:
-        raise ModelError(f"max_positions {cfg.max_positions} cannot hold "
-                         f"{length} positions")
-
-
-def embed(input_ids: np.ndarray, params: ModelParameters, offset: int = 0) -> Tensor:
-    """Word embedding rows, plus a learned absolute positional term (for
-    positions offset onwards) when the literal-PE flag is on."""
+def embed(input_ids: np.ndarray, params: ModelParameters) -> Tensor:
+    """Word embedding rows; word order reaches the model only through the
+    relative-position biases."""
     ids = np.asarray(input_ids, dtype=np.int64)
-    cfg = params.config
-    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+    if ids.size and (ids.min() < 0 or ids.max() >= params.config.vocab_size):
         raise ModelError("token id out of vocabulary range")
-    x = params["embedding"].lookup(ids)
-    if cfg.literal_pe:
-        length = offset + ids.shape[-1]
-        check_positions(cfg, length)
-        x = x + params["pe_table"].lookup(np.arange(offset, length))
-    return x
+    return params["embedding"].lookup(ids)
 
 
 def encode(
@@ -423,7 +403,7 @@ def decode_forward(
     if cache is None:
         cache = DecoderCache(source=np.arange(enc.hidden.shape[0]))
     past = cache.length
-    y = _dropout(embed(ids, params, past), cfg.dropout, dropout_rng)
+    y = _dropout(embed(ids, params), cfg.dropout, dropout_rng)
     t = y.shape[1]
     rel = _rel_bias(params["dec_rel_bias"], t, past + t, False, cfg, past)
     self_bias = _causal_bias(t, past + t)
@@ -487,7 +467,6 @@ def save_checkpoint(
     manifest = {
         "version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
-        "seed": params.config.seed,
         "vocab_sha256": vocab_sha256,
         "tensors": entries,
     }
@@ -504,8 +483,9 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
             manifest = json.loads(header.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelError(f"{path}: not a checkpoint file ({exc})") from exc
-        if manifest.get("version") != CHECKPOINT_VERSION:
-            raise ModelError(f"{path}: unsupported checkpoint version")
+        version = manifest.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise ModelError(f"{path}: unsupported checkpoint version {version!r}")
         cfg = ModelConfig.from_dict(manifest["config"])
         expected = _tensor_shapes(cfg)
         listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]

@@ -33,12 +33,8 @@ def builtin_stopwords(language: str) -> frozenset[str]:
     ref = root.joinpath(name)
     if not ref.is_file():
         raise ValueError(f"no builtin stopword list for language {language!r}")
-    words = set()
-    for line in ref.read_text(encoding="utf-8").splitlines():
-        tok = line.strip()
-        if tok:
-            words.add(tok)
-    return frozenset(words)
+    with resources.as_file(ref) as path:
+        return load_stopwords(path)
 
 
 # ---------------------------------------------------------------------------

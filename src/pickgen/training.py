@@ -150,13 +150,21 @@ def clip_gradients(
 ) -> tuple[dict[str, np.ndarray], float]:
     """Scale gradients in place so their global L2 norm is at most max_norm;
     no two of them may share memory. A norm whose squares overflow while
-    every gradient is finite is taken again over g / max|g|."""
+    every gradient is finite is taken again over g / max|g|, and such
+    gradients are divided by max|g| before they are scaled, so that neither
+    step's factor is subnormal or zero even when the norm itself is inf."""
     with np.errstate(over="ignore"):
         total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if not math.isfinite(total) and all(np.isfinite(g).all() for g in grads.values()):
         top = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
         squares = sum(float(((g / top) ** 2).sum()) for g in grads.values())
         total = top * math.sqrt(squares)
+        if 0.0 < max_norm < total:
+            scale = max_norm / math.sqrt(squares)
+            for g in grads.values():
+                g /= top
+                g *= scale
+        return grads, total
     if max_norm <= 0.0 or total <= max_norm or total == 0.0:
         return grads, total
     scale = max_norm / total

@@ -587,6 +587,7 @@ class TestGraphMechanics:
         for node in interior:
             assert node.grad is None and node._parents == ()
             assert node._backward_fn is _differentiated
+            assert node.requires_grad  # a used-up node still routes gradients
         # leaves keep their (bit-equal) gradients, nodes keep their data
         np.testing.assert_array_equal(a.grad, expected[0])
         np.testing.assert_array_equal(w.grad, expected[1])
@@ -628,6 +629,7 @@ class TestGraphMechanics:
         np.testing.assert_array_equal(x.grad, mask)
         # an array factor, such as a dropout mask, is no node at all
         assert (x * mask)._parents == (x,)
+        assert (x * mask).requires_grad and not (offset * mask).requires_grad
 
     def test_deep_chain_does_not_overflow_stack(self):
         x = parameter(np.array(1.0))
@@ -641,7 +643,7 @@ class TestGraphMechanics:
         x = parameter(np.array(1.0))
         with no_grad():
             y = x * 2.0
-        assert y._parents == ()
+        assert y._parents == () and not y.requires_grad
         with pytest.raises(ValueError):
             y.backward()
 
@@ -660,7 +662,7 @@ class TestGraphMechanics:
         c = Tensor([1.0, 2.0])
         assert not c.requires_grad
         out = c * 2.0
-        assert out._parents == ()
+        assert out._parents == () and not out.requires_grad
 
 
 class TestBroadcasting:

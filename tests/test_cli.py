@@ -155,7 +155,15 @@ class TestConfig:
         ("restore", ["--in", "corpus.jsonl", "--checkpoint", "checkpoint.bin"],
          {"inference": {"beam": 3}}, "inference.beam"),
         ("train", ["--in", "labeled.jsonl"], {"train": {"epoch": 2}}, "train.epoch"),
-    ], ids=["restore", "train"])
+        # settings that were removed: word order comes from the relative
+        # biases alone, and the length buckets always score BLEU-2
+        ("train", ["--in", "labeled.jsonl"], {"model": {"literal_pe": True}},
+         "model.literal_pe"),
+        ("train", ["--in", "labeled.jsonl"], {"model": {"max_positions": 8}},
+         "model.max_positions"),
+        ("evaluate", ["--predictions", "predictions.jsonl", "--gold", "gold.jsonl"],
+         {"evaluation": {"bucket_bleu_n": 2}}, "evaluation.bucket_bleu_n"),
+    ], ids=["restore", "train", "literal_pe", "max_positions", "bucket_bleu_n"])
     def test_unknown_section_key(self, tmp_path, capsys, command, args, user, key):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(user), encoding="utf-8")
@@ -203,7 +211,6 @@ SETTING_FLAGS = [
     ("restore", "--length-penalty", "0.5", "inference.length_penalty", 0.5),
     ("restore", "--nbest", "2", "inference.nbest", 2),
     ("evaluate", "--pickup-mode", "all", "evaluation.pickup_mode", "all"),
-    ("evaluate", "--bucket-bleu-n", "3", "evaluation.bucket_bleu_n", 3),
 ]
 
 # (command, flag, value): a setting no run can use, rejected before any file;
@@ -230,7 +237,7 @@ INVALID_SETTINGS = [
     ("restore", "--length-penalty", "1000"),
     ("restore", "--nbest", "0"),
     ("evaluate", "--pickup-mode", "some"),
-    ("evaluate", "--bucket-bleu-n", "0"),
+    ("evaluate", "--bucket-bleu-n", "3"),  # removed: argparse refuses it
     ("synth", "--seed", "-1"),
     ("train", "--seed", "-1"),
 ]
@@ -248,7 +255,6 @@ KEY_OF = {(command, flag): key for command, flag, _, key, _ in SETTING_FLAGS}
 INVALID_CONFIGS = [
     ("train", {"train": {"batch_size": "3"}}, "train.batch_size"),
     ("train", {"train": {"batch_size": True}}, "train.batch_size"),
-    ("train", {"model": {"literal_pe": "false"}}, "model.literal_pe"),
     ("train", {"model": {"picker_hidden": [8, "a"]}}, "model.picker_hidden"),
     ("restore", {"inference": {"max_len": 2.5}}, "inference.max_len"),
     ("restore", {"inference": {"beam_size": "3"}}, "inference.beam_size"),
@@ -268,7 +274,6 @@ INVALID_CONFIGS = [
     ("train", {"vocab_size": 6}, "vocab_size"),
     ("train", {"max_input_len": 2}, "max_input_len"),
     ("restore", {"max_input_len": 2}, "max_input_len"),
-    ("evaluate", {"evaluation": {"bucket_bleu_n": 0}}, "evaluation.bucket_bleu_n"),
     ("label", {"label_mode": "none"}, "label_mode"),
     ("label", {"label_mode": "soft", "embedding_fallback": "zero"},
      "embedding_fallback"),
@@ -276,11 +281,10 @@ INVALID_CONFIGS = [
     ("train", {"model": {"rel_pos_max_distance": 0}}, "model.rel_pos_max_distance"),
     ("train", {"model": {"rel_pos_max_distance": 4}}, "model.rel_pos_max_distance"),
     ("train", {"model": {"picker_hidden": [0]}}, "model.picker_hidden"),
-    ("train", {"model": {"literal_pe": True, "max_positions": 3}},
-     "model.max_positions"),
-    # inputs fit in 7 positions, but the longest <s> + reference takes 8
-    ("train", {"max_input_len": 7, "model": {"literal_pe": True, "max_positions": 7}},
-     "model.max_positions"),
+    # no setting takes a bool, whatever its type
+    ("train", {"model": {"dropout": True}}, "model.dropout"),
+    ("train", {"model": {"picker_hidden": [True]}}, "model.picker_hidden"),
+    ("evaluate", {"evaluation": {"pickup_mode": False}}, "evaluation.pickup_mode"),
 ]
 
 
@@ -288,11 +292,6 @@ def _laid_over(base: dict, user: dict) -> dict:
     return {**base, **{key: _laid_over(base[key], value)
                        if isinstance(value, dict) and key in base else value
                        for key, value in user.items()}}
-
-
-# TINY_CONFIG with a literal position table just long enough for its inputs
-PE_CONFIG = _laid_over(TINY_CONFIG, {
-    "max_input_len": 24, "model": {"literal_pe": True, "max_positions": 24}})
 
 
 class TestSettingFlags:
@@ -311,9 +310,6 @@ class TestSettingFlags:
             "restore", "--in", str(corpus), "--out-dir", str(tmp_path / "restore"),
             "--checkpoint", str(train_dir / "checkpoint.bin"), "--config", str(config),
         ]) == 0
-        pe_config = tmp_path / "pe-config.json"
-        pe_config.write_text(json.dumps(PE_CONFIG), encoding="utf-8")
-        pe_dir = run_train(tmp_path, labeled, str(pe_config), out="train-pe")
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_text("the\na\n", encoding="utf-8")
         embeddings = tmp_path / "vectors.txt"
@@ -326,8 +322,6 @@ class TestSettingFlags:
                         "--checkpoint", str(train_dir / "checkpoint.bin")],
             "evaluate": ["--gold", str(labeled), "--predictions",
                          str(tmp_path / "restore" / "predictions.jsonl")],
-            "restore-pe": ["--in", str(corpus),
-                           "--checkpoint", str(pe_dir / "checkpoint.bin")],
             "{stopwords}": str(stopwords),
             "{embeddings}": str(embeddings),
         }
@@ -383,26 +377,6 @@ class TestSettingFlags:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
-
-    @pytest.mark.parametrize("user,ok", [
-        ({}, True),
-        ({"max_input_len": 25}, False),
-        ({"inference": {"max_len": 24}}, True),
-        ({"inference": {"max_len": 25}}, False),
-    ], ids=["fits", "max_input_len", "max_len-fits", "max_len"])
-    def test_restore_checks_positions_of_literal_pe_before_any_write(
-            self, tmp_path, capsys, inputs, user, ok):
-        # the checkpoint's position table holds 24 positions
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(_laid_over(PE_CONFIG, user)), encoding="utf-8")
-        out_dir = tmp_path / "out"
-        code = main(["restore", "--out-dir", str(out_dir), *inputs["restore-pe"],
-                     "--config", str(cfg)])
-        assert code == (0 if ok else 1)
-        if not ok:
-            assert "model.max_positions 24 cannot hold 25 positions" in \
-                capsys.readouterr().err
-            assert not out_dir.exists() or not any(out_dir.iterdir())
 
     @pytest.mark.parametrize("command,flag", UNREADABLE_FILES)
     def test_unreadable_file_is_runtime_error_before_any_write(

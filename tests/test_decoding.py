@@ -276,8 +276,7 @@ class TestDecoderCache:
         params = init_parameters(ModelConfig(
             vocab_size=11, d_model=8, num_layers=num_layers, num_heads=2,
             ffn_dim=16, picker_widths=(4, 3), rel_pos_buckets=8,
-            rel_pos_max_distance=6, dropout=0.0, literal_pe=True,
-            max_positions=16, seed=num_layers))
+            rel_pos_max_distance=6, dropout=0.0, seed=num_layers))
         rng = np.random.default_rng(num_layers)
         inputs = [rng.integers(3, 11, size=n).tolist() + [EOS_ID] for n in (3, 8)]
         ids = np.full((2, 9), PAD_ID)

@@ -240,9 +240,22 @@ class TestBleuByLength:
         gold = [_sample_of_length(n, str(n)) for n in (99, 100, 200, 201)]
         assert [input_char_length(s, ENGLISH) for s in gold] == [99, 100, 200, 201]
         predictions = {s.id: s.reference for s in gold}
-        report = evaluate(predictions, gold, ENGLISH, bucket_bleu_n=1)
+        report = evaluate(predictions, gold, ENGLISH)
         assert report.bucket_counts == {"<100": 1, "100-200": 2, ">200": 1}
         assert report.bleu_by_length == {"<100": 100.0, "100-200": 100.0, ">200": 100.0}
+
+    def test_each_bucket_scores_bleu2(self):
+        # a row holds the BLEU-2 its samples would score alone, as its label says
+        synth = generate_corpus(6, seed=0)
+        long = [_sample_of_length(n, str(n)) for n in (150, 250)]
+        predictions = {s.id: s.incomplete for s in synth}
+        predictions.update({"150": "y apple y", "250": "apple y apple"})
+        report = evaluate(predictions, [*synth, *long], ENGLISH)
+        assert report.bucket_counts == {"<100": 6, "100-200": 1, ">200": 1}
+        alone = [evaluate(predictions, group, ENGLISH)
+                 for group in (synth, long[:1], long[1:])]
+        assert list(report.bleu_by_length.values()) == [r.bleu2 for r in alone]
+        assert alone[0].bleu2 != alone[0].bleu4
 
     def test_empty_buckets_absent(self):
         gold = [_sample_of_length(20, "0")]
@@ -423,16 +436,15 @@ class TestEvaluateMatchesPerMetricOracle:
         language=st.sampled_from(["english", "chinese"]),
         labels=st.sampled_from([None, "hard", "soft"]),
         pickup_mode=st.sampled_from(["any", "all"]),
-        bucket_bleu_n=st.integers(1, 6),
     )
-    def test_report_bytes(self, corpus, language, labels, pickup_mode, bucket_bleu_n):
+    def test_report_bytes(self, corpus, language, labels, pickup_mode):
         gold, predictions = corpus
         cfg = LanguageConfig.for_language(language)
         labeled = None if labels is None else label_corpus(gold, labels, EmbeddingTable(), cfg)
         args = (predictions, gold, cfg)
-        kwargs = dict(labeled=labeled, pickup_mode=pickup_mode, bucket_bleu_n=bucket_bleu_n)
+        kwargs = dict(labeled=labeled, pickup_mode=pickup_mode)
         assert _outcome(evaluate, *args, **kwargs) == _outcome(
-            evaluate_per_metric, *args, **kwargs)
+            evaluate_per_metric, *args, bucket_bleu_n=2, **kwargs)
 
     def test_real_predictions_score_as_the_oracle_does(self):
         gold = generate_corpus(30, seed=3)
@@ -441,8 +453,8 @@ class TestEvaluateMatchesPerMetricOracle:
             {s.id: s.reference for s in gold},
             {s.id: incompletes[i - 1] for i, s in enumerate(gold)},
         ):
-            assert _outcome(evaluate, predictions, gold, ENGLISH, bucket_bleu_n=4) == (
-                _outcome(evaluate_per_metric, predictions, gold, ENGLISH, bucket_bleu_n=4))
+            assert _outcome(evaluate, predictions, gold, ENGLISH) == (
+                _outcome(evaluate_per_metric, predictions, gold, ENGLISH, bucket_bleu_n=2))
 
 
 def _malformed_cases():
@@ -461,12 +473,11 @@ def _malformed_cases():
         "missing labels before a bad pickup mode": (
             predictions, gold, {"labeled": labeled, "pickup_mode": "some"}),
         "bad pickup mode": (predictions, gold, {"pickup_mode": "some"}),
-        "bad pickup mode before a bad order": (
-            predictions, gold, {"pickup_mode": "some", "bucket_bleu_n": 0}),
         "no important tokens": ({"u": "b"}, unimportant, {}),
-        "no important tokens before a bad order": (
-            {"u": "b"}, unimportant, {"bucket_bleu_n": 0}),
-        "bad order": (predictions, gold, {"bucket_bleu_n": 0}),
+        "missing prediction before a bad pickup mode": (
+            {gold[0].id: "x"}, gold, {"pickup_mode": "some"}),
+        "bad pickup mode before no important tokens": (
+            {"u": "b"}, unimportant, {"pickup_mode": "some"}),
     }
 
 

@@ -28,7 +28,6 @@ from pickgen.model import (
     ModelError,
     NonFiniteError,
     _tensor_shapes,
-    check_positions,
     decode_forward,
     embed,
     encode,
@@ -112,7 +111,7 @@ class TestModelConfig:
             tiny_config(picker_widths=widths)
 
     def test_dict_round_trip(self):
-        cfg = tiny_config(literal_pe=True)
+        cfg = tiny_config()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -147,24 +146,21 @@ class TestInitParameters:
             assert (p[f"picker.b{j}"].data == 0.0).all()
         assert p["picker.w6"].data.shape == (4, 3)
 
-    def test_pe_table_only_when_literal(self):
-        assert "pe_table" not in init_parameters(tiny_config()).tensors
-        assert "pe_table" in init_parameters(
-            tiny_config(literal_pe=True)).tensors
-
 
 class TestIsWeightMatrix:
     @pytest.mark.parametrize(
         "name,shape,expected",
         [
             ("embedding", (12, 8), False),
-            ("pe_table", (512, 8), False),
+            ("dec_rel_bias", (8, 2), False),
             ("enc_rel_bias", (8, 2), False),
             ("lm_head", (8, 12), True),
             ("enc0.attn.wq", (8, 8), True),
             ("picker.w0", (8, 6), True),
             ("picker.b0", (6,), False),
             ("enc0.norm1", (8,), False),
+            ("dec0.cross.wq", (8, 8), True),
+            ("enc_final_norm", (8,), False),
         ],
     )
     def test_cases(self, name, shape, expected):
@@ -219,27 +215,6 @@ class TestEmbed:
         with pytest.raises(ModelError):
             embed(np.array([[-1]]), params)
 
-    def test_literal_pe_added(self):
-        p = init_parameters(tiny_config(literal_pe=True, max_positions=6))
-        ids = np.array([[3, 4]])
-        out = embed(ids, p)
-        expected = p["embedding"].data[ids] + p["pe_table"].data[:2]
-        np.testing.assert_array_equal(out.data, expected)
-
-    def test_literal_pe_length_cap(self):
-        p = init_parameters(tiny_config(literal_pe=True, max_positions=3))
-        with pytest.raises(ModelError, match="max_positions 3 cannot hold 4"):
-            embed(np.array([[1, 2, 3, 4]]), p)
-        with pytest.raises(ModelError, match="max_positions 3 cannot hold 4"):
-            embed(np.array([[1]]), p, offset=3)
-        embed(np.array([[1]]), p, offset=2)
-
-    def test_check_positions_only_with_literal_pe(self):
-        check_positions(tiny_config(literal_pe=True, max_positions=3), 3)
-        check_positions(tiny_config(max_positions=3), 4)
-        with pytest.raises(ModelError, match="^max_positions 3 cannot hold 4"):
-            check_positions(tiny_config(literal_pe=True, max_positions=3), 4)
-
 
 class TestEncode:
     def test_shape_and_determinism(self, params):
@@ -264,6 +239,18 @@ class TestEncode:
         a = encode(np.array([[6, 7, 3, 0, 0]]), mask, params).hidden.data
         b = encode(np.array([[6, 7, 3, 9, 11]]), mask, params).hidden.data
         assert np.array_equal(a[:, :3], b[:, :3])
+
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat-bias", "varied-bias"])
+    def test_word_order_enters_only_through_the_relative_bias(self, params, flat):
+        # with one value in every bias bucket the encoder reads its input as
+        # a bag of tokens: permuting the input permutes the outputs, no more
+        params["enc_rel_bias"].data[:] = 0.0 if flat else RNG.normal(size=(8, 2))
+        ids = np.array([[6, 7, 4, 8, 5, 3]])
+        order = np.array([2, 0, 5, 1, 4, 3])
+        mask = np.ones((1, 6))
+        hidden = encode(ids, mask, params).hidden.data
+        permuted = encode(ids[:, order], mask, params).hidden.data
+        assert np.allclose(permuted, hidden[:, order], rtol=1e-12, atol=1e-12) is flat
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_detection_names_layer(self, params):
@@ -519,13 +506,33 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch(self, params, tmp_path):
+        # version 1 manifests carried literal_pe, max_positions and a top-level seed
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
         header, _, payload = path.read_bytes().partition(b"\n")
-        bad = header.replace(b'"version": 1', b'"version": 2')
-        path.write_bytes(bad + b"\n" + payload)
-        with pytest.raises(ModelError, match="version"):
+        manifest = json.loads(header)
+        manifest["config"].update(literal_pe=False, max_positions=512)
+        manifest.update(version=1, seed=manifest["config"]["seed"])
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        with pytest.raises(ModelError, match="unsupported checkpoint version 1$"):
             load_checkpoint(path)
+
+    def test_newer_version_rejected(self, params, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        header, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(header.replace(b'"version": 2', b'"version": 3')
+                         + b"\n" + payload)
+        with pytest.raises(ModelError, match="unsupported checkpoint version 3$"):
+            load_checkpoint(path)
+
+    def test_manifest_holds_the_config_once(self, params, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        manifest = json.loads(path.read_bytes().partition(b"\n")[0])
+        assert manifest["version"] == M.CHECKPOINT_VERSION == 2
+        assert sorted(manifest) == ["config", "tensors", "version", "vocab_sha256"]
+        assert ModelConfig.from_dict(manifest["config"]) == params.config
 
     def test_truncated_payload(self, params, tmp_path):
         path = tmp_path / "ckpt.bin"
@@ -574,10 +581,3 @@ class TestCheckpoint:
         with pytest.raises(ModelError,
                            match=re.escape(f"{path}: dec_rel_bias must span")):
             load_checkpoint(path)
-
-    def test_literal_pe_round_trip(self, tmp_path):
-        p = init_parameters(tiny_config(literal_pe=True, max_positions=6))
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(p, path)
-        loaded, _ = load_checkpoint(path)
-        assert "pe_table" in loaded.tensors

@@ -1,5 +1,7 @@
 """Tests for stopword loading, lemmatization, and stemming."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +32,14 @@ class TestStopwords:
         path = tmp_path / "stops.txt"
         path.write_text("foo\n\nbar\n", encoding="utf-8")
         assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+    @pytest.mark.parametrize("language,size", [("english", 143), ("chinese", 70)])
+    def test_builtin_reads_as_its_file_does(self, language, size):
+        # one line per word in the packaged file, no blank lines or repeats
+        path = resources.files("pickgen") / f"resources/stopwords/{language}.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert builtin_stopwords(language) == load_stopwords(path) == frozenset(lines)
+        assert len(lines) == size
 
     def test_builtin_is_cached(self):
         assert builtin_stopwords("english") is builtin_stopwords("english")

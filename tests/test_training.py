@@ -206,6 +206,15 @@ class TestClipGradients:
         np.testing.assert_allclose(clipped["a"], [math.sqrt(0.5)] * 2, rtol=1e-12)
         assert 0.0 < clipped["b"][0] < 1e-199
 
+    def test_overflowing_norm_still_scales(self):
+        # the norm itself overflows: max_norm / inf would zero every entry
+        grads = {"a": np.array([1.5e308, 1.5e308])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped, total = clip_gradients(grads, 1.0)
+        assert total == math.inf
+        np.testing.assert_allclose(clipped["a"], [math.sqrt(0.5)] * 2, rtol=1e-12)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_gradient_keeps_a_non_finite_norm(self, bad):
         # cap 0: the norm alone, without scaling by a non-finite factor
@@ -335,7 +344,7 @@ class TestOptimizerStep:
         data, vocab, _ = _tiny_setup()
         mcfg = make_model_config(
             len(vocab), "hard", seed=1, d_model=8, num_layers=2, num_heads=2,
-            ffn_dim=16, picker_hidden=(4,), literal_pe=True)
+            ffn_dim=16, picker_hidden=(4,))
         params = init_parameters(mcfg)
         batch = collate([encode_sample(item.sample, vocab, ENGLISH, labels=item.labels)
                          for item in data])
