@@ -59,7 +59,6 @@ DEFAULT_CONFIG: dict = {
     "vocab_size": 2000,
     "max_input_len": DEFAULT_MAX_LEN,
     "embeddings": None,
-    "embedding_fallback": "hash",
     "label_mode": "hard",
     "model": {
         **{f.name: f.default for f in fields(ModelConfig)
@@ -87,7 +86,6 @@ NULLABLE = {"stopword_path": str, "embeddings": str, "train.epochs": int,
             "inference.max_len": int}
 CHOICES = {
     "language": ("english", "chinese", "other"),
-    "embedding_fallback": ("hash", "zero"),
     "label_mode": (*LABEL_MODES, "none"),
     "evaluation.pickup_mode": ("any", "all"),
 }
@@ -207,12 +205,8 @@ def _require_references(samples, verb: str, error: type) -> None:
 
 def _embedding_table(config: dict) -> EmbeddingTable:
     if config["embeddings"] is not None:
-        return load_embeddings(
-            config["embeddings"],
-            fallback=config["embedding_fallback"],
-            seed=config["seed"],
-        )
-    return EmbeddingTable(fallback=config["embedding_fallback"], seed=config["seed"])
+        return load_embeddings(config["embeddings"], seed=config["seed"])
+    return EmbeddingTable(seed=config["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +238,6 @@ def cmd_label(args) -> int:
     if mode not in LABEL_MODES:
         raise UsageError(f"label_mode {mode!r}: label writes "
                          f"{' or '.join(LABEL_MODES)} labels")
-    if mode == "soft" and config["embeddings"] is None \
-            and config["embedding_fallback"] == "zero":
-        raise UsageError("embedding_fallback: soft labeling needs an "
-                         "embeddings file or the hash fallback")
     samples = load_corpus(args.corpus)
     _require_references(samples, "label", LabelError)
     emb = _embedding_table(config)
@@ -430,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
     p.add_argument("--mode", dest="label_mode", choices=LABEL_MODES)
     p.add_argument("--embeddings", help="word-vector text file")
-    p.add_argument("--embedding-fallback", choices=CHOICES["embedding_fallback"])
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="joint picker/generator training")

@@ -40,30 +40,22 @@ class LabelError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Fixed word vectors with a configurable policy for absent tokens.
-
-    fallback "hash" draws a deterministic pseudo-random vector from a
-    digest of the token, so any corpus can be scored without an external
-    vector file; "zero" scores absent tokens 0 against everything.
-    """
+    """Fixed word vectors; a token absent from them gets a deterministic
+    pseudo-random vector drawn from a digest of the token, so any corpus
+    can be scored without an external vector file."""
 
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
     dim: int = 32
-    fallback: str = "hash"
     seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
             raise LabelError("embedding dimension must be >= 1")
-        if self.fallback not in ("hash", "zero"):
-            raise LabelError(f"unknown fallback policy {self.fallback!r}")
 
     def vector(self, token: str) -> np.ndarray:
         vec = self.vectors.get(token)
         if vec is not None:
             return vec
-        if self.fallback == "zero":
-            return np.zeros(self.dim)
         digest = hashlib.blake2b(
             token.encode("utf-8"), digest_size=8, salt=str(self.seed).encode()[:16]
         ).digest()
@@ -71,23 +63,33 @@ class EmbeddingTable:
         return rng.standard_normal(self.dim)
 
 
-def load_embeddings(path: str, fallback: str = "hash", seed: int = 0) -> EmbeddingTable:
+def load_embeddings(path: str, seed: int = 0) -> EmbeddingTable:
     """Read the plain-text word-vector format: a "count dim" header line,
-    then one "token v1 ... vd" line per token."""
+    then one "token v1 ... vd" line per token, each value finite and each
+    token listed once."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise LabelError(f"{path}: expected 'count dim' header line")
-        count, dim = int(header[0]), int(header[1])
+        try:
+            count, dim = (int(x) for x in header)
+        except ValueError:
+            raise LabelError(f"{path}:1: expected 'count dim' header line") from None
         vectors: dict[str, np.ndarray] = {}
         for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
+            token, *values = line.rstrip("\n").split(" ")
+            if len(values) != dim:
                 raise LabelError(f"{path}:{lineno}: expected token plus {dim} values")
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
+            if token in vectors:
+                raise LabelError(f"{path}:{lineno}: token {token!r} listed twice")
+            try:
+                vec = np.array([float(x) for x in values])
+            except ValueError as exc:
+                raise LabelError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise LabelError(f"{path}:{lineno}: non-finite value")
+            vectors[token] = vec
     if len(vectors) != count:
         raise LabelError(f"{path}: header declared {count} vectors, found {len(vectors)}")
-    return EmbeddingTable(vectors, dim, fallback, seed)
+    return EmbeddingTable(vectors, dim, seed)
 
 
 @dataclass(frozen=True)

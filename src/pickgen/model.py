@@ -483,12 +483,19 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
             manifest = json.loads(header.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelError(f"{path}: not a checkpoint file ({exc})") from exc
+        if not isinstance(manifest, dict):
+            raise ModelError(f"{path}: malformed manifest (not a JSON object)")
         version = manifest.get("version")
         if version != CHECKPOINT_VERSION:
             raise ModelError(f"{path}: unsupported checkpoint version {version!r}")
-        cfg = ModelConfig.from_dict(manifest["config"])
+        try:
+            cfg = ModelConfig.from_dict(manifest["config"])
+            listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
+            spans = [(e["offset"], e["size"]) for e in manifest["tensors"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(
+                f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
         expected = _tensor_shapes(cfg)
-        listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
         if listed != expected:
             raise ModelError(f"{path}: tensor listing does not match config")
         blob = fh.read()
@@ -499,12 +506,12 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
         raise ModelError(f"{path}: {problem} payload ({len(blob)} bytes, not {total})")
     tensors: dict[str, Tensor] = {}
     lo = 0
-    for entry, (name, shape) in zip(manifest["tensors"], expected):
+    for (offset, size), (name, shape) in zip(spans, expected):
         hi = lo + 4 * math.prod(shape)
-        if (entry["offset"], entry["size"]) != (lo, hi - lo):
+        if (offset, size) != (lo, hi - lo):
             raise ModelError(
                 f"{path}: {name} must span payload bytes {lo}..{hi}, not offset "
-                f"{entry['offset']} size {entry['size']}")
+                f"{offset} size {size}")
         flat = np.frombuffer(blob[lo:hi], dtype="<f4").astype(np.float64)
         tensors[name] = parameter(flat.reshape(shape))
         lo = hi

@@ -156,14 +156,18 @@ class TestConfig:
          {"inference": {"beam": 3}}, "inference.beam"),
         ("train", ["--in", "labeled.jsonl"], {"train": {"epoch": 2}}, "train.epoch"),
         # settings that were removed: word order comes from the relative
-        # biases alone, and the length buckets always score BLEU-2
+        # biases alone, the length buckets always score BLEU-2, and a word
+        # without a vector always gets its hash vector
         ("train", ["--in", "labeled.jsonl"], {"model": {"literal_pe": True}},
          "model.literal_pe"),
         ("train", ["--in", "labeled.jsonl"], {"model": {"max_positions": 8}},
          "model.max_positions"),
         ("evaluate", ["--predictions", "predictions.jsonl", "--gold", "gold.jsonl"],
          {"evaluation": {"bucket_bleu_n": 2}}, "evaluation.bucket_bleu_n"),
-    ], ids=["restore", "train", "literal_pe", "max_positions", "bucket_bleu_n"])
+        ("label", ["--in", "corpus.jsonl"], {"embedding_fallback": "hash"},
+         "embedding_fallback"),
+    ], ids=["restore", "train", "literal_pe", "max_positions", "bucket_bleu_n",
+            "embedding_fallback"])
     def test_unknown_section_key(self, tmp_path, capsys, command, args, user, key):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(user), encoding="utf-8")
@@ -197,7 +201,6 @@ SETTING_FLAGS = [
       )),
     ("label", "--mode", "soft", "label_mode", "soft"),
     ("label", "--embeddings", "{embeddings}", "embeddings", "{embeddings}"),
-    ("label", "--embedding-fallback", "zero", "embedding_fallback", "zero"),
     ("train", "--label-mode", "none", "label_mode", "none"),
     ("train", "--alpha", "0.25", "train.picker_weight", 0.25),
     ("train", "--learning-rate", "0.01", "train.learning_rate", 0.01),
@@ -220,7 +223,7 @@ INVALID_SETTINGS = [
       for command in ("label", "train", "evaluate")
       for flag, value in (("--seed", "x"), ("--language", "klingon"))),
     ("label", "--mode", "none"),
-    ("label", "--embedding-fallback", "cosine"),
+    ("label", "--embedding-fallback", "hash"),  # removed: argparse refuses it
     ("train", "--label-mode", "bio"),
     ("train", "--alpha", "-1"),
     ("train", "--learning-rate", "-1"),
@@ -275,8 +278,6 @@ INVALID_CONFIGS = [
     ("train", {"max_input_len": 2}, "max_input_len"),
     ("restore", {"max_input_len": 2}, "max_input_len"),
     ("label", {"label_mode": "none"}, "label_mode"),
-    ("label", {"label_mode": "soft", "embedding_fallback": "zero"},
-     "embedding_fallback"),
     ("label", {"seed": -1}, "seed"),
     ("train", {"model": {"rel_pos_max_distance": 0}}, "model.rel_pos_max_distance"),
     ("train", {"model": {"rel_pos_max_distance": 4}}, "model.rel_pos_max_distance"),
@@ -515,16 +516,6 @@ class TestLabel:
             for l in (out_dir / "labeled.jsonl").read_text().splitlines()
         ]
         assert all(r["labels"]["mode"] == "soft" for r in rows)
-
-    def test_soft_zero_fallback_without_embeddings(self, tmp_path, capsys):
-        corpus = run_synth(tmp_path)
-        code = main([
-            "label", "--in", str(corpus), "--out-dir", str(tmp_path / "out"),
-            "--mode", "soft", "--embedding-fallback", "zero",
-        ])
-        assert code == 1
-        assert "embedding_fallback" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:

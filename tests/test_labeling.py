@@ -403,18 +403,10 @@ class TestEmbeddingTable:
         b = EmbeddingTable(seed=1).vector("tour")
         assert not np.array_equal(a, b)
 
-    def test_zero_fallback(self):
-        emb = EmbeddingTable(fallback="zero", dim=4)
-        assert emb.vector("absent").tolist() == [0.0] * 4
-
     def test_known_vectors_win(self):
         vec = np.array([1.0, 2.0])
         emb = EmbeddingTable({"tour": vec}, dim=2)
         assert np.array_equal(emb.vector("tour"), vec)
-
-    def test_bad_fallback_rejected(self):
-        with pytest.raises(LabelError):
-            EmbeddingTable(fallback="random")
 
     def test_load_embeddings(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -433,6 +425,19 @@ class TestEmbeddingTable:
         path = tmp_path / "vec.txt"
         path.write_text("1 3\nalpha 1 0\n", encoding="utf-8")
         with pytest.raises(LabelError, match=r":2:"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("text,where,what", [
+        ("1 3\na 1 2 x\n", 2, "'x'"),
+        ("x 3\na 1 2 3\n", 1, "header"),
+        ("2 1\na 1\na 2\n", 3, "'a' listed twice"),
+        ("1 2\na 1 nan\n", 2, "non-finite"),
+    ], ids=["non-numeric value", "non-numeric header", "repeated token",
+            "nan value"])
+    def test_load_embeddings_names_file_and_line(self, tmp_path, text, where, what):
+        path = tmp_path / "vec.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LabelError, match=rf"vec\.txt:{where}: .*{what}"):
             load_embeddings(path)
 
 

@@ -581,3 +581,30 @@ class TestCheckpoint:
         with pytest.raises(ModelError,
                            match=re.escape(f"{path}: dec_rel_bias must span")):
             load_checkpoint(path)
+
+    @staticmethod
+    def _drop(key):
+        def edit(manifest):
+            del manifest["tensors"][1][key]
+            return manifest
+        return edit
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: {**m, "config": {**m["config"], "bogus": 1}},
+        lambda m: {k: v for k, v in m.items() if k != "config"},
+        _drop("shape"),
+        _drop("offset"),
+        _drop("size"),
+        lambda m: [m],
+        lambda m: 2,
+    ], ids=["extra config key", "no config", "entry without shape",
+            "entry without offset", "entry without size", "list", "number"])
+    def test_malformed_manifest_names_the_file(self, params, tmp_path, edit):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        header, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n"
+                         + payload)
+        with pytest.raises(ModelError,
+                           match=re.escape(f"{path}: malformed manifest (")):
+            load_checkpoint(path)
