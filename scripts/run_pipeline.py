@@ -34,7 +34,7 @@ def run_pipeline(work_dir, size: int = 200, seed: int = 0, config=None,
         ["label", "--in", str(corpus), "--out-dir", str(work / "label"),
          "--mode", label_mode, *config],
         ["train", "--in", str(labeled), "--out-dir", str(work / "train"),
-         "--label-mode", label_mode, "--seed", str(seed), *config],
+         "--seed", str(seed), *config],
         ["restore", "--in", str(corpus), "--checkpoint", str(checkpoint),
          "--out-dir", str(work / "restore"), *config],
         ["evaluate", "--predictions", str(predictions), "--gold", str(labeled),

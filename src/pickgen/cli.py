@@ -67,7 +67,7 @@ DEFAULT_CONFIG: dict = {
     },
     "train": {
         **{f.name: f.default for f in fields(TrainConfig)
-           if f.name not in ("adam_eps", "seed", "label_mode", "max_len")},
+           if f.name not in ("seed", "label_mode", "max_len")},
         "epochs": None,  # None: chosen from the corpus size
     },
     "inference": {
@@ -86,7 +86,7 @@ NULLABLE = {"stopword_path": str, "embeddings": str, "train.epochs": int,
             "inference.max_len": int}
 CHOICES = {
     "language": ("english", "chinese", "other"),
-    "label_mode": (*LABEL_MODES, "none"),
+    "label_mode": LABEL_MODES,
     "evaluation.pickup_mode": ("any", "all"),
 }
 
@@ -149,7 +149,11 @@ def load_config(args) -> dict:
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            _overlay(config, json.load(fh), DEFAULT_CONFIG)
+            try:
+                user = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise UsageError(f"{args.config}: invalid JSON ({exc})") from None
+        _overlay(config, user, DEFAULT_CONFIG)
     for dotted, value in vars(args).items():
         if value is not None and dotted.split(".")[0] in DEFAULT_CONFIG:
             for key in reversed(dotted.split(".")):
@@ -203,6 +207,16 @@ def _require_references(samples, verb: str, error: type) -> None:
                     f"(first: {missing[0]!r})")
 
 
+def _read_corpus(path: str, lang: LanguageConfig) -> tuple[list, list | None]:
+    """A corpus file's samples, and its labeled samples if its first record
+    carries labels (else None)."""
+    _, first = next(read_jsonl(path, CorpusError), ("", {}))
+    if "labels" not in first:
+        return load_corpus(path), None
+    labeled = load_labeled_corpus(path, lang)
+    return [item.sample for item in labeled], labeled
+
+
 def _embedding_table(config: dict) -> EmbeddingTable:
     if config["embeddings"] is not None:
         return load_embeddings(config["embeddings"], seed=config["seed"])
@@ -234,14 +248,10 @@ def cmd_synth(args) -> int:
 def cmd_label(args) -> int:
     config = load_config(args)
     lang = _language_config(config)
-    mode = config["label_mode"]
-    if mode not in LABEL_MODES:
-        raise UsageError(f"label_mode {mode!r}: label writes "
-                         f"{' or '.join(LABEL_MODES)} labels")
     samples = load_corpus(args.corpus)
     _require_references(samples, "label", LabelError)
     emb = _embedding_table(config)
-    labeled = label_corpus(samples, mode, emb, lang)
+    labeled = label_corpus(samples, config["label_mode"], emb, lang)
     _ensure_out_dir(args.out_dir)
     out_path = os.path.join(args.out_dir, "labeled.jsonl")
     save_labeled_corpus(labeled, out_path)
@@ -263,24 +273,21 @@ def cmd_label(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args)
     lang = _language_config(config)
-    label_mode = config["label_mode"]
-    if label_mode == "none":
-        corpus = load_corpus(args.corpus)
-    else:
-        corpus = load_labeled_corpus(args.corpus, lang)
+    samples, labeled = _read_corpus(args.corpus, lang)
+    del config["label_mode"]  # the input decides it; a plain corpus has none
+    if labeled:
+        config["label_mode"] = labeled[0].labels.mode
+    label_mode = config.get("label_mode", "none")
     section = config["train"]
     if section["epochs"] is None:
         section["epochs"] = (
             SMALL_CORPUS_EPOCHS
-            if len(corpus) < LARGE_CORPUS_THRESHOLD
+            if len(samples) < LARGE_CORPUS_THRESHOLD
             or section["subsample_fraction"] < 1.0
             else LARGE_CORPUS_EPOCHS
         )
-    raw_samples = [
-        item.sample if hasattr(item, "sample") else item for item in corpus
-    ]
-    _require_references(raw_samples, "train", TrainingError)
-    vocab = _checked("vocab_size: ", build_vocab, raw_samples,
+    _require_references(samples, "train", TrainingError)
+    vocab = _checked("vocab_size: ", build_vocab, samples,
                      config["vocab_size"], lang)
     _checked("max_input_len: ", check_max_len, config["max_input_len"])
     train_cfg = _checked("train.", TrainConfig, label_mode=label_mode,
@@ -294,7 +301,7 @@ def cmd_train(args) -> int:
     vocab_sha = _sha256_of(vocab_path)
     _write_effective_config(config, "train", args.out_dir)
     result = train(
-        corpus,
+        labeled or samples,
         train_cfg,
         model_cfg,
         vocab,
@@ -304,7 +311,7 @@ def cmd_train(args) -> int:
     )
     losses = result.state.epoch_losses
     print(
-        f"trained on {result.trained_samples} of {len(corpus)} samples "
+        f"trained on {result.trained_samples} of {len(samples)} samples "
         f"for {train_cfg.epochs} epochs ({result.state.step} steps)"
     )
     print(
@@ -366,12 +373,7 @@ def cmd_evaluate(args) -> int:
     config = load_config(args)
     lang = _language_config(config)
     predictions = load_predictions(args.predictions)
-    _, first = next(read_jsonl(args.gold, CorpusError), ("", {}))
-    if "labels" in first:
-        labeled = load_labeled_corpus(args.gold, lang)
-        gold = [item.sample for item in labeled]
-    else:
-        labeled, gold = None, load_corpus(args.gold)
+    gold, labeled = _read_corpus(args.gold, lang)
     report = evaluate(
         predictions,
         gold,
@@ -424,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="joint picker/generator training")
     _add_common(p)
-    p.add_argument("--in", dest="corpus", required=True, help="labeled JSONL")
-    p.add_argument("--label-mode", choices=CHOICES["label_mode"])
+    p.add_argument("--in", dest="corpus", required=True, help="labeled or plain JSONL")
     p.add_argument("--alpha", dest="train.picker_weight", type=float,
                    help="picker loss weight")
     p.add_argument("--learning-rate", dest="train.learning_rate", type=float)
@@ -434,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", dest="train.subsample_fraction", type=float,
                    help="training subsample fraction")
     p.add_argument("--vocab-size", type=int)
-    p.add_argument("--checkpoint-every", dest="train.checkpoint_every", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("restore", help="decode restorations for a corpus")

@@ -142,10 +142,13 @@ class Vocabulary:
     @staticmethod
     def load(path: str) -> "Vocabulary":
         with open(path, encoding="utf-8") as fh:
-            tokens = json.load(fh)
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise CorpusError(f"{path}: vocabulary file must be a JSON list of strings")
-        return Vocabulary.from_tokens(tokens)
+            try:  # invalid UTF-8 or JSON, a wrong layout, a repeated token
+                tokens = json.load(fh)
+                if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                    raise CorpusError("vocabulary file must be a JSON list of strings")
+                return Vocabulary.from_tokens(tokens)
+            except ValueError as exc:
+                raise CorpusError(f"{path}: {exc}") from None
 
 
 @contextmanager

@@ -73,6 +73,8 @@ def load_embeddings(path: str, seed: int = 0) -> EmbeddingTable:
             count, dim = (int(x) for x in header)
         except ValueError:
             raise LabelError(f"{path}:1: expected 'count dim' header line") from None
+        if dim < 1:
+            raise LabelError(f"{path}:1: embedding dimension must be >= 1")
         vectors: dict[str, np.ndarray] = {}
         for lineno, line in enumerate(fh, start=2):
             token, *values = line.rstrip("\n").split(" ")
@@ -207,13 +209,14 @@ def score_matrix(
     """
     ordered = clues.ordered()
     d = np.zeros((len(context_words), len(ordered)))
+    h_vecs = [emb.vector(word) for word in context_words] if ordered else []
     for j, clue in enumerate(ordered):
         c_vec = emb.vector(clue)
         for i, word in enumerate(context_words):
             if word == clue:
                 d[i, j] = 1.0
             else:
-                d[i, j] = min(similarity(emb.vector(word), c_vec), _BELOW_ONE)
+                d[i, j] = min(similarity(h_vecs[i], c_vec), _BELOW_ONE)
     return d
 
 
@@ -317,6 +320,8 @@ def load_labeled_corpus(path: str, cfg: LanguageConfig) -> list[LabeledSample]:
         raw = record.pop("labels")
         sample = _parse_record(record, where, default_id=len(out))
         labels = _parse_labels(raw, where)
+        if out and labels.mode != out[0].labels.mode:
+            raise LabelError(f"{where}: {labels.mode} labels after {out[0].labels.mode} ones")
         problem = alignment_problem(sample, labels, cfg)
         if problem:
             raise LabelError(f"{where}: {problem}")

@@ -45,33 +45,29 @@ class TrainingError(ValueError):
     """Raised for invalid training setups (empty corpus, mode mismatch)."""
 
 
+# The one AdamW recipe (Loshchilov & Hutter, ICLR 2019): moment decay rates,
+# the denominator's epsilon, decoupled weight decay on projection matrices,
+# and the global-norm cap on each step's gradients.
+BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY, GRAD_CLIP = 0.9, 0.999, 1e-8, 0.01, 1.0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     picker_weight: float = 1.0  # weight on the picker loss in the joint sum
     learning_rate: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.01
-    adam_eps: float = 1e-8
     batch_size: int = 12
     epochs: int = 6
     seed: int = 0
     label_mode: str = "hard"  # one of LABEL_MODES, or "none"
     subsample_fraction: float = 1.0
-    checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = off
-    grad_clip: float = 1.0  # global-norm cap; 0 disables clipping
     max_len: int = DEFAULT_MAX_LEN
 
     def __post_init__(self):
         if not self.learning_rate > 0.0:
             raise TrainingError("learning_rate must be > 0")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise TrainingError(f"{name} must lie in [0, 1)")
-        for name in ("picker_weight", "weight_decay", "grad_clip", "checkpoint_every"):
-            if not getattr(self, name) >= 0:
-                raise TrainingError(f"{name} must be >= 0")
-        for name in ("learning_rate", "picker_weight", "weight_decay"):
+        if not self.picker_weight >= 0:
+            raise TrainingError("picker_weight must be >= 0")
+        for name in ("learning_rate", "picker_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise TrainingError(f"{name} must be finite")
         if not 0.0 < self.subsample_fraction <= 1.0:
@@ -189,25 +185,25 @@ def optimizer_step(
             )
             return state
     t = state.step + 1
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
-    decay = cfg.learning_rate * cfg.weight_decay
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
+    decay = cfg.learning_rate * WEIGHT_DECAY
     for name, tensor in state.params.named_tensors():
         g, w = grads[name], tensor.data
         m = state.first_moment[name]
         v = state.second_moment[name]
         update, tmp = np.empty_like(w), np.empty_like(w)
-        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g²
-        np.add(np.multiply(m, cfg.beta1, out=m),
-               np.multiply(g, 1.0 - cfg.beta1, out=tmp), out=m)
-        np.multiply(v, cfg.beta2, out=v)
-        np.add(v, np.multiply(np.multiply(g, g, out=tmp), 1.0 - cfg.beta2, out=tmp),
+        # m = BETA1 * m + (1 - BETA1) * g;  v = BETA2 * v + (1 - BETA2) * g²
+        np.add(np.multiply(m, BETA1, out=m),
+               np.multiply(g, 1.0 - BETA1, out=tmp), out=m)
+        np.multiply(v, BETA2, out=v)
+        np.add(v, np.multiply(np.multiply(g, g, out=tmp), 1.0 - BETA2, out=tmp),
                out=v)
         # update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
-        np.add(np.sqrt(np.divide(v, bias2, out=tmp), out=tmp), cfg.adam_eps, out=tmp)
+        np.add(np.sqrt(np.divide(v, bias2, out=tmp), out=tmp), ADAM_EPS, out=tmp)
         np.divide(np.divide(m, bias1, out=update), tmp, out=update)
         np.multiply(update, cfg.learning_rate, out=update)
-        decayed = cfg.weight_decay > 0.0 and is_weight_matrix(name, w.shape)
+        decayed = is_weight_matrix(name, w.shape)
         if decayed:  # decay from the weights before this step
             np.multiply(w, decay, out=tmp)
         np.subtract(w, update, out=w)
@@ -289,7 +285,7 @@ def _train_step(state: TrainState, samples: list[EncodedSample], epoch: int,
         preds = picker_forward(enc, params)
         lp = picker_loss(preds, batch.picker_targets, batch.input_mask)
         loss, lp_value = joint_loss(lp, lg, cfg.picker_weight), lp.item()
-    grads, _ = clip_gradients(backward(loss, params), cfg.grad_clip)
+    grads, _ = clip_gradients(backward(loss, params), GRAD_CLIP)
     state = optimizer_step(state, grads, cfg)
     return epoch, state.step, lp_value, lg.item(), loss.item()
 
@@ -305,7 +301,7 @@ def train(
 ) -> TrainResult:
     """Joint training: shuffled seeded mini-batches, forward, joint loss,
     exact backward, clipped AdamW steps; emits a per-step loss log and
-    (when out_dir is set) checkpoints. Each step's graph and gradients are
+    (when out_dir is set) a checkpoint. Each step's graph and gradients are
     freed when that step ends, so no step's arrays outlive it."""
     if not corpus:
         raise TrainingError("training corpus is empty")
@@ -337,7 +333,6 @@ def train(
         else None
     )
     rows: list[tuple[int, int, float, float, float]] = []
-    checkpoint_path = None
     starts = range(0, len(encoded), cfg.batch_size)
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(encoded))
@@ -349,13 +344,7 @@ def train(
         state.epoch = epoch
         names = ("picker", "generator", "joint")
         state.epoch_losses = {k: s / len(starts) for k, s in zip(names, sums)}
-        if out_dir and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            save_checkpoint(
-                params,
-                os.path.join(out_dir, f"checkpoint_epoch{epoch}.bin"),
-                vocab_sha256,
-            )
-    log_path = None
+    log_path = checkpoint_path = None
     if out_dir:
         log_path = os.path.join(out_dir, "loss_log.csv")
         write_loss_log(rows, log_path)

@@ -6,7 +6,6 @@ covers the installed console script. Exit codes: 0 success, 1 usage error,
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -166,8 +165,13 @@ class TestConfig:
          {"evaluation": {"bucket_bleu_n": 2}}, "evaluation.bucket_bleu_n"),
         ("label", ["--in", "corpus.jsonl"], {"embedding_fallback": "hash"},
          "embedding_fallback"),
+        # AdamW is one fixed recipe, and periodic checkpoints are gone
+        *(("train", ["--in", "labeled.jsonl"], {"train": {name: value}}, f"train.{name}")
+          for name, value in (("beta1", 0.9), ("beta2", 0.999), ("weight_decay", 0.01),
+                              ("grad_clip", 1.0), ("checkpoint_every", 1))),
     ], ids=["restore", "train", "literal_pe", "max_positions", "bucket_bleu_n",
-            "embedding_fallback"])
+            "embedding_fallback", "beta1", "beta2", "weight_decay", "grad_clip",
+            "checkpoint_every"])
     def test_unknown_section_key(self, tmp_path, capsys, command, args, user, key):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(user), encoding="utf-8")
@@ -201,14 +205,12 @@ SETTING_FLAGS = [
       )),
     ("label", "--mode", "soft", "label_mode", "soft"),
     ("label", "--embeddings", "{embeddings}", "embeddings", "{embeddings}"),
-    ("train", "--label-mode", "none", "label_mode", "none"),
     ("train", "--alpha", "0.25", "train.picker_weight", 0.25),
     ("train", "--learning-rate", "0.01", "train.learning_rate", 0.01),
     ("train", "--batch-size", "3", "train.batch_size", 3),
     ("train", "--epochs", "1", "train.epochs", 1),
     ("train", "--fraction", "0.5", "train.subsample_fraction", 0.5),
     ("train", "--vocab-size", "100", "vocab_size", 100),
-    ("train", "--checkpoint-every", "1", "train.checkpoint_every", 1),
     ("restore", "--beam-size", "3", "inference.beam_size", 3),
     ("restore", "--max-len", "5", "inference.max_len", 5),
     ("restore", "--length-penalty", "0.5", "inference.length_penalty", 0.5),
@@ -224,7 +226,7 @@ INVALID_SETTINGS = [
       for flag, value in (("--seed", "x"), ("--language", "klingon"))),
     ("label", "--mode", "none"),
     ("label", "--embedding-fallback", "hash"),  # removed: argparse refuses it
-    ("train", "--label-mode", "bio"),
+    ("train", "--label-mode", "hard"),  # removed: the input decides the mode
     ("train", "--alpha", "-1"),
     ("train", "--learning-rate", "-1"),
     ("train", "--alpha", "inf"),
@@ -233,7 +235,7 @@ INVALID_SETTINGS = [
     ("train", "--epochs", "0"),
     ("train", "--fraction", "0"),
     ("train", "--vocab-size", "3"),
-    ("train", "--checkpoint-every", "-1"),
+    ("train", "--checkpoint-every", "1"),  # removed: argparse refuses it
     ("restore", "--beam-size", "0"),
     ("restore", "--max-len", "0"),
     ("restore", "--max-len", "-3"),
@@ -254,8 +256,10 @@ KEY_OF = {(command, flag): key for command, flag, _, key, _ in SETTING_FLAGS}
 
 # (command, config file, dotted key it gets wrong), each laid over
 # TINY_CONFIG: a value of the wrong type, outside its choices or outside the
-# range its check allows, rejected before any file
+# range its check allows, rejected before any file; a string is the file's
+# text, and what it gets wrong is the file itself
 INVALID_CONFIGS = [
+    ("synth", '{"vocab_size": 50', "config.json: invalid JSON"),
     ("train", {"train": {"batch_size": "3"}}, "train.batch_size"),
     ("train", {"train": {"batch_size": True}}, "train.batch_size"),
     ("train", {"model": {"picker_hidden": [8, "a"]}}, "model.picker_hidden"),
@@ -268,16 +272,11 @@ INVALID_CONFIGS = [
     ("train", {"model": {"d_model": 0}}, "model.d_model"),
     ("train", {"model": {"ffn_dim": 0}}, "model.ffn_dim"),
     ("train", {"train": {"learning_rate": 0}}, "train.learning_rate"),
-    ("train", {"train": {"beta1": 1.0}}, "train.beta1"),
-    ("train", {"train": {"beta2": -0.5}}, "train.beta2"),
-    ("train", {"train": {"weight_decay": -0.1}}, "train.weight_decay"),
-    ("train", {"train": {"weight_decay": math.inf}}, "train.weight_decay"),
-    ("train", {"train": {"grad_clip": -1}}, "train.grad_clip"),
-    ("train", {"train": {"checkpoint_every": -1}}, "train.checkpoint_every"),
     ("train", {"vocab_size": 6}, "vocab_size"),
     ("train", {"max_input_len": 2}, "max_input_len"),
     ("restore", {"max_input_len": 2}, "max_input_len"),
     ("label", {"label_mode": "none"}, "label_mode"),
+    ("train", {"label_mode": "none"}, "label_mode"),
     ("label", {"seed": -1}, "seed"),
     ("train", {"model": {"rel_pos_max_distance": 0}}, "model.rel_pos_max_distance"),
     ("train", {"model": {"rel_pos_max_distance": 4}}, "model.rel_pos_max_distance"),
@@ -371,7 +370,8 @@ class TestSettingFlags:
     def test_invalid_config_is_usage_error_before_any_write(
             self, tmp_path, capsys, inputs, command, user, key):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(_laid_over(TINY_CONFIG, user)), encoding="utf-8")
+        cfg.write_text(user if isinstance(user, str)
+                       else json.dumps(_laid_over(TINY_CONFIG, user)), encoding="utf-8")
         out_dir = tmp_path / "out"
         code = main([command, "--out-dir", str(out_dir), *inputs[command],
                      "--config", str(cfg)])
@@ -519,14 +519,17 @@ class TestLabel:
 
 
 class TestTrain:
-    def test_artifacts_written(self, tmp_path, tiny_config, capsys):
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_artifacts_written(self, tmp_path, tiny_config, capsys, mode):
+        # no flag says the mode: train reads it from the labeled file
         corpus = run_synth(tmp_path)
-        labeled = run_label(tmp_path, corpus)
+        labeled = run_label(tmp_path, corpus, mode)
         out_dir = run_train(tmp_path, labeled, tiny_config)
         assert (out_dir / "checkpoint.bin").exists()
         assert (out_dir / "vocab.json").exists()
         assert (out_dir / "loss_log.csv").exists()
-        assert (out_dir / "effective-config.train.json").exists()
+        effective = json.loads((out_dir / "effective-config.train.json").read_text())
+        assert effective["label_mode"] == mode
         out = capsys.readouterr().out
         assert "final epoch losses" in out
 
@@ -546,6 +549,9 @@ class TestTrain:
     @pytest.mark.parametrize("bad_line,problem", [
         ("not json", "invalid JSON"),
         ("5", "record must be a JSON object"),
+        pytest.param('{"context": ["a"], "utterance": "b", "reference": "a b", '
+                     '"labels": {"mode": "soft", "scores": [[1.0]]}}',
+                     "soft labels after hard ones", id="mixed modes"),
     ])
     def test_bad_labeled_line(self, tmp_path, tiny_config, capsys, bad_line,
                               problem):
@@ -567,19 +573,30 @@ class TestTrain:
         out_dir = tmp_path / "train"
         code = main([
             "train", "--in", str(corpus), "--out-dir", str(out_dir),
-            "--config", tiny_config, "--label-mode", "none",
+            "--config", tiny_config,
         ])
         assert code == 2
         assert "cannot train: 1 samples lack references (first: 's0')" \
             in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_alpha_zero_trains_as_the_plain_corpus(self, tmp_path, tiny_config):
+        # both train the generator alone, from the same samples and seed
+        corpus = run_synth(tmp_path)
+        labeled = run_label(tmp_path, corpus)
+        alpha0 = run_train(tmp_path, labeled, tiny_config, out="alpha0",
+                           extra=["--alpha", "0"])
+        plain = run_train(tmp_path, corpus, tiny_config, out="plain")
+        for name in ("loss_log.csv", "checkpoint.bin", "vocab.json"):
+            assert (alpha0 / name).read_bytes() == (plain / name).read_bytes()
+
     def test_unlabeled_mode_trains_from_raw_corpus(self, tmp_path, tiny_config):
         corpus = run_synth(tmp_path)
-        out_dir = run_train(
-            tmp_path, corpus, tiny_config, extra=["--label-mode", "none"]
-        )
+        out_dir = run_train(tmp_path, corpus, tiny_config)
         assert (out_dir / "checkpoint.bin").exists()
+        # no labels were read, so no label mode is recorded
+        effective = json.loads((out_dir / "effective-config.train.json").read_text())
+        assert "label_mode" not in effective
 
     @pytest.mark.parametrize("epochs", ["0", "-2"])
     def test_epochs_below_one_rejected(self, tmp_path, tiny_config, capsys,

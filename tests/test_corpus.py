@@ -1,6 +1,7 @@
 """Tests for the dialogue data model, JSONL I/O, tokenization, and vocab."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -249,6 +250,17 @@ class TestVocabulary:
         path = tmp_path / "vocab.json"
         path.write_text('{"a": 1}', encoding="utf-8")
         with pytest.raises(CorpusError):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("text,problem", [
+        ("not json", "Expecting value"),
+        ("[]", "must start with the reserved tokens"),
+        (json.dumps([*RESERVED_TOKENS, "a", "a"]), "contains duplicates"),
+    ], ids=["not json", "empty list", "repeated token"])
+    def test_load_error_names_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "vocab.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: .*{problem}"):
             Vocabulary.load(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):

@@ -382,6 +382,18 @@ class TestLabeledIO:
         with pytest.raises(LabelError, match=r"old\.jsonl:2: .*'defined'"):
             load_labeled_corpus(path, ENGLISH)
 
+    def test_mixed_modes_rejected_with_line(self, tmp_path):
+        # the first record's mode is the file's: train reads its mode from it
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(
+            '{"context": ["a"], "utterance": "u", "reference": "r",'
+            ' "labels": {"mode": "hard", "tags": [["O"]]}}\n'
+            '{"context": ["a"], "utterance": "u", "reference": "a u",'
+            ' "labels": {"mode": "soft", "scores": [[1.0]]}}\n',
+            encoding="utf-8")
+        with pytest.raises(LabelError, match=r"mixed\.jsonl:2: soft labels after hard"):
+            load_labeled_corpus(path, ENGLISH)
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -432,8 +444,9 @@ class TestEmbeddingTable:
         ("x 3\na 1 2 3\n", 1, "header"),
         ("2 1\na 1\na 2\n", 3, "'a' listed twice"),
         ("1 2\na 1 nan\n", 2, "non-finite"),
+        ("2 0\na\nb\n", 1, "dimension must be >= 1"),
     ], ids=["non-numeric value", "non-numeric header", "repeated token",
-            "nan value"])
+            "nan value", "zero dimension"])
     def test_load_embeddings_names_file_and_line(self, tmp_path, text, where, what):
         path = tmp_path / "vec.txt"
         path.write_text(text, encoding="utf-8")

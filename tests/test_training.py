@@ -1,8 +1,9 @@
 """Tests for losses, AdamW, subsampling, and the joint training loop.
 
-The optimizer has a closed-form oracle: under a constant gradient g with
-weight decay off, bias-corrected moments collapse to m-hat = g and
-v-hat = g*g, so after N steps theta = theta0 - N * lr * g / (|g| + eps).
+The optimizer has a closed-form oracle: under a constant gradient g on a
+tensor that is not decayed (not a weight matrix), bias-corrected moments
+collapse to m-hat = g and v-hat = g*g, so after N steps
+theta = theta0 - N * lr * g / (|g| + eps).
 """
 
 import dataclasses
@@ -24,7 +25,6 @@ from pickgen.model import (
     decode_forward,
     encode,
     init_parameters,
-    load_checkpoint,
     picker_forward,
 )
 from pickgen import model as model_module
@@ -32,7 +32,11 @@ from pickgen import training as training_module
 from pickgen.model import backward as model_backward
 from pickgen.synth import generate_corpus
 from pickgen.training import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     LOSS_LOG_HEADER,
+    WEIGHT_DECAY,
     TrainConfig,
     TrainState,
     TrainingError,
@@ -183,6 +187,13 @@ class TestClipGradients:
         assert clipped is grads
         assert total == pytest.approx(0.3)
 
+    def test_infinite_cap_never_clips(self):
+        grads = {"a": np.array([1e300, -1e300])}
+        clipped, total = clip_gradients(grads, math.inf)
+        assert clipped is grads
+        assert total == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-12)
+        np.testing.assert_array_equal(clipped["a"], [1e300, -1e300])
+
     def test_zero_cap_disables(self):
         grads = {"a": np.array([100.0])}
         clipped, _ = clip_gradients(grads, 0.0)
@@ -224,29 +235,29 @@ class TestClipGradients:
 
 class TestOptimizerStep:
     def test_constant_gradient_straight_line_oracle(self):
-        theta0 = np.array([[1.0, -2.0], [0.5, 3.0]])
-        g = np.array([[2.0, -1.0], [0.25, -4.0]])
-        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.0)
+        theta0 = np.array([1.0, -2.0, 0.5, 3.0])  # 1-D: not decayed
+        g = np.array([2.0, -1.0, 0.25, -4.0])
+        cfg = TrainConfig(learning_rate=0.01)
         state = single_param_state(theta0)
         steps = 100
         for _ in range(steps):
             state = optimizer_step(state, {"w": g}, cfg)
-        expected = theta0 - steps * 0.01 * g / (np.abs(g) + cfg.adam_eps)
+        expected = theta0 - steps * 0.01 * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(state.params["w"].data, expected,
                                    atol=1e-12)
         assert state.step == steps
 
     def test_first_step_is_signed_lr(self):
-        theta0 = np.array([5.0, -5.0])
+        theta0 = np.array([5.0, -5.0])  # 1-D: not decayed
         g = np.array([0.3, -70.0])
-        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.0)
+        cfg = TrainConfig(learning_rate=0.1)
         state = single_param_state(theta0)
         state = optimizer_step(state, {"w": g}, cfg)
         np.testing.assert_allclose(state.params["w"].data,
                                    theta0 - 0.1 * np.sign(g), rtol=1e-6)
 
     def test_decay_applies_to_weight_matrices_only(self):
-        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
+        cfg = TrainConfig(learning_rate=0.1)
         mcfg = ModelConfig(vocab_size=12)
         w0 = np.array([[2.0, -4.0]])
         b0 = np.array([2.0, -4.0])
@@ -256,7 +267,7 @@ class TestOptimizerStep:
         zero = {"w": np.zeros_like(w0), "b": np.zeros_like(b0)}
         state = optimizer_step(state, zero, cfg)
         np.testing.assert_array_equal(state.params["w"].data,
-                                      w0 - (0.1 * 0.5) * w0)
+                                      w0 - (0.1 * WEIGHT_DECAY) * w0)
         np.testing.assert_array_equal(state.params["b"].data, b0)
 
     def test_decay_computed_from_original_parameter(self):
@@ -264,17 +275,17 @@ class TestOptimizerStep:
         # taken from the pre-step value
         theta0 = np.array([[8.0]])
         g = np.array([[1.0]])
-        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5)
+        cfg = TrainConfig(learning_rate=0.1)
         state = single_param_state(theta0)
         state = optimizer_step(state, {"w": g}, cfg)
-        update = 1.0 / (1.0 + cfg.adam_eps)
-        expected = theta0 - 0.1 * update - 0.1 * 0.5 * theta0
+        update = 1.0 / (1.0 + ADAM_EPS)
+        expected = theta0 - 0.1 * update - 0.1 * WEIGHT_DECAY * theta0
         np.testing.assert_allclose(state.params["w"].data, expected,
                                    atol=1e-12)
 
     def test_zero_gradient_without_decay_is_fixed_point(self):
-        theta0 = np.array([1.5])
-        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.0)
+        theta0 = np.array([1.5])  # 1-D: not decayed
+        cfg = TrainConfig(learning_rate=0.1)
         state = single_param_state(theta0)
         state = optimizer_step(state, {"w": np.zeros(1)}, cfg)
         np.testing.assert_array_equal(state.params["w"].data, theta0)
@@ -306,7 +317,7 @@ class TestOptimizerStep:
         state, values, rng = self._three_tensor_state()
         held = [t.data for _, t in state.params.named_tensors()]
         held += [*state.first_moment.values(), *state.second_moment.values()]
-        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1)
+        cfg = TrainConfig(learning_rate=0.01)
         for _ in range(2):
             grads = {n: rng.standard_normal(a.shape) for n, a in values.items()}
             state = optimizer_step(state, grads, cfg)
@@ -317,7 +328,7 @@ class TestOptimizerStep:
 
     def test_bit_equal_to_out_of_place_formula(self):
         state, values, rng = self._three_tensor_state()
-        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1)
+        cfg = TrainConfig(learning_rate=0.01)
         theta = dict(values)
         m = {n: np.zeros_like(a) for n, a in values.items()}
         v = {n: np.zeros_like(a) for n, a in values.items()}
@@ -325,14 +336,14 @@ class TestOptimizerStep:
             grads = {n: rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
                      for n, a in values.items()}
             state = optimizer_step(state, grads, cfg)
-            bias1, bias2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            bias1, bias2 = 1.0 - BETA1**t, 1.0 - BETA2**t
             for n, g in grads.items():
-                m[n] = cfg.beta1 * m[n] + (1.0 - cfg.beta1) * g
-                v[n] = cfg.beta2 * v[n] + (1.0 - cfg.beta2) * (g * g)
-                update = (m[n] / bias1) / (np.sqrt(v[n] / bias2) + cfg.adam_eps)
+                m[n] = BETA1 * m[n] + (1.0 - BETA1) * g
+                v[n] = BETA2 * v[n] + (1.0 - BETA2) * (g * g)
+                update = (m[n] / bias1) / (np.sqrt(v[n] / bias2) + ADAM_EPS)
                 new = theta[n] - cfg.learning_rate * update
                 if n == "dec0.self.wq":  # the one decayed tensor
-                    new = new - cfg.learning_rate * cfg.weight_decay * theta[n]
+                    new = new - cfg.learning_rate * WEIGHT_DECAY * theta[n]
                 theta[n] = new
             for n, tensor in state.params.named_tensors():
                 assert tensor.data.tobytes() == theta[n].tobytes(), (t, n)
@@ -558,20 +569,16 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("name,value", [
         ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", math.nan),
-        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5),
-        ("weight_decay", -0.01), ("grad_clip", -1.0), ("checkpoint_every", -1),
+        ("picker_weight", -1.0),
     ])
     def test_unusable_optimizer_setting_rejected(self, name, value):
         with pytest.raises(TrainingError, match=f"^{name} must"):
             TrainConfig(**{name: value})
 
-    @pytest.mark.parametrize("name", ["learning_rate", "picker_weight", "weight_decay"])
+    @pytest.mark.parametrize("name", ["learning_rate", "picker_weight"])
     def test_infinite_setting_rejected(self, name):
         with pytest.raises(TrainingError, match=f"^{name} must be finite"):
             TrainConfig(**{name: math.inf})
-
-    def test_infinite_grad_clip_never_clips(self):
-        assert TrainConfig(grad_clip=math.inf).grad_clip == math.inf
 
     def test_empty_corpus_rejected(self):
         _, vocab, mcfg = _tiny_setup()
@@ -583,16 +590,6 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=8, subsample_fraction=0.5)
         result = train(data, cfg, mcfg, vocab, ENGLISH)
         assert result.trained_samples == 4
-
-    def test_periodic_checkpoints(self, tmp_path):
-        data, vocab, mcfg = _tiny_setup()
-        cfg = TrainConfig(epochs=2, batch_size=4, checkpoint_every=1)
-        train(data, cfg, mcfg, vocab, ENGLISH, out_dir=str(tmp_path),
-              vocab_sha256="ff" * 32)
-        assert (tmp_path / "checkpoint_epoch1.bin").exists()
-        assert (tmp_path / "checkpoint_epoch2.bin").exists()
-        loaded, manifest = load_checkpoint(tmp_path / "checkpoint.bin")
-        assert manifest["vocab_sha256"] == "ff" * 32
 
 
 
