@@ -5,8 +5,8 @@ The modes are hard labels; soft labels; n-best 3 with length penalty 0.5;
 the chinese language config; and a fifth whose max_input_len truncates
 every input. For each, the pinned values are every prediction text and
 n-best score, report.json, the sha256 of the corpus, labels and vocab
-files, and the loss_log.csv values. The checkpoint is left out: its <f4
-rounding can move with the BLAS build.
+files, and the loss_log.csv values. The checkpoint is left out: its
+float64 weights can move in their last bits with the BLAS build.
 
     PYTHONPATH=src python3 scripts/pipeline_fixture.py
 

@@ -272,7 +272,7 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args)
-    lang = _language_config(config)
+    lang = LanguageConfig.for_language(config["language"])  # no stopwords used
     samples, labeled = _read_corpus(args.corpus, lang)
     del config["label_mode"]  # the input decides it; a plain corpus has none
     if labeled:
@@ -328,7 +328,7 @@ def cmd_train(args) -> int:
 
 def cmd_restore(args) -> int:
     config = load_config(args)
-    lang = _language_config(config)
+    lang = LanguageConfig.for_language(config["language"])  # no stopwords used
     samples = load_corpus(args.corpus)
     seen: set[str] = set()
     for sample in samples:
@@ -395,12 +395,15 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_common(parser, language: bool = True) -> None:
+def _add_common(parser, *settings: str) -> None:
+    """--config, --out-dir, and the flags of the named settings."""
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out-dir", required=True, help="artifact directory")
-    parser.add_argument("--seed", type=int, help="global seed override")
-    if language:  # synth generates English and reads no stopwords
+    if "seed" in settings:
+        parser.add_argument("--seed", type=int, help="global seed override")
+    if "language" in settings:
         parser.add_argument("--language", choices=CHOICES["language"])
+    if "stopwords" in settings:
         parser.add_argument("--stopwords", dest="stopword_path",
                             help="stopword file override")
 
@@ -411,21 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # synth generates English; train and restore read no stopwords, and
+    # restore and evaluate draw nothing at random
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_common(p, language=False)
+    _add_common(p, "seed")
     p.add_argument("--size", type=int, default=200)
     p.add_argument("--templates", help="comma-separated template indices")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("label", help="create picker labels from references")
-    _add_common(p)
+    _add_common(p, "seed", "language", "stopwords")
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
     p.add_argument("--mode", dest="label_mode", choices=LABEL_MODES)
     p.add_argument("--embeddings", help="word-vector text file")
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="joint picker/generator training")
-    _add_common(p)
+    _add_common(p, "seed", "language")
     p.add_argument("--in", dest="corpus", required=True, help="labeled or plain JSONL")
     p.add_argument("--alpha", dest="train.picker_weight", type=float,
                    help="picker loss weight")
@@ -438,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("restore", help="decode restorations for a corpus")
-    _add_common(p)
+    _add_common(p, "language")
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", help="vocabulary JSON (default: beside checkpoint)")
@@ -449,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_restore)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
-    _add_common(p)
+    _add_common(p, "language", "stopwords")
     p.add_argument("--predictions", required=True, help="predictions JSONL")
     p.add_argument("--gold", required=True, help="gold corpus JSONL")
     p.add_argument("--pickup-mode", dest="evaluation.pickup_mode",

@@ -167,22 +167,33 @@ def atomic_write(path: str, binary: bool = False):
         raise
 
 
+def read_lines(path: str, error: type[Exception]):
+    """Yield (lineno, line) for each line of a UTF-8 text file; a line that
+    is not UTF-8 raises the caller's error class, naming path and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 ({exc})") from None
+            yield lineno, line
+
+
 def read_jsonl(path: str, error: type[Exception]):
     """Yield (where, record) for each non-blank line of a JSONL file, where
-    is "path:lineno". A line that is not valid JSON or not an object
-    raises the caller's error class, naming where."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{where}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise error(f"{where}: record must be a JSON object")
-            yield where, record
+    is "path:lineno". A line that is not UTF-8, not valid JSON or not an
+    object raises the caller's error class, naming where."""
+    for lineno, line in read_lines(path, error):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise error(f"{where}: record must be a JSON object")
+        yield where, record
 
 
 def write_jsonl(records, path: str) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .corpus import (
     LanguageConfig,
     _parse_record,
     read_jsonl,
+    read_lines,
     sample_to_record,
     tokenize,
     write_jsonl,
@@ -42,53 +44,57 @@ class LabelError(ValueError):
 class EmbeddingTable:
     """Fixed word vectors; a token absent from them gets a deterministic
     pseudo-random vector drawn from a digest of the token, so any corpus
-    can be scored without an external vector file."""
+    can be scored without an external vector file. Each such vector is
+    drawn once, then kept."""
 
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
     dim: int = 32
     seed: int = 0
+    _drawn: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise LabelError("embedding dimension must be >= 1")
 
     def vector(self, token: str) -> np.ndarray:
-        vec = self.vectors.get(token)
-        if vec is not None:
-            return vec
-        digest = hashlib.blake2b(
-            token.encode("utf-8"), digest_size=8, salt=str(self.seed).encode()[:16]
-        ).digest()
-        rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-        return rng.standard_normal(self.dim)
+        vec = self.vectors.get(token, self._drawn.get(token))
+        if vec is None:
+            digest = hashlib.blake2b(
+                token.encode("utf-8"), digest_size=8, salt=str(self.seed).encode()[:16]
+            ).digest()
+            rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+            vec = self._drawn[token] = rng.standard_normal(self.dim)
+            vec.flags.writeable = False  # every caller shares it
+        return vec
 
 
 def load_embeddings(path: str, seed: int = 0) -> EmbeddingTable:
     """Read the plain-text word-vector format: a "count dim" header line,
     then one "token v1 ... vd" line per token, each value finite and each
     token listed once."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+    lines = read_lines(path, LabelError)
+    header = next(lines, (1, ""))[1].split()
+    try:
+        count, dim = (int(x) for x in header)
+    except ValueError:
+        raise LabelError(f"{path}:1: expected 'count dim' header line") from None
+    if dim < 1:
+        raise LabelError(f"{path}:1: embedding dimension must be >= 1")
+    vectors: dict[str, np.ndarray] = {}
+    for lineno, line in lines:
+        token, *values = line.rstrip("\n").split(" ")
+        if len(values) != dim:
+            raise LabelError(f"{path}:{lineno}: expected token plus {dim} values")
+        if token in vectors:
+            raise LabelError(f"{path}:{lineno}: token {token!r} listed twice")
         try:
-            count, dim = (int(x) for x in header)
-        except ValueError:
-            raise LabelError(f"{path}:1: expected 'count dim' header line") from None
-        if dim < 1:
-            raise LabelError(f"{path}:1: embedding dimension must be >= 1")
-        vectors: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(fh, start=2):
-            token, *values = line.rstrip("\n").split(" ")
-            if len(values) != dim:
-                raise LabelError(f"{path}:{lineno}: expected token plus {dim} values")
-            if token in vectors:
-                raise LabelError(f"{path}:{lineno}: token {token!r} listed twice")
-            try:
-                vec = np.array([float(x) for x in values])
-            except ValueError as exc:
-                raise LabelError(f"{path}:{lineno}: {exc}") from None
-            if not np.isfinite(vec).all():
-                raise LabelError(f"{path}:{lineno}: non-finite value")
-            vectors[token] = vec
+            vec = np.array([float(x) for x in values])
+        except ValueError as exc:
+            raise LabelError(f"{path}:{lineno}: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise LabelError(f"{path}:{lineno}: non-finite value")
+        vectors[token] = vec
     if len(vectors) != count:
         raise LabelError(f"{path}: header declared {count} vectors, found {len(vectors)}")
     return EmbeddingTable(vectors, dim, seed)
@@ -159,16 +165,19 @@ def normalize(tokens: list[str], cfg: LanguageConfig) -> list[tuple[int, str]]:
     """Drop stopwords, then lowercase survivors and, where the language
     stems, lemmatize and stem them, keeping each survivor's original
     index."""
-    out: list[tuple[int, str]] = []
-    for i, token in enumerate(tokens):
-        form = token.lower()
-        if token in cfg.stopwords or form in cfg.stopwords:
-            continue
-        if cfg.stems:
-            form = textnorm.porter_stem(textnorm.lemmatize(form))
-        if form:
-            out.append((i, form))
-    return out
+    return [(i, form) for i, token in enumerate(tokens)
+            if (form := _normal_form(token, cfg))]
+
+
+@lru_cache(maxsize=1 << 16)
+def _normal_form(token: str, cfg: LanguageConfig) -> str:
+    """token's normalized form; empty for a stopword."""
+    form = token.lower()
+    if token in cfg.stopwords or form in cfg.stopwords:
+        return ""
+    if cfg.stems:
+        form = textnorm.porter_stem(textnorm.lemmatize(form))
+    return form
 
 
 def extract_clue_tokens(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .corpus import atomic_write
 
 NORM_EPS = 1e-6
 MASK_NEG = -1e9
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class ModelError(ValueError):
@@ -441,38 +442,25 @@ def backward(loss: Tensor, params: ModelParameters) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: one JSON manifest line, then raw little-endian
-# float32 payloads back to back in manifest order; loading rejects any other
-# layout.
+# Checkpoint container: one JSON manifest line listing each tensor's name and
+# shape, then the raw little-endian float64 tensors back to back in that
+# order, so loading gives back the trained weights bit for bit.
 
 def save_checkpoint(
     params: ModelParameters, path: str, vocab_sha256: str | None = None
 ) -> None:
     """Write through atomic_write: a failed write leaves path as it was."""
-    entries = []
-    offset = 0
-    payloads = []
-    for name, tensor in params.named_tensors():
-        payload = tensor.data.astype("<f4").tobytes()
-        entries.append(
-            {
-                "name": name,
-                "shape": list(tensor.data.shape),
-                "offset": offset,
-                "size": len(payload),
-            }
-        )
-        offset += len(payload)
-        payloads.append(payload)
     manifest = {
         "version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
         "vocab_sha256": vocab_sha256,
-        "tensors": entries,
+        "tensors": [{"name": name, "shape": list(tensor.data.shape)}
+                    for name, tensor in params.named_tensors()],
     }
     with atomic_write(path, binary=True) as fh:
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n")
-        fh.writelines(payloads)
+        for _, tensor in params.named_tensors():  # its own buffer, not a copy
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
@@ -491,28 +479,22 @@ def load_checkpoint(path: str) -> tuple[ModelParameters, dict]:
         try:
             cfg = ModelConfig.from_dict(manifest["config"])
             listed = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
-            spans = [(e["offset"], e["size"]) for e in manifest["tensors"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(
                 f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
         expected = _tensor_shapes(cfg)
         if listed != expected:
             raise ModelError(f"{path}: tensor listing does not match config")
-        blob = fh.read()
-    # the one payload layout: the listed tensors back to back
-    total = 4 * sum(math.prod(shape) for _, shape in expected)
-    if len(blob) != total:
-        problem = "truncated" if len(blob) < total else "trailing bytes after the"
-        raise ModelError(f"{path}: {problem} payload ({len(blob)} bytes, not {total})")
-    tensors: dict[str, Tensor] = {}
-    lo = 0
-    for (offset, size), (name, shape) in zip(spans, expected):
-        hi = lo + 4 * math.prod(shape)
-        if (offset, size) != (lo, hi - lo):
-            raise ModelError(
-                f"{path}: {name} must span payload bytes {lo}..{hi}, not offset "
-                f"{offset} size {size}")
-        flat = np.frombuffer(blob[lo:hi], dtype="<f4").astype(np.float64)
-        tensors[name] = parameter(flat.reshape(shape))
-        lo = hi
+        total = 8 * sum(math.prod(shape) for _, shape in expected)
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != total:
+            problem = "truncated" if found < total else "trailing bytes after the"
+            raise ModelError(f"{path}: {problem} payload ({found} bytes, not {total})")
+        # each tensor reads into its own array: one payload-sized buffer would
+        # raise the peak memory of a process that trains after a load
+        tensors = {}
+        for name, shape in expected:
+            data = np.empty(shape, dtype="<f8")
+            fh.readinto(data)
+            tensors[name] = parameter(data)
     return ModelParameters(cfg, tensors), manifest

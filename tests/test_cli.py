@@ -24,7 +24,7 @@ from pickgen.corpus import (
 from pickgen.decoding import restore_ranked
 from pickgen.model import init_parameters, load_checkpoint, save_checkpoint
 from pickgen.synth import generate_corpus
-from pickgen.training import make_model_config
+from pickgen.training import TrainConfig, make_model_config, train
 
 TINY_CONFIG = {
     "vocab_size": 300,
@@ -195,14 +195,11 @@ class TestConfig:
 # (command, flag, value on the command line, config key, value recorded);
 # "{stopwords}" and "{embeddings}" stand for files the fixture writes
 SETTING_FLAGS = [
-    ("synth", "--seed", "5", "seed", 5),
-    *((command, flag, value, key, recorded)
-      for command in ("label", "train", "restore", "evaluate")
-      for flag, value, key, recorded in (
-          ("--seed", "5", "seed", 5),
-          ("--language", "other", "language", "other"),
-          ("--stopwords", "{stopwords}", "stopword_path", "{stopwords}"),
-      )),
+    *((command, "--seed", "5", "seed", 5) for command in ("synth", "label", "train")),
+    *((command, "--language", "other", "language", "other")
+      for command in ("label", "train", "restore", "evaluate")),
+    *((command, "--stopwords", "{stopwords}", "stopword_path", "{stopwords}")
+      for command in ("label", "evaluate")),
     ("label", "--mode", "soft", "label_mode", "soft"),
     ("label", "--embeddings", "{embeddings}", "embeddings", "{embeddings}"),
     ("train", "--alpha", "0.25", "train.picker_weight", 0.25),
@@ -224,6 +221,12 @@ INVALID_SETTINGS = [
     *((command, flag, value)
       for command in ("label", "train", "evaluate")
       for flag, value in (("--seed", "x"), ("--language", "klingon"))),
+    # removed: train and restore read no stopwords, and restore and evaluate
+    # draw nothing at random, so argparse refuses even a valid value
+    ("train", "--stopwords", "{stopwords}"),
+    ("restore", "--stopwords", "{stopwords}"),
+    ("restore", "--seed", "5"),
+    ("evaluate", "--seed", "5"),
     ("label", "--mode", "none"),
     ("label", "--embedding-fallback", "hash"),  # removed: argparse refuses it
     ("train", "--label-mode", "hard"),  # removed: the input decides the mode
@@ -249,7 +252,7 @@ INVALID_SETTINGS = [
 # (command, flag) of each flag that names a file to read: a file that cannot
 # be read is a runtime error (exit 2), as for --in
 UNREADABLE_FILES = [
-    *((command, "--stopwords") for command in ("label", "train", "restore", "evaluate")),
+    *((command, "--stopwords") for command in ("label", "evaluate")),
     ("label", "--embeddings"),
 ]
 KEY_OF = {(command, flag): key for command, flag, _, key, _ in SETTING_FLAGS}
@@ -358,7 +361,7 @@ class TestSettingFlags:
             self, tmp_path, capsys, inputs, command, flag, value):
         out_dir = tmp_path / "out"
         code = main([command, "--out-dir", str(out_dir), *inputs[command],
-                     flag, value])
+                     flag, inputs.get(value, value)])
         assert code == 1
         err = capsys.readouterr().err
         assert flag in err or KEY_OF[command, flag] in err
@@ -746,6 +749,37 @@ class TestRestoreAndEvaluate:
             assert row["id"] == sample.id
             assert [item["prediction"] for item in row["nbest"]] == [
                 text for text, _ in ranked]
+
+    def test_restore_decodes_the_model_train_returned(self, tmp_path, tiny_config):
+        # the checkpoint holds the float64 weights as trained, so the CLI's
+        # n-best texts and scores equal in-process decoding bit for bit
+        corpus = generate_corpus(8, seed=0)
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, corpus_path)
+        lang = LanguageConfig.for_language("english")
+        vocab = build_vocab(corpus, 300, lang)
+        train_dir = tmp_path / "train"
+        train_dir.mkdir()
+        vocab.save(str(train_dir / "vocab.json"))
+        result = train(corpus, TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2,
+                                           label_mode="none"),
+                       make_model_config(len(vocab), "none", d_model=8, num_layers=1,
+                                         num_heads=2, ffn_dim=16, picker_hidden=(4,),
+                                         dropout=0.0),
+                       vocab, lang, out_dir=str(train_dir))
+        out_dir = tmp_path / "restore"
+        assert main([
+            "restore", "--in", str(corpus_path),
+            "--checkpoint", result.checkpoint_path, "--out-dir", str(out_dir),
+            "--config", tiny_config, "--nbest", "3", "--max-len", "8",
+        ]) == 0
+        rows = [json.loads(l)
+                for l in (out_dir / "predictions.jsonl").read_text().splitlines()]
+        ranked = restore_ranked(corpus, result.state.params, vocab, lang,
+                                TINY_CONFIG["inference"]["beam_size"], 8, nbest=3)
+        assert [[(item["prediction"], item["score"]) for item in row["nbest"]]
+                for row in rows] == [[(text, score) for text, score in best]
+                                     for best in ranked]
 
     @pytest.mark.parametrize("nbest", ["1", "2"])
     def test_restore_checks_vocab_size_at_any_nbest(self, tmp_path, nbest,

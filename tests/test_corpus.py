@@ -188,15 +188,16 @@ class TestJsonlReaders:
         assert len(reader(str(path))) == 2
 
     @pytest.mark.parametrize("bad,problem", [
-        ("{not json", "invalid JSON"),
-        ('["a", "b"]', "record must be a JSON object"),
-        ("3", "record must be a JSON object"),
-    ], ids=["json", "array", "number"])
+        (b"{not json", "invalid JSON"),
+        (b'["a", "b"]', "record must be a JSON object"),
+        (b"3", "record must be a JSON object"),
+        (b'\xff\xfe{"id": "1"}', "not UTF-8 ("),
+    ], ids=["json", "array", "number", "not utf-8"])
     @pytest.mark.parametrize("reader,error,record", READERS, ids=READER_IDS)
     def test_bad_line_raises_readers_own_error(self, tmp_path, reader, error,
                                                record, bad, problem):
         path = tmp_path / "f.jsonl"
-        path.write_text(f"{json.dumps(record)}\n\n{bad}\n", encoding="utf-8")
+        path.write_bytes(json.dumps(record).encode() + b"\n\n" + bad + b"\n")
         with pytest.raises(error) as info:
             reader(str(path))
         assert type(info.value) is error

@@ -410,6 +410,13 @@ class TestEmbeddingTable:
         assert np.array_equal(emb.vector("tour"), emb.vector("tour"))
         assert not np.array_equal(emb.vector("tour"), emb.vector("band"))
 
+    def test_hash_vector_is_drawn_once(self):
+        emb = EmbeddingTable()
+        first = emb.vector("tour")
+        assert emb.vector("tour") is first
+        assert np.array_equal(first, EmbeddingTable().vector("tour"))
+        assert emb == EmbeddingTable()  # drawn vectors are a cache, not state
+
     def test_seed_changes_hash_vectors(self):
         a = EmbeddingTable(seed=0).vector("tour")
         b = EmbeddingTable(seed=1).vector("tour")
@@ -445,11 +452,12 @@ class TestEmbeddingTable:
         ("2 1\na 1\na 2\n", 3, "'a' listed twice"),
         ("1 2\na 1 nan\n", 2, "non-finite"),
         ("2 0\na\nb\n", 1, "dimension must be >= 1"),
+        (b"2 1\na 1\n\xff\xfe 2\n", 3, "not UTF-8"),
     ], ids=["non-numeric value", "non-numeric header", "repeated token",
-            "nan value", "zero dimension"])
+            "nan value", "zero dimension", "not utf-8"])
     def test_load_embeddings_names_file_and_line(self, tmp_path, text, where, what):
         path = tmp_path / "vec.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with pytest.raises(LabelError, match=rf"vec\.txt:{where}: .*{what}"):
             load_embeddings(path)
 
