@@ -1,15 +1,14 @@
 """Config-driven command line: synth, label, train, restore, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every command
-writes its artifacts under --out-dir and echoes the effective
-configuration there for provenance. A JSON config file provides defaults;
-command-line flags override individual keys.
+writes its artifacts under --out-dir and records there the settings it
+read, for provenance. A JSON config file provides defaults; command-line
+flags override individual keys.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -145,7 +144,9 @@ def _overlay(config: dict, user, defaults: dict, where: str = "") -> None:
 
 def load_config(args) -> dict:
     """DEFAULT_CONFIG, overlaid with the --config file, then with every flag
-    that was given; a setting flag's dest is its dotted config key."""
+    that was given; a setting flag's dest is its dotted config key. Every
+    setting is checked, and the command gets the top-level ones it reads
+    (args.reads) only."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
@@ -161,7 +162,7 @@ def load_config(args) -> dict:
             _overlay(config, value, DEFAULT_CONFIG)
     if config["seed"] < 0:  # numpy seeds its generators from it
         raise UsageError(f"seed must be >= 0, not {config['seed']}")
-    return config
+    return {key: config[key] for key in args.reads}
 
 
 def _checked(where: str, check, *args, **kwargs):
@@ -175,7 +176,7 @@ def _checked(where: str, check, *args, **kwargs):
 
 def _language_config(config: dict) -> LanguageConfig:
     return LanguageConfig.for_language(
-        config["language"], stopword_path=config["stopword_path"]
+        config["language"], stopword_path=config.get("stopword_path")
     )
 
 
@@ -190,13 +191,6 @@ def _write_effective_config(config: dict, command: str, out_dir: str) -> None:
 
 def _ensure_out_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
-
-
-def _sha256_of(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
 
 
 def _require_references(samples, verb: str, error: type) -> None:
@@ -272,10 +266,9 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args)
-    lang = LanguageConfig.for_language(config["language"])  # no stopwords used
+    lang = _language_config(config)
     samples, labeled = _read_corpus(args.corpus, lang)
-    del config["label_mode"]  # the input decides it; a plain corpus has none
-    if labeled:
+    if labeled:  # the input decides the label mode; a plain corpus has none
         config["label_mode"] = labeled[0].labels.mode
     label_mode = config.get("label_mode", "none")
     section = config["train"]
@@ -296,9 +289,6 @@ def cmd_train(args) -> int:
     model_cfg = _checked("model.", make_model_config, len(vocab), label_mode,
                          seed=config["seed"], **config["model"])
     _ensure_out_dir(args.out_dir)
-    vocab_path = os.path.join(args.out_dir, "vocab.json")
-    vocab.save(vocab_path)
-    vocab_sha = _sha256_of(vocab_path)
     _write_effective_config(config, "train", args.out_dir)
     result = train(
         labeled or samples,
@@ -307,7 +297,6 @@ def cmd_train(args) -> int:
         vocab,
         lang,
         out_dir=args.out_dir,
-        vocab_sha256=vocab_sha,
     )
     losses = result.state.epoch_losses
     print(
@@ -328,7 +317,7 @@ def cmd_train(args) -> int:
 
 def cmd_restore(args) -> int:
     config = load_config(args)
-    lang = LanguageConfig.for_language(config["language"])  # no stopwords used
+    lang = _language_config(config)
     samples = load_corpus(args.corpus)
     seen: set[str] = set()
     for sample in samples:
@@ -341,7 +330,7 @@ def cmd_restore(args) -> int:
     )
     vocab = Vocabulary.load(vocab_path)
     recorded = manifest.get("vocab_sha256")
-    if recorded is not None and recorded != _sha256_of(vocab_path):
+    if recorded is not None and recorded != vocab.sha256():
         raise UsageError(
             f"vocabulary {vocab_path} does not match the one the checkpoint "
             f"was trained with"
@@ -395,15 +384,18 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_common(parser, *settings: str) -> None:
-    """--config, --out-dir, and the flags of the named settings."""
+def _add_common(parser, *reads: str) -> None:
+    """--config and --out-dir. reads names the top-level settings the
+    command reads, the only ones load_config gives it; --seed, --language
+    and --stopwords are added for those among them."""
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out-dir", required=True, help="artifact directory")
-    if "seed" in settings:
+    parser.set_defaults(reads=reads)
+    if "seed" in reads:
         parser.add_argument("--seed", type=int, help="global seed override")
-    if "language" in settings:
+    if "language" in reads:
         parser.add_argument("--language", choices=CHOICES["language"])
-    if "stopwords" in settings:
+    if "stopword_path" in reads:
         parser.add_argument("--stopwords", dest="stopword_path",
                             help="stopword file override")
 
@@ -414,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # synth generates English; train and restore read no stopwords, and
-    # restore and evaluate draw nothing at random
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     _add_common(p, "seed")
     p.add_argument("--size", type=int, default=200)
@@ -423,14 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("label", help="create picker labels from references")
-    _add_common(p, "seed", "language", "stopwords")
+    _add_common(p, "seed", "language", "stopword_path", "embeddings", "label_mode")
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
     p.add_argument("--mode", dest="label_mode", choices=LABEL_MODES)
     p.add_argument("--embeddings", help="word-vector text file")
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="joint picker/generator training")
-    _add_common(p, "seed", "language")
+    _add_common(p, "seed", "language", "vocab_size", "max_input_len", "model", "train")
     p.add_argument("--in", dest="corpus", required=True, help="labeled or plain JSONL")
     p.add_argument("--alpha", dest="train.picker_weight", type=float,
                    help="picker loss weight")
@@ -443,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("restore", help="decode restorations for a corpus")
-    _add_common(p, "language")
+    _add_common(p, "language", "max_input_len", "inference")
     p.add_argument("--in", dest="corpus", required=True, help="corpus JSONL")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", help="vocabulary JSON (default: beside checkpoint)")
@@ -454,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_restore)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
-    _add_common(p, "language", "stopwords")
+    _add_common(p, "language", "stopword_path", "evaluation")
     p.add_argument("--predictions", required=True, help="predictions JSONL")
     p.add_argument("--gold", required=True, help="gold corpus JSONL")
     p.add_argument("--pickup-mode", dest="evaluation.pickup_mode",

@@ -11,13 +11,14 @@ written through atomic_write, so a failed write leaves the file as it was.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-from . import textnorm
+from functools import lru_cache
+from importlib import resources
 
 PAD_ID = 0
 UNK_ID = 1
@@ -87,12 +88,27 @@ class LanguageConfig:
     def for_language(language: str, stopword_path: str | None = None) -> "LanguageConfig":
         """Build the default config for a language tag."""
         if stopword_path is not None:
-            stops = textnorm.load_stopwords(stopword_path)
+            stops = load_stopwords(stopword_path)
         elif language in ("english", "chinese"):
-            stops = textnorm.builtin_stopwords(language)
+            stops = builtin_stopwords(language)
         else:
             stops = frozenset()
         return LanguageConfig(language, stops)
+
+
+def load_stopwords(path: str) -> frozenset[str]:
+    """Read a stopword file: one token per line, blank lines ignored; a line
+    that is not UTF-8 raises CorpusError naming path and line."""
+    return frozenset(tok for _, line in read_lines(path, CorpusError)
+                     if (tok := line.strip()))
+
+
+@lru_cache(maxsize=None)
+def builtin_stopwords(language: str) -> frozenset[str]:
+    """Stopword list bundled with the package ('english' or 'chinese')."""
+    ref = resources.files("pickgen").joinpath(f"resources/stopwords/{language}.txt")
+    with resources.as_file(ref) as path:
+        return load_stopwords(path)
 
 
 def tokenize(text: str, cfg: LanguageConfig) -> list[str]:
@@ -133,11 +149,20 @@ class Vocabulary:
     def token_of(self, idx: int) -> str:
         return self.id_to_token[idx]
 
+    def _serialized(self) -> bytes:
+        """The bytes save writes."""
+        return (json.dumps(list(self.id_to_token), ensure_ascii=False)
+                + "\n").encode("utf-8")
+
+    def sha256(self) -> str:
+        """Hex digest of the bytes save writes; a checkpoint records it to
+        name the vocabulary it was trained with."""
+        return hashlib.sha256(self._serialized()).hexdigest()
+
     def save(self, path: str) -> None:
         """Persist as a JSON token list in id order."""
-        with atomic_write(path) as fh:
-            json.dump(list(self.id_to_token), fh, ensure_ascii=False)
-            fh.write("\n")
+        with atomic_write(path, binary=True) as fh:
+            fh.write(self._serialized())
 
     @staticmethod
     def load(path: str) -> "Vocabulary":

@@ -342,5 +342,7 @@ def load_predictions(path: str) -> dict[str, str]:
         sample_id = str(record["id"])  # as load_corpus reads a numeric id
         if sample_id in out:
             raise InferenceError(f"{where}: duplicate id {sample_id!r}")
+        if not isinstance(record["prediction"], str):
+            raise InferenceError(f"{where}: 'prediction' must be a string")
         out[sample_id] = record["prediction"]
     return out

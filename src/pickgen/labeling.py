@@ -350,7 +350,7 @@ def _parse_labels(raw, where: str) -> PickerLabels:
             return PickerLabels("soft", scores=scores)
         tags = tuple(tuple(str(t) for t in row) for row in raw["tags"])
         return PickerLabels(mode, tags=tags)
-    except (KeyError, TypeError, LabelError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers LabelError
         raise LabelError(f"{where}: bad labels ({exc})") from exc
 
 

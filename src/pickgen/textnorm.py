@@ -1,40 +1,15 @@
-"""Text normalization primitives: stopword lists, a light English
-lemmatizer, and the classic suffix-stripping stemmer.
+"""Text normalization primitives: a light English lemmatizer and the
+classic suffix-stripping stemmer.
 
 Everything here is self-contained so that label creation needs no external
-resources or downloads; stopword lists ship as plain-text files (one token
-per line) and can be overridden by path.
+resources or downloads.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 
 _VOWELS = "aeiou"
-
-
-def load_stopwords(path: str) -> frozenset[str]:
-    """Read a stopword file: one token per line, blank lines ignored."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            tok = line.strip()
-            if tok:
-                words.add(tok)
-    return frozenset(words)
-
-
-@lru_cache(maxsize=None)
-def builtin_stopwords(language: str) -> frozenset[str]:
-    """Stopword list bundled with the package ('english' or 'chinese')."""
-    name = f"{language}.txt"
-    root = resources.files("pickgen").joinpath("resources/stopwords")
-    ref = root.joinpath(name)
-    if not ref.is_file():
-        raise ValueError(f"no builtin stopword list for language {language!r}")
-    with resources.as_file(ref) as path:
-        return load_stopwords(path)
 
 
 # ---------------------------------------------------------------------------

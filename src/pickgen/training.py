@@ -297,12 +297,12 @@ def train(
     vocab: Vocabulary,
     lang_cfg: LanguageConfig,
     out_dir: str | None = None,
-    vocab_sha256: str | None = None,
 ) -> TrainResult:
     """Joint training: shuffled seeded mini-batches, forward, joint loss,
-    exact backward, clipped AdamW steps; emits a per-step loss log and
-    (when out_dir is set) a checkpoint. Each step's graph and gradients are
-    freed when that step ends, so no step's arrays outlive it."""
+    exact backward, clipped AdamW steps; emits a per-step loss log. When
+    out_dir is set, writes the vocabulary, the loss log and a checkpoint
+    that records the vocabulary's digest there. Each step's graph and
+    gradients are freed when that step ends, so no step's arrays outlive it."""
     if not corpus:
         raise TrainingError("training corpus is empty")
     _validate_model_cfg(cfg, model_cfg)
@@ -346,10 +346,11 @@ def train(
         state.epoch_losses = {k: s / len(starts) for k, s in zip(names, sums)}
     log_path = checkpoint_path = None
     if out_dir:
+        vocab.save(os.path.join(out_dir, "vocab.json"))
         log_path = os.path.join(out_dir, "loss_log.csv")
         write_loss_log(rows, log_path)
         checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
-        save_checkpoint(params, checkpoint_path, vocab_sha256)
+        save_checkpoint(params, checkpoint_path, vocab.sha256())
     return TrainResult(
         state=state,
         log_rows=rows,

@@ -60,7 +60,7 @@ ARTIFACTS = {
         label_corpus(GOLD[v:], "hard", EmbeddingTable(), ENGLISH), d / "labeled.jsonl")),
     "predictions": ("predictions.jsonl", 3, lambda d, v: save_predictions(
         [(s.id, s.incomplete if v else s.reference) for s in GOLD], d / "predictions.jsonl")),
-    "vocabulary": ("vocab.json", 3, lambda d, v: Vocabulary.from_tokens(
+    "vocabulary": ("vocab.json", 1, lambda d, v: Vocabulary.from_tokens(
         [*RESERVED_TOKENS, *"abc"[v:]]).save(d / "vocab.json")),
     "loss log": ("loss_log.csv", 3, lambda d, v: write_loss_log(
         [(1, step, 0.5 + v, 0.25, 0.75) for step in range(3)], d / "loss_log.csv")),

@@ -256,6 +256,15 @@ UNREADABLE_FILES = [
     ("label", "--embeddings"),
 ]
 KEY_OF = {(command, flag): key for command, flag, _, key, _ in SETTING_FLAGS}
+# the top-level settings each command reads, the only ones it records; train
+# records label_mode too when its input is labeled
+READS = {
+    "synth": {"seed"},
+    "label": {"seed", "language", "stopword_path", "embeddings", "label_mode"},
+    "train": {"seed", "language", "vocab_size", "max_input_len", "model", "train"},
+    "restore": {"language", "max_input_len", "inference"},
+    "evaluate": {"language", "stopword_path", "evaluation"},
+}
 
 # (command, config file, dotted key it gets wrong), each laid over
 # TINY_CONFIG: a value of the wrong type, outside its choices or outside the
@@ -281,6 +290,9 @@ INVALID_CONFIGS = [
     ("label", {"label_mode": "none"}, "label_mode"),
     ("train", {"label_mode": "none"}, "label_mode"),
     ("label", {"seed": -1}, "seed"),
+    # a command checks the settings it does not read too
+    ("restore", {"seed": -1}, "seed"),
+    ("restore", {"stopword_path": 3}, "stopword_path"),
     ("train", {"model": {"rel_pos_max_distance": 0}}, "model.rel_pos_max_distance"),
     ("train", {"model": {"rel_pos_max_distance": 4}}, "model.rel_pos_max_distance"),
     ("train", {"model": {"picker_hidden": [0]}}, "model.picker_hidden"),
@@ -390,6 +402,41 @@ class TestSettingFlags:
                      flag, str(tmp_path / "missing.txt")])
         assert code == 2
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("command", ["label", "evaluate"])
+    def test_stopword_line_not_utf8_is_runtime_error_naming_it(
+            self, tmp_path, capsys, inputs, command):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_bytes(b"the\n\xff\xfe\n")
+        out_dir = tmp_path / "out"
+        code = main([command, "--out-dir", str(out_dir), *inputs[command],
+                     "--stopwords", str(stopwords)])
+        assert code == 2
+        assert f"{stopwords}:2: not UTF-8 (" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_effective_config_holds_the_settings_read(self, tmp_path, inputs,
+                                                      command):
+        assert main([command, "--out-dir", str(tmp_path), *inputs[command]]) == 0
+        effective = json.loads(
+            (tmp_path / f"effective-config.{command}.json").read_text())
+        label_mode = {"label_mode"} if command == "train" else set()
+        assert set(effective) == {"command", *READS[command], *label_mode}
+
+    @pytest.mark.parametrize("command", ["synth", "train", "restore"])
+    def test_unread_setting_is_left_out(self, tmp_path, inputs, command):
+        cfg = tmp_path / "config.json"
+        user = {"stopword_path": "/nonexistent/stop.txt", "seed": 7}
+        cfg.write_text(json.dumps({**TINY_CONFIG, **user}), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main([command, "--out-dir", str(out_dir), *inputs[command],
+                     "--config", str(cfg)]) == 0
+        effective = json.loads(
+            (out_dir / f"effective-config.{command}.json").read_text())
+        assert {key: effective.get(key) for key in user} == {
+            key: value if key in READS[command] else None
+            for key, value in user.items()}
 
     @pytest.mark.parametrize("command", ["synth", "label", "train", "restore",
                                          "evaluate"])
@@ -555,6 +602,9 @@ class TestTrain:
         pytest.param('{"context": ["a"], "utterance": "b", "reference": "a b", '
                      '"labels": {"mode": "soft", "scores": [[1.0]]}}',
                      "soft labels after hard ones", id="mixed modes"),
+        pytest.param('{"context": ["a"], "utterance": "b", "reference": "a b", '
+                     '"labels": {"mode": "soft", "scores": [[0.5, "x"]]}}',
+                     "bad labels (could not convert", id="non-numeric score"),
     ])
     def test_bad_labeled_line(self, tmp_path, tiny_config, capsys, bad_line,
                               problem):
@@ -750,9 +800,10 @@ class TestRestoreAndEvaluate:
             assert [item["prediction"] for item in row["nbest"]] == [
                 text for text, _ in ranked]
 
-    def test_restore_decodes_the_model_train_returned(self, tmp_path, tiny_config):
-        # the checkpoint holds the float64 weights as trained, so the CLI's
-        # n-best texts and scores equal in-process decoding bit for bit
+    @staticmethod
+    def _train_in_process(tmp_path):
+        """A library train() run into tmp_path/train, on a corpus saved as
+        tmp_path/corpus.jsonl."""
         corpus = generate_corpus(8, seed=0)
         corpus_path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, corpus_path)
@@ -760,13 +811,19 @@ class TestRestoreAndEvaluate:
         vocab = build_vocab(corpus, 300, lang)
         train_dir = tmp_path / "train"
         train_dir.mkdir()
-        vocab.save(str(train_dir / "vocab.json"))
         result = train(corpus, TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2,
                                            label_mode="none"),
                        make_model_config(len(vocab), "none", d_model=8, num_layers=1,
                                          num_heads=2, ffn_dim=16, picker_hidden=(4,),
                                          dropout=0.0),
                        vocab, lang, out_dir=str(train_dir))
+        return corpus, corpus_path, vocab, lang, result
+
+    def test_restore_decodes_the_model_train_returned(self, tmp_path, tiny_config):
+        # the checkpoint holds the float64 weights as trained, so the CLI's
+        # n-best texts and scores equal in-process decoding bit for bit; it
+        # finds the vocabulary train() wrote beside the checkpoint
+        corpus, corpus_path, vocab, lang, result = self._train_in_process(tmp_path)
         out_dir = tmp_path / "restore"
         assert main([
             "restore", "--in", str(corpus_path),
@@ -780,6 +837,20 @@ class TestRestoreAndEvaluate:
         assert [[(item["prediction"], item["score"]) for item in row["nbest"]]
                 for row in rows] == [[(text, score) for text, score in best]
                                      for best in ranked]
+
+    def test_library_checkpoint_refuses_a_foreign_vocab_of_its_size(
+            self, tmp_path, tiny_config, capsys):
+        _, corpus_path, vocab, _, result = self._train_in_process(tmp_path)
+        words = vocab.id_to_token[len(RESERVED_TOKENS):]
+        foreign = tmp_path / "foreign-vocab.json"
+        Vocabulary.from_tokens([*RESERVED_TOKENS, *reversed(words)]).save(foreign)
+        code = main([
+            "restore", "--in", str(corpus_path), "--checkpoint", result.checkpoint_path,
+            "--vocab", str(foreign), "--out-dir", str(tmp_path / "restore"),
+            "--config", tiny_config,
+        ])
+        assert code == 1
+        assert "does not match" in capsys.readouterr().err
 
     @pytest.mark.parametrize("nbest", ["1", "2"])
     def test_restore_checks_vocab_size_at_any_nbest(self, tmp_path, nbest,
@@ -907,6 +978,8 @@ class TestRestoreAndEvaluate:
     @pytest.mark.parametrize("bad_line,problem", [
         ("not json", "invalid JSON"),
         ("5", "must be a JSON object"),
+        ('{"id": "1", "prediction": 5}', "'prediction' must be a string"),
+        ('{"id": "1", "prediction": null}', "'prediction' must be a string"),
     ])
     def test_evaluate_bad_prediction_line(self, pipeline, capsys, bad_line,
                                           problem):

@@ -1,5 +1,6 @@
 """Tests for the dialogue data model, JSONL I/O, tokenization, and vocab."""
 
+import hashlib
 import json
 import re
 
@@ -270,6 +271,14 @@ class TestVocabulary:
         vocab.save(p1)
         vocab.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_sha256_is_the_digest_of_the_saved_bytes(self, tmp_path):
+        vocab = _vocab("b", "\u4f60")
+        path = tmp_path / "vocab.json"
+        vocab.save(path)
+        assert vocab.sha256() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert Vocabulary.load(path).sha256() == vocab.sha256()
+        assert _vocab("\u4f60", "b").sha256() != vocab.sha256()
 
 
 class TestBuildVocab:

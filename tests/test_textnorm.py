@@ -1,11 +1,12 @@
-"""Tests for stopword loading, lemmatization, and stemming."""
+"""Tests for stopword loading (corpus), lemmatization, and stemming."""
 
 from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pickgen.textnorm import builtin_stopwords, lemmatize, load_stopwords, porter_stem
+from pickgen.corpus import builtin_stopwords, load_stopwords
+from pickgen.textnorm import lemmatize, porter_stem
 
 
 class TestStopwords:
@@ -23,10 +24,6 @@ class TestStopwords:
         stops = builtin_stopwords("chinese")
         assert "们" in stops
         assert "他" not in stops
-
-    def test_unknown_language_raises(self):
-        with pytest.raises(ValueError):
-            builtin_stopwords("klingon")
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "stops.txt"
