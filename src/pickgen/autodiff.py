@@ -98,8 +98,8 @@ class Tensor:
         return Tensor._make(self.data + other.data, (self, other), backward_fn)
 
     def __mul__(self, other):
-        """self * other for a number or array other, such as a dropout mask
-        or a loss weight; other is no graph node."""
+        """self * other for a number or array other, such as a loss weight;
+        other is no graph node."""
         return Tensor._make(self.data * other, (self,),
                             lambda g: (_unbroadcast(g * other, self.shape),))
 

@@ -1,9 +1,9 @@
 """Config-driven command line: synth, label, train, restore, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every command
-writes its artifacts under --out-dir and records there the settings it
-read, for provenance. A JSON config file provides defaults; command-line
-flags override individual keys.
+writes its artifacts under --out-dir and, once it succeeds, records there
+the settings it read, for provenance. A JSON config file provides
+defaults; command-line flags override individual keys.
 """
 
 from __future__ import annotations
@@ -37,17 +37,16 @@ from .encoding import DEFAULT_MAX_LEN, check_max_len
 from .labeling import (
     LABEL_MODES,
     EmbeddingTable,
-    LabelError,
     label_corpus,
-    label_density,
     load_embeddings,
     load_labeled_corpus,
+    marked_word_counts,
     save_labeled_corpus,
 )
 from .metrics import evaluate
 from .model import ModelConfig, load_checkpoint
 from .synth import generate_corpus
-from .training import TrainConfig, TrainingError, make_model_config, train
+from .training import TrainConfig, make_model_config, train
 
 # Model and training defaults are the typed configs' own, minus the fields
 # a run fills in from its corpus, vocabulary, label mode and seed.
@@ -189,18 +188,6 @@ def _write_effective_config(config: dict, command: str, out_dir: str) -> None:
         fh.write("\n")
 
 
-def _ensure_out_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
-def _require_references(samples, verb: str, error: type) -> None:
-    """Raise error(...) when any sample lacks a reference."""
-    missing = [s.id for s in samples if s.reference is None]
-    if missing:
-        raise error(f"cannot {verb}: {len(missing)} samples lack references "
-                    f"(first: {missing[0]!r})")
-
-
 def _read_corpus(path: str, lang: LanguageConfig) -> tuple[list, list | None]:
     """A corpus file's samples, and its labeled samples if its first record
     carries labels (else None)."""
@@ -220,8 +207,7 @@ def _embedding_table(config: dict) -> EmbeddingTable:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_synth(args) -> int:
-    config = load_config(args)
+def cmd_synth(args, config: dict) -> None:
     templates = None
     if args.templates:
         try:
@@ -231,41 +217,24 @@ def cmd_synth(args) -> int:
                              f"not {args.templates!r}") from None
     # a bad --size or --templates is refused before the out dir is made
     samples = _checked("--", generate_corpus, args.size, config["seed"], templates)
-    _ensure_out_dir(args.out_dir)
     out_path = os.path.join(args.out_dir, "corpus.jsonl")
     save_corpus(samples, out_path)
-    _write_effective_config(config, "synth", args.out_dir)
     print(f"wrote {len(samples)} samples to {out_path}")
-    return 0
 
 
-def cmd_label(args) -> int:
-    config = load_config(args)
+def cmd_label(args, config: dict) -> None:
     lang = _language_config(config)
-    samples = load_corpus(args.corpus)
-    _require_references(samples, "label", LabelError)
-    emb = _embedding_table(config)
-    labeled = label_corpus(samples, config["label_mode"], emb, lang)
-    _ensure_out_dir(args.out_dir)
+    labeled = label_corpus(load_corpus(args.corpus), config["label_mode"],
+                           _embedding_table(config), lang)
     out_path = os.path.join(args.out_dir, "labeled.jsonl")
     save_labeled_corpus(labeled, out_path)
-    _write_effective_config(config, "label", args.out_dir)
-    density = label_density(labeled)
-    total = sum(
-        len(row)
-        for item in labeled
-        for row in (item.labels.tags or item.labels.scores)
-    )
+    marked, total = marked_word_counts(labeled)
     print(f"wrote {len(labeled)} labeled samples to {out_path}")
-    print(
-        f"label density: {density:.4f} "
-        f"({round(density * total)}/{total} context words marked)"
-    )
-    return 0
+    print(f"label density: {marked / total:.4f} "
+          f"({marked}/{total} context words marked)")
 
 
-def cmd_train(args) -> int:
-    config = load_config(args)
+def cmd_train(args, config: dict) -> None:
     lang = _language_config(config)
     samples, labeled = _read_corpus(args.corpus, lang)
     if labeled:  # the input decides the label mode; a plain corpus has none
@@ -279,7 +248,6 @@ def cmd_train(args) -> int:
             or section["subsample_fraction"] < 1.0
             else LARGE_CORPUS_EPOCHS
         )
-    _require_references(samples, "train", TrainingError)
     vocab = _checked("vocab_size: ", build_vocab, samples,
                      config["vocab_size"], lang)
     _checked("max_input_len: ", check_max_len, config["max_input_len"])
@@ -288,8 +256,6 @@ def cmd_train(args) -> int:
                          **section)
     model_cfg = _checked("model.", make_model_config, len(vocab), label_mode,
                          seed=config["seed"], **config["model"])
-    _ensure_out_dir(args.out_dir)
-    _write_effective_config(config, "train", args.out_dir)
     result = train(
         labeled or samples,
         train_cfg,
@@ -312,11 +278,9 @@ def cmd_train(args) -> int:
         print(f"warning: skipped {result.state.skipped_steps} non-finite steps")
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"loss log: {result.log_path}")
-    return 0
 
 
-def cmd_restore(args) -> int:
-    config = load_config(args)
+def cmd_restore(args, config: dict) -> None:
     lang = _language_config(config)
     samples = load_corpus(args.corpus)
     seen: set[str] = set()
@@ -335,14 +299,19 @@ def cmd_restore(args) -> int:
             f"vocabulary {vocab_path} does not match the one the checkpoint "
             f"was trained with"
         )
+    trained_on = manifest.get("language")
+    if (trained_on is not None
+            and LanguageConfig(trained_on).by_character != lang.by_character):
+        raise UsageError(
+            f"the checkpoint was trained on {trained_on!r} text, which "
+            f"tokenizes differently from {lang.language!r}"
+        )
     inference = config["inference"]
     if inference["max_len"] is None:
         inference["max_len"] = default_max_decode_len(samples, lang)
     _checked("max_input_len: ", check_max_len, config["max_input_len"])
     _checked("inference.", check_search_settings, inference["beam_size"],
              inference["max_len"], inference["length_penalty"], inference["nbest"])
-    _ensure_out_dir(args.out_dir)
-    _write_effective_config(config, "restore", args.out_dir)
     out_path = os.path.join(args.out_dir, "predictions.jsonl")
     nbest = inference["nbest"]
     ranked = restore_ranked(
@@ -355,11 +324,9 @@ def cmd_restore(args) -> int:
     ]
     save_predictions(rows, out_path)
     print(f"wrote {len(samples)} predictions to {out_path}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = load_config(args)
+def cmd_evaluate(args, config: dict) -> None:
     lang = _language_config(config)
     predictions = load_predictions(args.predictions)
     gold, labeled = _read_corpus(args.gold, lang)
@@ -370,15 +337,12 @@ def cmd_evaluate(args) -> int:
         labeled=labeled,
         pickup_mode=config["evaluation"]["pickup_mode"],
     )
-    _ensure_out_dir(args.out_dir)
-    _write_effective_config(config, "evaluate", args.out_dir)
     with atomic_write(os.path.join(args.out_dir, "report.json")) as fh:
         fh.write(report.to_json())
     table = report.to_table()
     with atomic_write(os.path.join(args.out_dir, "report.txt")) as fh:
         fh.write(table)
     print(table, end="")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +426,10 @@ def main(argv=None) -> int:
         # argparse handles --help (code 0) and usage errors (our code 1)
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        config = load_config(args)
+        args.func(args, config)
+        _write_effective_config(config, args.command, args.out_dir)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -179,8 +179,10 @@ class Vocabulary:
 @contextmanager
 def atomic_write(path: str, binary: bool = False):
     """Yield a file open for writing (UTF-8 text, or bytes) in place of
-    path: it replaces path when the block completes, and is removed when the
-    block raises, so a failed write leaves path as it was."""
+    path, first creating path's directory if it is missing: the file
+    replaces path when the block completes, and is removed when the block
+    raises, so a failed write leaves path as it was."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
@@ -229,16 +231,23 @@ def write_jsonl(records, path: str) -> None:
             fh.write("\n")
 
 
+def record_id(record: dict, index: int) -> str:
+    """A JSONL record's sample id: an absent or null "id" reads as the
+    record's index among its file's records, any other value as its str."""
+    value = record.get("id")
+    return str(index if value is None else value)
+
+
 def load_corpus(path: str) -> list[DialogueSample]:
-    """Read a JSONL corpus file, assigning sequential string ids when absent."""
-    samples = [_parse_record(record, where, default_id=i)
+    """Read a JSONL corpus file; ids are read by record_id."""
+    samples = [_parse_record(record, where, i)
                for i, (where, record) in enumerate(read_jsonl(path, CorpusError))]
     if not samples:
         raise CorpusError(f"{path}: corpus file is empty")
     return samples
 
 
-def _parse_record(record: dict, where: str, default_id: int) -> DialogueSample:
+def _parse_record(record: dict, where: str, index: int) -> DialogueSample:
     for fld in ("context", "utterance"):
         if fld not in record:
             raise CorpusError(f"{where}: missing field {fld!r}")
@@ -253,10 +262,9 @@ def _parse_record(record: dict, where: str, default_id: int) -> DialogueSample:
     reference = record.get("reference")
     if reference is not None and (not isinstance(reference, str) or not reference):
         raise CorpusError(f"{where}: 'reference' must be a non-empty string")
-    sample_id = record.get("id")
-    sample_id = str(default_id if sample_id is None else sample_id)
     try:
-        return DialogueSample(tuple(context), utterance, reference, sample_id)
+        return DialogueSample(tuple(context), utterance, reference,
+                              record_id(record, index))
     except CorpusError as exc:
         raise CorpusError(f"{where}: {exc}") from exc
 

@@ -30,6 +30,7 @@ from .corpus import (
     Vocabulary,
     detokenize,
     read_jsonl,
+    record_id,
     tokenize,
     write_jsonl,
 )
@@ -336,10 +337,10 @@ def save_predictions(rows, path: str) -> None:
 
 def load_predictions(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for where, record in read_jsonl(path, InferenceError):
+    for index, (where, record) in enumerate(read_jsonl(path, InferenceError)):
         if "id" not in record or "prediction" not in record:
             raise InferenceError(f"{where}: need 'id' and 'prediction'")
-        sample_id = str(record["id"])  # as load_corpus reads a numeric id
+        sample_id = record_id(record, index)  # as load_corpus reads it
         if sample_id in out:
             raise InferenceError(f"{where}: duplicate id {sample_id!r}")
         if not isinstance(record["prediction"], str):

@@ -327,7 +327,7 @@ def load_labeled_corpus(path: str, cfg: LanguageConfig) -> list[LabeledSample]:
         if "labels" not in record:
             raise LabelError(f"{where}: missing 'labels' field")
         raw = record.pop("labels")
-        sample = _parse_record(record, where, default_id=len(out))
+        sample = _parse_record(record, where, len(out))
         labels = _parse_labels(raw, where)
         if out and labels.mode != out[0].labels.mode:
             raise LabelError(f"{where}: {labels.mode} labels after {out[0].labels.mode} ones")
@@ -369,11 +369,11 @@ def alignment_problem(
     return None
 
 
-def label_density(labeled: list[LabeledSample]) -> float:
-    """Fraction of context words marked important (PickerLabels.marked)."""
+def marked_word_counts(labeled: list[LabeledSample]) -> tuple[int, int]:
+    """How many context words the labels mark important
+    (PickerLabels.marked), and how many context words there are."""
     rows = [row for item in labeled for row in item.labels.marked()]
-    total = sum(map(len, rows))
-    return sum(map(sum, rows)) / total if total else 0.0
+    return sum(map(sum, rows)), sum(map(len, rows))
 
 
 def important_token_set(labeled: LabeledSample, cfg: LanguageConfig) -> frozenset[str]:

@@ -447,13 +447,17 @@ def backward(loss: Tensor, params: ModelParameters) -> dict[str, np.ndarray]:
 # order, so loading gives back the trained weights bit for bit.
 
 def save_checkpoint(
-    params: ModelParameters, path: str, vocab_sha256: str | None = None
+    params: ModelParameters, path: str, vocab_sha256: str | None = None,
+    language: str | None = None,
 ) -> None:
-    """Write through atomic_write: a failed write leaves path as it was."""
+    """Write through atomic_write: a failed write leaves path as it was.
+    The manifest records the vocabulary's digest and the language the
+    model was trained on, when given."""
     manifest = {
         "version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
         "vocab_sha256": vocab_sha256,
+        "language": language,
         "tensors": [{"name": name, "shape": list(tensor.data.shape)}
                     for name, tensor in params.named_tensors()],
     }

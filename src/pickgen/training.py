@@ -242,15 +242,17 @@ class TrainResult:
 
 def _as_items(corpus, cfg: TrainConfig):
     """Normalize the corpus to (sample, labels-or-None) pairs and validate
-    them against the configured label mode."""
+    them: each has a reference, and labels of the configured label mode."""
     items = []
     for entry in corpus:
         if isinstance(entry, LabeledSample):
             items.append((entry.sample, entry.labels))
         else:
             items.append((entry, None))
-    if cfg.label_mode != "none":
-        for sample, labels in items:
+    for sample, labels in items:
+        if sample.reference is None:
+            raise TrainingError(f"sample {sample.id!r} has no reference to train on")
+        if cfg.label_mode != "none":
             if labels is None:
                 raise TrainingError(
                     f"sample {sample.id!r} lacks labels required by "
@@ -301,8 +303,9 @@ def train(
     """Joint training: shuffled seeded mini-batches, forward, joint loss,
     exact backward, clipped AdamW steps; emits a per-step loss log. When
     out_dir is set, writes the vocabulary, the loss log and a checkpoint
-    that records the vocabulary's digest there. Each step's graph and
-    gradients are freed when that step ends, so no step's arrays outlive it."""
+    that records the vocabulary's digest and the language there. Each
+    step's graph and gradients are freed when that step ends, so no step's
+    arrays outlive it."""
     if not corpus:
         raise TrainingError("training corpus is empty")
     _validate_model_cfg(cfg, model_cfg)
@@ -350,7 +353,7 @@ def train(
         log_path = os.path.join(out_dir, "loss_log.csv")
         write_loss_log(rows, log_path)
         checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
-        save_checkpoint(params, checkpoint_path, vocab.sha256())
+        save_checkpoint(params, checkpoint_path, vocab.sha256(), lang_cfg.language)
     return TrainResult(
         state=state,
         log_rows=rows,

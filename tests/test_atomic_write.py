@@ -94,3 +94,9 @@ def test_failed_write_keeps_previous_bytes(tmp_path, monkeypatch, artifact):
     assert not [f for f in os.listdir(path.parent) if f.endswith(".tmp")]
     write(tmp_path, 1)
     assert path.read_bytes() != previous
+
+
+def test_missing_directory_is_created(tmp_path):
+    path = tmp_path / "new" / "run" / "vocab.json"
+    Vocabulary.from_tokens(list(RESERVED_TOKENS)).save(path)
+    assert os.listdir(path.parent) == ["vocab.json"]

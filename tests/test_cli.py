@@ -544,7 +544,7 @@ class TestLabel:
             "label", "--in", str(corpus), "--out-dir", str(tmp_path / "out"),
         ])
         assert code == 2
-        assert "lack references" in capsys.readouterr().err
+        assert "sample '0': labels require a reference" in capsys.readouterr().err
 
     @pytest.mark.parametrize("soft_by", ["flag", "config"])
     def test_label_mode_in_effective_config(self, tmp_path, soft_by):
@@ -629,8 +629,7 @@ class TestTrain:
             "--config", tiny_config,
         ])
         assert code == 2
-        assert "cannot train: 1 samples lack references (first: 's0')" \
-            in capsys.readouterr().err
+        assert "sample 's0' has no reference to train on" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_alpha_zero_trains_as_the_plain_corpus(self, tmp_path, tiny_config):
@@ -852,31 +851,68 @@ class TestRestoreAndEvaluate:
         assert code == 1
         assert "does not match" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("nbest", ["1", "2"])
-    def test_restore_checks_vocab_size_at_any_nbest(self, tmp_path, nbest,
-                                                     capsys):
-        # no recorded vocab digest, so only the size check can catch this
-        corpus = run_synth(tmp_path)
+    @staticmethod
+    def _digestless_checkpoint(tmp_path, model_vocab: int, vocab_size: int):
+        """A checkpoint of a model over model_vocab tokens that records no
+        vocabulary digest, beside a vocabulary of vocab_size tokens."""
         params = init_parameters(make_model_config(
-            45, "hard", d_model=8, num_layers=1, num_heads=2, ffn_dim=16,
+            model_vocab, "hard", d_model=8, num_layers=1, num_heads=2, ffn_dim=16,
             picker_hidden=(4,), rel_pos_buckets=8, rel_pos_max_distance=16,
             dropout=0.0))
         train_dir = tmp_path / "train"
         train_dir.mkdir()
         save_checkpoint(params, str(train_dir / "checkpoint.bin"), None)
-        words = [f"w{i}" for i in range(20 - len(RESERVED_TOKENS))]
+        words = [f"w{i}" for i in range(vocab_size - len(RESERVED_TOKENS))]
         Vocabulary.from_tokens([*RESERVED_TOKENS, *words]).save(
             str(train_dir / "vocab.json"))
+        return train_dir / "checkpoint.bin"
+
+    @pytest.mark.parametrize("nbest", ["1", "2"])
+    def test_restore_checks_vocab_size_at_any_nbest(self, tmp_path, nbest,
+                                                     capsys):
+        # no recorded vocab digest, so only the size check can catch this
+        corpus = run_synth(tmp_path)
+        checkpoint = self._digestless_checkpoint(tmp_path, 45, 20)
         out_dir = tmp_path / "restore"
         code = main([
-            "restore", "--in", str(corpus),
-            "--checkpoint", str(train_dir / "checkpoint.bin"),
+            "restore", "--in", str(corpus), "--checkpoint", str(checkpoint),
             "--out-dir", str(out_dir), "--nbest", nbest,
         ])
         assert code == 2
         err = capsys.readouterr().err
         assert "checkpoint expects vocabulary of 45 tokens, got 20" in err
         assert not (out_dir / "predictions.jsonl").exists()
+
+    def test_failed_restore_records_no_settings(self, tmp_path, capsys):
+        # the command fails after its checks pass; a failed command leaves
+        # no effective-config file describing a run that produced nothing
+        corpus = run_synth(tmp_path)
+        checkpoint = self._digestless_checkpoint(tmp_path, 42, 41)
+        out_dir = tmp_path / "restore"
+        code = main([
+            "restore", "--in", str(corpus), "--checkpoint", str(checkpoint),
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert "checkpoint expects vocabulary of 42 tokens, got 41" \
+            in capsys.readouterr().err
+        assert not out_dir.exists() or not os.listdir(out_dir)
+
+    def test_restore_refuses_a_checkpoint_of_another_tokenization(
+            self, tmp_path, tiny_config, capsys):
+        # the checkpoint records that it was trained on per-character tokens
+        corpus = run_synth(tmp_path)
+        train_dir = run_train(tmp_path, corpus, tiny_config,
+                              extra=["--language", "chinese"])
+        restore = ["restore", "--in", str(corpus),
+                   "--checkpoint", str(train_dir / "checkpoint.bin"),
+                   "--config", tiny_config]
+        out_dir = tmp_path / "restore"
+        assert main([*restore, "--out-dir", str(out_dir)]) == 1
+        assert "trained on 'chinese' text, which tokenizes differently from " \
+            "'english'" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert main([*restore, "--out-dir", str(out_dir), "--language", "chinese"]) == 0
 
     def test_evaluate_on_labeled_gold(self, pipeline, capsys):
         tmp_path, config, corpus, labeled, train_dir = pipeline
@@ -953,6 +989,21 @@ class TestRestoreAndEvaluate:
         assert code == 2
         assert "repeated gold sample id 'a'" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "report.json").exists()
+
+    def test_evaluate_null_ids(self, tmp_path):
+        # a null id reads as the record's index, in gold and predictions alike
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(
+            '{"id": null, "context": ["the cat"], "utterance": "it sat", '
+            '"reference": "the cat sat"}\n', encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": null, "prediction": "the cat sat"}\n',
+                         encoding="utf-8")
+        code = main([
+            "evaluate", "--predictions", str(preds),
+            "--gold", str(gold), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 0
 
     def test_evaluate_bad_labeled_gold_line(self, tmp_path, capsys):
         # line 3's first label row is one word short: the labeled file is

@@ -24,11 +24,11 @@ from pickgen.labeling import (
     hard_labels,
     important_token_set,
     label_corpus,
-    label_density,
     label_sample,
     labeled_to_record,
     load_embeddings,
     load_labeled_corpus,
+    marked_word_counts,
     normalize,
     save_labeled_corpus,
     score_matrix,
@@ -468,7 +468,7 @@ class TestDensityAndImportantSet:
                                 "when did they start to tour",
                                 "when did paramore start to tour", "0")
         labeled = label_sample(sample, "hard", EmbeddingTable(), ENGLISH)
-        assert label_density([labeled]) == pytest.approx(0.25)
+        assert marked_word_counts([labeled]) == (1, 4)
 
     def test_important_token_set(self):
         sample = DialogueSample(("paramore formed in 2004",),
@@ -484,5 +484,5 @@ class TestDensityAndImportantSet:
         assert soft.marked() == ((False, True, True), (False, False))
         sample = DialogueSample(("a b c", "d e"), "u", "r", "0")
         samples = [LabeledSample(sample, labels) for labels in (hard, soft)]
-        assert label_density(samples) == 5 / 10
+        assert marked_word_counts(samples) == (5, 10)
         assert important_token_set(samples[1], ENGLISH) == frozenset({"b", "c"})

@@ -551,7 +551,8 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         manifest = json.loads(path.read_bytes().partition(b"\n")[0])
         assert manifest["version"] == M.CHECKPOINT_VERSION == 3
-        assert sorted(manifest) == ["config", "tensors", "version", "vocab_sha256"]
+        assert sorted(manifest) == ["config", "language", "tensors", "version",
+                                    "vocab_sha256"]
         assert all(sorted(entry) == ["name", "shape"] for entry in manifest["tensors"])
         assert ModelConfig.from_dict(manifest["config"]) == params.config
 

@@ -9,6 +9,7 @@ theta = theta0 - N * lr * g / (|g| + eps).
 import dataclasses
 import logging
 import math
+import os
 import warnings
 import weakref
 
@@ -590,6 +591,25 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=8, subsample_fraction=0.5)
         result = train(data, cfg, mcfg, vocab, ENGLISH)
         assert result.trained_samples == 4
+
+    def test_sample_without_reference_refused_though_not_subsampled(self):
+        # the reference check covers the whole corpus, not the subsample
+        data, vocab, mcfg = _tiny_setup("none", size=8)
+        cfg = TrainConfig(epochs=1, batch_size=8, subsample_fraction=0.5,
+                          label_mode="none")
+        left_out = sorted(set(range(8)) - set(subsample(list(range(8)), 0.5, cfg.seed)))
+        data[left_out[0]] = dataclasses.replace(data[left_out[0]], reference=None)
+        with pytest.raises(TrainingError,
+                           match=rf"sample '{left_out[0]}' has no reference to train on"):
+            train(data, cfg, mcfg, vocab, ENGLISH)
+
+    def test_out_dir_created_when_missing(self, tmp_path):
+        data, vocab, mcfg = _tiny_setup()
+        out = tmp_path / "new" / "run"
+        result = train(data, TrainConfig(epochs=1, batch_size=4), mcfg, vocab,
+                       ENGLISH, out_dir=str(out))
+        assert sorted(os.listdir(out)) == ["checkpoint.bin", "loss_log.csv", "vocab.json"]
+        assert result.checkpoint_path == str(out / "checkpoint.bin")
 
 
 
