@@ -43,7 +43,7 @@ from .labeling import (
     marked_word_counts,
     save_labeled_corpus,
 )
-from .metrics import evaluate
+from .metrics import PICKUP_MODES, evaluate
 from .model import ModelConfig, load_checkpoint
 from .synth import generate_corpus
 from .training import TrainConfig, make_model_config, train
@@ -85,7 +85,7 @@ NULLABLE = {"stopword_path": str, "embeddings": str, "train.epochs": int,
 CHOICES = {
     "language": ("english", "chinese", "other"),
     "label_mode": LABEL_MODES,
-    "evaluation.pickup_mode": ("any", "all"),
+    "evaluation.pickup_mode": PICKUP_MODES,
 }
 
 # Corpora below this size (and any subsampled run) default to the

@@ -296,12 +296,10 @@ def build_vocab(
         raise CorpusError(
             f"max_size must exceed the {len(RESERVED_TOKENS)} reserved tokens"
         )
-    counts: Counter[str] = Counter()
-    for sample in samples:
-        for text in (*sample.context, sample.incomplete, *(
-            [sample.reference] if sample.reference is not None else []
-        )):
-            counts.update(tokenize(text, cfg))
+    counts = Counter(
+        token for sample in samples
+        for text in (*sample.context, sample.incomplete, sample.reference)
+        if text is not None for token in tokenize(text, cfg))
     for reserved in RESERVED_TOKENS:
         counts.pop(reserved, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

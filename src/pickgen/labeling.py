@@ -165,17 +165,18 @@ def normalize(tokens: list[str], cfg: LanguageConfig) -> list[tuple[int, str]]:
     """Drop stopwords, then lowercase survivors and, where the language
     stems, lemmatize and stem them, keeping each survivor's original
     index."""
+    stems, stopwords = cfg.stems, cfg.stopwords  # memo keys that hash in C
     return [(i, form) for i, token in enumerate(tokens)
-            if (form := _normal_form(token, cfg))]
+            if (form := _normal_form(token, stems, stopwords))]
 
 
 @lru_cache(maxsize=1 << 16)
-def _normal_form(token: str, cfg: LanguageConfig) -> str:
+def _normal_form(token: str, stems: bool, stopwords: frozenset[str]) -> str:
     """token's normalized form; empty for a stopword."""
     form = token.lower()
-    if token in cfg.stopwords or form in cfg.stopwords:
+    if token in stopwords or form in stopwords:
         return ""
-    if cfg.stems:
+    if stems:
         form = textnorm.porter_stem(textnorm.lemmatize(form))
     return form
 
@@ -184,18 +185,15 @@ def extract_clue_tokens(
     reference: str, incomplete: str, cfg: LanguageConfig
 ) -> ClueTokenSet:
     """Normalized reference tokens that the incomplete utterance lacks."""
-    ref_norm = normalize(tokenize(reference, cfg), cfg)
-    inc_norm = normalize(tokenize(incomplete, cfg), cfg)
-    inc_set = {form for _, form in inc_norm}
+    inc_set = {form for _, form in normalize(tokenize(incomplete, cfg), cfg)}
     ref_tokens = tokenize(reference, cfg)
-    clue_tokens = {form for _, form in ref_norm if form not in inc_set}
     provenance: dict[str, tuple[str, ...]] = {}
-    for idx, form in ref_norm:
-        if form in clue_tokens:
+    for idx, form in normalize(ref_tokens, cfg):
+        if form not in inc_set:
             surfaces = provenance.get(form, ())
             if ref_tokens[idx] not in surfaces:
                 provenance[form] = surfaces + (ref_tokens[idx],)
-    return ClueTokenSet(frozenset(clue_tokens), provenance)
+    return ClueTokenSet(frozenset(provenance), provenance)
 
 
 def similarity(h_vec: np.ndarray, c_vec: np.ndarray) -> float:
@@ -219,13 +217,15 @@ def score_matrix(
     ordered = clues.ordered()
     d = np.zeros((len(context_words), len(ordered)))
     h_vecs = [emb.vector(word) for word in context_words] if ordered else []
+    h_norms = [float(np.linalg.norm(vec)) for vec in h_vecs]  # once per matrix
     for j, clue in enumerate(ordered):
         c_vec = emb.vector(clue)
+        nc = float(np.linalg.norm(c_vec))
         for i, word in enumerate(context_words):
             if word == clue:
                 d[i, j] = 1.0
-            else:
-                d[i, j] = min(similarity(h_vecs[i], c_vec), _BELOW_ONE)
+            elif h_norms[i] != 0.0 and nc != 0.0:  # else 0, as in similarity
+                d[i, j] = min(np.dot(h_vecs[i], c_vec) / (h_norms[i] * nc), _BELOW_ONE)
     return d
 
 

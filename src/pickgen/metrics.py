@@ -24,6 +24,7 @@ class MetricError(ValueError):
     """Raised for empty corpora or malformed metric inputs."""
 
 
+PICKUP_MODES = ("any", "all")
 DEFAULT_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
     ("<100", 0, 99),
     ("100-200", 100, 200),
@@ -155,7 +156,7 @@ def pickup_ratio(
 ) -> float:
     """Fraction of samples whose normalized prediction tokens contain their
     important tokens; samples with no important tokens are excluded."""
-    if mode not in ("any", "all"):
+    if mode not in PICKUP_MODES:
         raise MetricError(f"pickup mode must be any|all, got {mode!r}")
     hits = 0
     counted = 0
@@ -217,7 +218,7 @@ class EvalReport:
     f2: float
     f3: float
     em: float
-    pickup_ratio: float
+    pickup_ratio: float | None  # None when no sample has an important token
     pickup_mode: str
     difference: float
     bleu_by_length: dict[str, float]
@@ -241,7 +242,8 @@ class EvalReport:
             ("f2", f"{self.f2:.1f}"),
             ("f3", f"{self.f3:.1f}"),
             ("em", f"{self.em:.1f}"),
-            (f"pickup_ratio ({self.pickup_mode})", f"{self.pickup_ratio:.1f}"),
+            (f"pickup_ratio ({self.pickup_mode})",
+             "n/a" if self.pickup_ratio is None else f"{self.pickup_ratio:.1f}"),
             ("difference", f"{self.difference:.2f}"),
         ]
         for label in self.bleu_by_length:
@@ -282,10 +284,10 @@ def evaluate(
             raise MetricError(f"missing prediction for sample id {sample.id!r}")
         if sample.reference is None:
             raise MetricError(f"sample {sample.id!r} lacks a reference")
-    if labeled is not None:
-        by_id = {item.sample.id: item for item in labeled}
-    else:
-        by_id = {s.id: label_sample(s, "hard", EmbeddingTable(), cfg) for s in gold}
+    if labeled is None:  # hard labels read no vectors, so one table serves all
+        emb = EmbeddingTable()
+        labeled = [label_sample(s, "hard", emb, cfg) for s in gold]
+    by_id = {item.sample.id: item for item in labeled}
 
     pred_tokens = {s.id: tokenize(predictions[s.id], cfg) for s in gold}
     plain, restored = zip(*(
@@ -312,7 +314,9 @@ def evaluate(
             raise MetricError(f"missing labels for sample id {s.id!r}")
         pred_forms = {form for _, form in normalize(pred_tokens[s.id], cfg)}
         pickup_items.append((pred_forms, important_token_set(item, cfg)))
-    pickup = pickup_ratio(pickup_items, pickup_mode)
+    pickup = None  # undefined when no sample has an important token
+    if any(important for _, important in pickup_items) or pickup_mode not in PICKUP_MODES:
+        pickup = 100.0 * pickup_ratio(pickup_items, pickup_mode)  # raises for a bad mode
     difference = length_difference(
         [(predictions[s.id], s.reference) for s in gold]
     )
@@ -333,7 +337,7 @@ def evaluate(
         f2=100.0 * f_scores[2],
         f3=100.0 * f_scores[3],
         em=100.0 * em,
-        pickup_ratio=100.0 * pickup,
+        pickup_ratio=pickup,
         pickup_mode=pickup_mode,
         difference=difference,
         bleu_by_length={

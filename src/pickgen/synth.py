@@ -97,8 +97,10 @@ TEMPLATES = (_t0, _t1, _t2, _t3, _t4, _t5)
 
 
 def _pick(rng, pool, exclude=None):
-    choices = [item for item in pool if item != exclude]
-    return choices[int(rng.integers(len(choices)))]
+    if exclude is None or exclude not in pool:
+        return pool[int(rng.integers(len(pool)))]
+    index = int(rng.integers(len(pool) - 1))  # the draw from pool without exclude
+    return pool[index + (index >= pool.index(exclude))]
 
 
 def generate_corpus(

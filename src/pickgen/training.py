@@ -192,23 +192,23 @@ def optimizer_step(
         g, w = grads[name], tensor.data
         m = state.first_moment[name]
         v = state.second_moment[name]
-        update, tmp = np.empty_like(w), np.empty_like(w)
         # m = BETA1 * m + (1 - BETA1) * g;  v = BETA2 * v + (1 - BETA2) * g²
-        np.add(np.multiply(m, BETA1, out=m),
-               np.multiply(g, 1.0 - BETA1, out=tmp), out=m)
-        np.multiply(v, BETA2, out=v)
-        np.add(v, np.multiply(np.multiply(g, g, out=tmp), 1.0 - BETA2, out=tmp),
-               out=v)
+        m *= BETA1
+        m += g * (1.0 - BETA1)
+        v *= BETA2
+        v += g * g * (1.0 - BETA2)
         # update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
-        np.add(np.sqrt(np.divide(v, bias2, out=tmp), out=tmp), ADAM_EPS, out=tmp)
-        np.divide(np.divide(m, bias1, out=update), tmp, out=update)
-        np.multiply(update, cfg.learning_rate, out=update)
-        decayed = is_weight_matrix(name, w.shape)
-        if decayed:  # decay from the weights before this step
-            np.multiply(w, decay, out=tmp)
-        np.subtract(w, update, out=w)
-        if decayed:
-            np.subtract(w, tmp, out=w)
+        denom = np.sqrt(v / bias2)
+        denom += ADAM_EPS
+        update = m / bias1
+        update /= denom
+        update *= cfg.learning_rate
+        if is_weight_matrix(name, w.shape):  # decay from the weights before this step
+            decay_term = w * decay
+            w -= update
+            w -= decay_term
+        else:
+            w -= update
     state.step = t
     return state
 

@@ -421,7 +421,12 @@ def evaluate_per_metric(
             raise MetricError(f"missing labels for sample id {s.id!r}")
         pred_forms = {form for _, form in normalize(pred_tokens[s.id], cfg)}
         pickup_items.append((pred_forms, important_token_set(item, cfg)))
-    pickup = pickup_ratio(pickup_items, pickup_mode)
+    try:
+        pickup = 100.0 * pickup_ratio(pickup_items, pickup_mode)
+    except MetricError as exc:  # undefined when no sample counts: reported as None
+        if "empty important-token set" not in str(exc):
+            raise
+        pickup = None
     difference = length_difference(
         [(predictions[s.id], s.reference) for s in gold]
     )
@@ -440,7 +445,7 @@ def evaluate_per_metric(
         f2=100.0 * f_scores[2],
         f3=100.0 * f_scores[3],
         em=100.0 * em,
-        pickup_ratio=100.0 * pickup,
+        pickup_ratio=pickup,
         pickup_mode=pickup_mode,
         difference=difference,
         bleu_by_length={k: 100.0 * v for k, v in bucket_scores.items()},

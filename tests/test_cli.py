@@ -973,6 +973,25 @@ class TestRestoreAndEvaluate:
         assert code == 2
         assert "missing prediction" in capsys.readouterr().err
 
+    def test_evaluate_without_important_tokens_reports_pickup_as_na(self, tmp_path):
+        # no context word is a clue: pickup_ratio is undefined, the rest is not
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(
+            '{"id": "a", "context": ["the band played in paris"], '
+            '"utterance": "did they tour", "reference": "did they tour"}\n',
+            encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "a", "prediction": "did they tour"}\n', encoding="utf-8")
+        eval_dir = tmp_path / "eval"
+        code = main([
+            "evaluate", "--predictions", str(preds),
+            "--gold", str(gold), "--out-dir", str(eval_dir),
+        ])
+        assert code == 0
+        report = json.loads((eval_dir / "report.json").read_text())
+        assert report["pickup_ratio"] is None and report["em"] == 100.0
+        assert "pickup_ratio (any)  n/a\n" in (eval_dir / "report.txt").read_text()
+
     def test_evaluate_repeated_gold_id(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         gold.write_text(

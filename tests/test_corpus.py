@@ -312,6 +312,27 @@ class TestBuildVocab:
         assert vocab.id_to_token.count("[X1]") == 1
         assert vocab.id_to_token.count("</s>") == 1
 
+    def test_equals_a_reference_count_and_rank(self, english):
+        # counting every token of every text at once ranks as a text-by-text
+        # count does: by count, ties by token, reserved spellings left out
+        samples = [
+            DialogueSample(("b a </s>", "c [X1] a"), "b c", "a <pad> d", "0"),
+            DialogueSample(("d d </s>",), "e c", None, "1"),
+            DialogueSample(("e",), "b", "f a", "2"),
+        ]
+        counts: dict[str, int] = {}
+        for sample in samples:
+            for text in (*sample.context, sample.incomplete, sample.reference or ""):
+                for token in text.split():
+                    counts[token] = counts.get(token, 0) + 1
+        ranked = sorted((t for t in counts if t not in RESERVED_TOKENS),
+                        key=lambda t: (-counts[t], t))
+        assert ranked[1:4] == ["b", "c", "d"]  # a three-way tie
+        for max_size in (7, 9, 100):
+            vocab = build_vocab(samples, max_size, english)
+            room = max_size - len(RESERVED_TOKENS)
+            assert vocab.id_to_token == (*RESERVED_TOKENS, *ranked[:room])
+
     def test_character_granularity(self, chinese):
         samples = [DialogueSample(("他们",), "走", "他们走", "0")]
         vocab = build_vocab(samples, 100, chinese)

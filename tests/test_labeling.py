@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from pickgen.corpus import DialogueSample, LanguageConfig, tokenize
 from pickgen.labeling import (
+    ClueTokenSet,
     EmbeddingTable,
     LabelError,
     LabeledSample,
@@ -35,6 +36,7 @@ from pickgen.labeling import (
     similarity,
     soft_labels,
     to_bio,
+    _normal_form,
 )
 from pickgen.synth import generate_corpus
 
@@ -63,6 +65,21 @@ class TestNormalize:
 
     def test_uppercase_stopword_dropped(self):
         assert normalize(["The", "Albums"], ENGLISH) == [(1, "album")]
+
+    def test_memo_keeps_configs_apart(self):
+        # normal forms are memoized per (token, stemming, stopwords): one
+        # token under three configs gives three forms, whichever config
+        # looks it up first
+        configs = (
+            LanguageConfig("english", frozenset({"albums"})),  # a stopword here
+            LanguageConfig("english", frozenset()),
+            LanguageConfig("other", frozenset()),  # does not stem
+        )
+        forms = ([], [(0, "album")], [(0, "albums")])
+        for order in (range(3), reversed(range(3))):
+            _normal_form.cache_clear()
+            for k in order:
+                assert normalize(["Albums"], configs[k]) == forms[k], configs[k]
 
 
 class TestExtractClueTokens:
@@ -122,6 +139,23 @@ class TestScoreMatrix:
         d = score_matrix(["aa"], clues, emb)
         assert d[0, 0] < 1.0
         assert d[0, 0] == np.nextafter(1.0, 0.0)
+
+    def test_equals_per_pair_similarity_bit_for_bit(self):
+        # score_matrix takes each vector's norm once per matrix; every score
+        # keeps the bits of the per-pair formula, zero vectors included
+        rng = np.random.default_rng(0)
+        vectors = {w: rng.standard_normal(4) * 10.0 ** int(rng.integers(-3, 4))
+                   for w in ("aa", "bb", "cc", "dd")}
+        vectors["zz"] = np.zeros(4)
+        emb = EmbeddingTable(vectors, dim=4)
+        clues = ClueTokenSet(frozenset({"bb", "cc", "zz", "qq"}), {})
+        words = ["aa", "bb", "zz", "dd", "qq", "xx", "bb"]
+        expected = np.array([
+            [1.0 if word == clue else
+             min(similarity(emb.vector(word), emb.vector(clue)), np.nextafter(1.0, 0.0))
+             for clue in clues.ordered()]
+            for word in words])
+        assert score_matrix(words, clues, emb).tobytes() == expected.tobytes()
 
     def test_empty_clue_set_gives_zero_columns(self):
         emb = EmbeddingTable()

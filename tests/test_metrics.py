@@ -387,6 +387,22 @@ class TestEvaluate:
                      "difference", "samples"):
             assert name in table
 
+    def test_no_important_tokens_reports_pickup_as_undefined(self):
+        # no context word is a clue, so pickup_ratio has no sample to count:
+        # evaluate reports it as null (n/a) and every other metric as usual
+        gold = [DialogueSample(("the band played in paris",), "did they tour",
+                               "did they tour", "a")]
+        predictions = {"a": "did they tour"}
+        report = evaluate(predictions, gold, ENGLISH)
+        assert report.pickup_ratio is None
+        assert report.em == 100.0 and report.rouge1 == 100.0
+        assert json.loads(report.to_json())["pickup_ratio"] is None
+        assert "pickup_ratio (any)  n/a\n" in report.to_table()
+        assert _outcome(evaluate, predictions, gold, ENGLISH) == _outcome(
+            evaluate_per_metric, predictions, gold, ENGLISH)
+        with pytest.raises(MetricError, match="pickup mode"):
+            evaluate(predictions, gold, ENGLISH, pickup_mode="some")
+
     def test_deterministic(self):
         gold = self._corpus(size=4)
         predictions = {s.id: s.reference for s in gold}
@@ -473,7 +489,6 @@ def _malformed_cases():
         "missing labels before a bad pickup mode": (
             predictions, gold, {"labeled": labeled, "pickup_mode": "some"}),
         "bad pickup mode": (predictions, gold, {"pickup_mode": "some"}),
-        "no important tokens": ({"u": "b"}, unimportant, {}),
         "missing prediction before a bad pickup mode": (
             {gold[0].id: "x"}, gold, {"pickup_mode": "some"}),
         "bad pickup mode before no important tokens": (

@@ -1,5 +1,6 @@
 """Tests for the synthetic corpus generator."""
 
+import numpy as np
 import pytest
 
 from pickgen.corpus import LanguageConfig
@@ -9,7 +10,7 @@ from pickgen.labeling import (
     label_corpus,
     marked_word_counts,
 )
-from pickgen.synth import TEMPLATES, generate_corpus
+from pickgen.synth import BANDS, CITIES, TEMPLATES, VERBS, YEARS, _pick, generate_corpus
 
 ENGLISH = LanguageConfig.for_language("english")
 
@@ -55,6 +56,22 @@ class TestGenerateCorpus:
         for index in range(len(TEMPLATES)):
             corpus = generate_corpus(3, seed=index, templates=(index,))
             assert len(corpus) == 3
+
+    def test_pick_matches_the_filtered_list_rule(self):
+        # _pick makes one draw bounded by the items left and steps past
+        # exclude: the same item, and the same generator state, as drawing
+        # from the list of items other than exclude
+        def list_pick(rng, pool, exclude=None):
+            choices = [item for item in pool if item != exclude]
+            return choices[int(rng.integers(len(choices)))]
+
+        for pool in (BANDS, YEARS, CITIES, VERBS):
+            for exclude in (None, "absent", *pool):
+                a = np.random.Generator(np.random.PCG64(len(pool)))
+                b = np.random.Generator(np.random.PCG64(len(pool)))
+                for _ in range(10):
+                    assert _pick(a, pool, exclude) == list_pick(b, pool, exclude)
+                    assert a.bit_generator.state == b.bit_generator.state
 
     def test_references_extend_the_incomplete(self):
         for sample in generate_corpus(50, seed=7):
