@@ -208,15 +208,8 @@ def _embedding_table(config: dict) -> EmbeddingTable:
 # Commands
 
 def cmd_synth(args, config: dict) -> None:
-    templates = None
-    if args.templates:
-        try:
-            templates = tuple(int(t) for t in args.templates.split(","))
-        except ValueError:
-            raise UsageError(f"--templates must be comma-separated integers, "
-                             f"not {args.templates!r}") from None
-    # a bad --size or --templates is refused before the out dir is made
-    samples = _checked("--", generate_corpus, args.size, config["seed"], templates)
+    # a bad --size is refused before the out dir is made
+    samples = _checked("--", generate_corpus, args.size, config["seed"])
     out_path = os.path.join(args.out_dir, "corpus.jsonl")
     save_corpus(samples, out_path)
     print(f"wrote {len(samples)} samples to {out_path}")
@@ -373,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     _add_common(p, "seed")
     p.add_argument("--size", type=int, default=200)
-    p.add_argument("--templates", help="comma-separated template indices")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("label", help="create picker labels from references")

@@ -50,7 +50,9 @@ RESTORE_CHUNK = 16
 
 
 class InferenceError(ValueError):
-    """Raised for incompatible checkpoint/vocabulary combinations."""
+    """Raised for bad search settings, a malformed predictions file, a
+    vocabulary of another size than the checkpoint's, and tag prediction
+    from a picker that is not hard-mode."""
 
 
 @dataclass(frozen=True)
@@ -262,13 +264,9 @@ def restore(
     cfg: LanguageConfig,
     beam_size: int = DEFAULT_BEAM_SIZE,
     max_len: int = MAX_DECODE_LEN_CAP,
-    length_penalty: float = 1.0,
-    input_max_len: int = DEFAULT_MAX_LEN,
 ) -> str:
     """The best restoration of one sample."""
-    return restore_ranked(
-        [sample], params, vocab, cfg, beam_size, max_len, length_penalty, input_max_len
-    )[0][0][0]
+    return restore_ranked([sample], params, vocab, cfg, beam_size, max_len)[0][0][0]
 
 
 def hypothesis_text(
@@ -287,15 +285,11 @@ def restore_corpus(
     cfg: LanguageConfig,
     beam_size: int = DEFAULT_BEAM_SIZE,
     max_len: int | None = None,
-    length_penalty: float = 1.0,
-    input_max_len: int = DEFAULT_MAX_LEN,
 ) -> list[tuple[str, str]]:
     """Restorations for a corpus, order-preserving, as (id, text) pairs."""
     if max_len is None:
         max_len = default_max_decode_len(samples, cfg)
-    ranked = restore_ranked(
-        samples, params, vocab, cfg, beam_size, max_len, length_penalty, input_max_len
-    )
+    ranked = restore_ranked(samples, params, vocab, cfg, beam_size, max_len)
     return [(sample.id, best[0][0]) for sample, best in zip(samples, ranked)]
 
 

@@ -45,7 +45,6 @@ class EncodingError(ValueError):
 
 @dataclass(frozen=True)
 class EncodedSample:
-    id: str
     input_ids: tuple[int, ...]
     picker_targets: tuple[float, ...]
     decoder_input: tuple[int, ...]
@@ -150,7 +149,6 @@ def encode_sample(
         raise EncodingError(f"sample {sample.id!r}: no reference to encode")
     dec_in, dec_out = build_target(sample.reference, vocab, cfg)
     return EncodedSample(
-        id=sample.id,
         input_ids=tuple(input_ids),
         picker_targets=tuple(picker),
         decoder_input=tuple(dec_in),

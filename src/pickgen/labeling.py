@@ -72,7 +72,8 @@ class EmbeddingTable:
 def load_embeddings(path: str, seed: int = 0) -> EmbeddingTable:
     """Read the plain-text word-vector format: a "count dim" header line,
     then one "token v1 ... vd" line per token, each value finite and each
-    token listed once."""
+    token listed once. Any whitespace separates fields, so the trailing
+    space the original word2vec tool writes after each value is read too."""
     lines = read_lines(path, LabelError)
     header = next(lines, (1, ""))[1].split()
     try:
@@ -83,9 +84,10 @@ def load_embeddings(path: str, seed: int = 0) -> EmbeddingTable:
         raise LabelError(f"{path}:1: embedding dimension must be >= 1")
     vectors: dict[str, np.ndarray] = {}
     for lineno, line in lines:
-        token, *values = line.rstrip("\n").split(" ")
-        if len(values) != dim:
+        parts = line.split()
+        if len(parts) != dim + 1:
             raise LabelError(f"{path}:{lineno}: expected token plus {dim} values")
+        token, values = parts[0], parts[1:]
         if token in vectors:
             raise LabelError(f"{path}:{lineno}: token {token!r} listed twice")
         try:
@@ -109,9 +111,6 @@ class ClueTokenSet:
 
     def ordered(self) -> tuple[str, ...]:
         return tuple(sorted(self.tokens))
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -196,15 +195,6 @@ def extract_clue_tokens(
     return ClueTokenSet(frozenset(provenance), provenance)
 
 
-def similarity(h_vec: np.ndarray, c_vec: np.ndarray) -> float:
-    """Cosine similarity; zero vectors score 0 by convention."""
-    nh = float(np.linalg.norm(h_vec))
-    nc = float(np.linalg.norm(c_vec))
-    if nh == 0.0 or nc == 0.0:
-        return 0.0
-    return float(np.dot(h_vec, c_vec) / (nh * nc))
-
-
 def score_matrix(
     context_words: list[str], clues: ClueTokenSet, emb: EmbeddingTable
 ) -> np.ndarray:
@@ -224,7 +214,7 @@ def score_matrix(
         for i, word in enumerate(context_words):
             if word == clue:
                 d[i, j] = 1.0
-            elif h_norms[i] != 0.0 and nc != 0.0:  # else 0, as in similarity
+            elif h_norms[i] != 0.0 and nc != 0.0:  # a zero vector scores 0
                 d[i, j] = min(np.dot(h_vecs[i], c_vec) / (h_norms[i] * nc), _BELOW_ONE)
     return d
 

@@ -153,9 +153,10 @@ def exact_match(pred: str, ref: str) -> int:
 
 def pickup_ratio(
     items: list[tuple[set[str], frozenset[str]]], mode: str = "any"
-) -> float:
+) -> float | None:
     """Fraction of samples whose normalized prediction tokens contain their
-    important tokens; samples with no important tokens are excluded."""
+    important tokens; samples with no important tokens are excluded, and
+    the ratio is None when no sample has an important token."""
     if mode not in PICKUP_MODES:
         raise MetricError(f"pickup mode must be any|all, got {mode!r}")
     hits = 0
@@ -168,9 +169,7 @@ def pickup_ratio(
             hits += bool(pred_forms & important)
         else:
             hits += important <= pred_forms
-    if counted == 0:
-        raise MetricError("every sample has an empty important-token set")
-    return hits / counted
+    return hits / counted if counted else None
 
 
 def length_difference(pairs: list[tuple[str, str]]) -> float:
@@ -225,11 +224,8 @@ class EvalReport:
     bucket_counts: dict[str, int]
     sample_count: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_table(self) -> str:
         rows = [
@@ -314,9 +310,7 @@ def evaluate(
             raise MetricError(f"missing labels for sample id {s.id!r}")
         pred_forms = {form for _, form in normalize(pred_tokens[s.id], cfg)}
         pickup_items.append((pred_forms, important_token_set(item, cfg)))
-    pickup = None  # undefined when no sample has an important token
-    if any(important for _, important in pickup_items) or pickup_mode not in PICKUP_MODES:
-        pickup = 100.0 * pickup_ratio(pickup_items, pickup_mode)  # raises for a bad mode
+    pickup = pickup_ratio(pickup_items, pickup_mode)
     difference = length_difference(
         [(predictions[s.id], s.reference) for s in gold]
     )
@@ -337,7 +331,7 @@ def evaluate(
         f2=100.0 * f_scores[2],
         f3=100.0 * f_scores[3],
         em=100.0 * em,
-        pickup_ratio=pickup,
+        pickup_ratio=None if pickup is None else 100.0 * pickup,
         pickup_mode=pickup_mode,
         difference=difference,
         bleu_by_length={

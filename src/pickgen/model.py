@@ -49,6 +49,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # every setting but dropout is integral; a manifest may say 8.0 for
+        # 8, which passes the range checks and fails in numpy much later
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            items = value if f.name == "picker_widths" else (value,)
+            if f.name != "dropout" and not all(
+                    isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items):
+                raise ModelError(f"{f.name} must be integral, not {value!r}")
         if self.vocab_size < 6:
             raise ModelError("vocab_size must cover the 6 reserved tokens")
         for name in ("d_model", "num_layers", "num_heads", "ffn_dim"):

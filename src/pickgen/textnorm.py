@@ -7,8 +7,6 @@ resources or downloads.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 _VOWELS = "aeiou"
 
 
@@ -135,7 +133,6 @@ def _longest_rule(word, rules):
     return best
 
 
-@lru_cache(maxsize=1 << 16)
 def porter_stem(word: str) -> str:
     """Stem a lowercase English word; words of length <= 2 pass through."""
     if len(word) <= 2 or not word.isalpha():

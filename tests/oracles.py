@@ -5,7 +5,8 @@ oracle splits heads into separate arrays before it attends, the backward
 oracle walks a graph without using it up, the decoding oracles re-run the
 decoder from a fresh cache over every whole prefix of one unpadded input
 (teacher forcing, as in training), and the beam oracles build and sort
-every candidate in Python or enumerate every decodable output; the n-gram
+every candidate in Python or enumerate every decodable output; the cosine
+oracle scores one pair at a time, with its own norms; the n-gram
 oracles enumerate n-grams positionally instead of via Counter arithmetic,
 and the per-metric evaluate recounts every sample for every metric.
 weighted_sum, the one graph node here, is how tests start a backward with
@@ -123,6 +124,16 @@ def oracle_hard_rows(sample, cfg):
                 bits[idx] = 1
         rows.append(tuple(to_bio(bits)))
     return tuple(rows)
+
+
+def similarity(h_vec: np.ndarray, c_vec: np.ndarray) -> float:
+    """Cosine similarity of one pair of vectors, norms taken per call; zero
+    vectors score 0 by convention."""
+    nh = float(np.linalg.norm(h_vec))
+    nc = float(np.linalg.norm(c_vec))
+    if nh == 0.0 or nc == 0.0:
+        return 0.0
+    return float(np.dot(h_vec, c_vec) / (nh * nc))
 
 
 def encode_single(params, input_ids):
@@ -421,12 +432,7 @@ def evaluate_per_metric(
             raise MetricError(f"missing labels for sample id {s.id!r}")
         pred_forms = {form for _, form in normalize(pred_tokens[s.id], cfg)}
         pickup_items.append((pred_forms, important_token_set(item, cfg)))
-    try:
-        pickup = 100.0 * pickup_ratio(pickup_items, pickup_mode)
-    except MetricError as exc:  # undefined when no sample counts: reported as None
-        if "empty important-token set" not in str(exc):
-            raise
-        pickup = None
+    pickup = pickup_ratio(pickup_items, pickup_mode)
     difference = length_difference(
         [(predictions[s.id], s.reference) for s in gold]
     )
@@ -445,7 +451,7 @@ def evaluate_per_metric(
         f2=100.0 * f_scores[2],
         f3=100.0 * f_scores[3],
         em=100.0 * em,
-        pickup_ratio=pickup,
+        pickup_ratio=None if pickup is None else 100.0 * pickup,
         pickup_mode=pickup_mode,
         difference=difference,
         bleu_by_length={k: 100.0 * v for k, v in bucket_scores.items()},

@@ -469,34 +469,10 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
-    def test_template_subset(self, tmp_path):
-        out_dir = tmp_path / "out"
-        assert main([
-            "synth", "--out-dir", str(out_dir), "--size", "3",
-            "--templates", "1",
-        ]) == 0
-        rows = [
-            json.loads(line)
-            for line in (out_dir / "corpus.jsonl").read_text().splitlines()
-        ]
-        assert all(r["utterance"] == "what album should i try first" for r in rows)
-
     def test_bad_size(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         assert main(["synth", "--out-dir", str(out_dir), "--size", "0"]) == 1
         assert "--size must be >= 1, not 0" in capsys.readouterr().err
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("value,problem", [
-        ("9", "--templates must be one or more indices in 0..5, not [9]"),
-        ("-1", "not [-1]"),
-        ("1,6", "not [1, 6]"),
-        ("1,x", "--templates must be comma-separated integers, not '1,x'"),
-    ], ids=["9", "-1", "1,6", "1,x"])
-    def test_bad_templates(self, tmp_path, capsys, value, problem):
-        out_dir = tmp_path / "out"
-        assert main(["synth", "--out-dir", str(out_dir), "--templates", value]) == 1
-        assert problem in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag,value", [
@@ -749,6 +725,21 @@ class TestRestoreAndEvaluate:
         ])
         assert code == 1
         assert "does not match" in capsys.readouterr().err
+
+    def test_restore_names_a_float_model_setting(self, pipeline, capsys):
+        tmp_path, config, corpus, _, train_dir = pipeline
+        checkpoint = train_dir / "checkpoint.bin"
+        header, _, payload = checkpoint.read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        manifest["config"]["d_model"] = float(manifest["config"]["d_model"])
+        checkpoint.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        code = main([
+            "restore", "--in", str(corpus), "--checkpoint", str(checkpoint),
+            "--out-dir", str(tmp_path / "out"), "--config", config,
+        ])
+        assert code == 2
+        assert (f"error: {checkpoint}: malformed manifest (ModelError: d_model "
+                f"must be integral, not 8.0)") in capsys.readouterr().err
 
     def test_restore_rejects_duplicate_ids(self, pipeline):
         tmp_path, config, _, _, train_dir = pipeline

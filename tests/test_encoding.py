@@ -190,7 +190,6 @@ class TestEncodeSample:
         vocab = build_vocab([sample], 100, ENGLISH)
         labeled = label_sample(sample, "hard", EmbeddingTable(), ENGLISH)
         enc = encode_sample(sample, vocab, ENGLISH, labeled.labels)
-        assert enc.id == "7"
         assert enc.picker_targets[:5] == (1.0, 0.0, 0.0, 0.0, IGNORE_MARK)
         assert enc.input_ids[-1] == EOS_ID
         assert enc.decoder_input[0] == SOS_ID

@@ -33,7 +33,6 @@ from pickgen.labeling import (
     normalize,
     save_labeled_corpus,
     score_matrix,
-    similarity,
     soft_labels,
     to_bio,
     _normal_form,
@@ -46,7 +45,7 @@ CHINESE = LanguageConfig.for_language("chinese")
 WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
 
 
-from oracles import oracle_hard_rows
+from oracles import oracle_hard_rows, similarity
 
 
 class TestNormalize:
@@ -92,7 +91,7 @@ class TestExtractClueTokens:
 
     def test_identical_strings_give_empty_set(self):
         clues = extract_clue_tokens("play the album", "play the album", ENGLISH)
-        assert len(clues) == 0
+        assert len(clues.tokens) == 0
 
     def test_ordered_is_sorted(self):
         clues = extract_clue_tokens("zulu alpha", "nothing", ENGLISH)
@@ -100,7 +99,7 @@ class TestExtractClueTokens:
 
     def test_stopword_difference_ignored(self):
         clues = extract_clue_tokens("the tour", "tour", ENGLISH)
-        assert len(clues) == 0
+        assert len(clues.tokens) == 0
 
 
 class TestSimilarity:
@@ -468,6 +467,33 @@ class TestEmbeddingTable:
         assert emb.dim == 3
         assert emb.vector("alpha").tolist() == [1.0, 0.0, 0.0]
 
+    def test_load_embeddings_splits_on_any_whitespace(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("2 3\nalpha  1\t0 0 \nbeta 0 1 0\r\n", encoding="utf-8")
+        emb = load_embeddings(path)
+        assert emb.vector("alpha").tolist() == [1.0, 0.0, 0.0]
+        assert emb.vector("beta").tolist() == [0.0, 1.0, 0.0]
+
+    def test_word2vec_trailing_spaces_give_the_same_labels(self, tmp_path):
+        # the original word2vec tool writes "%lf " after every value
+        corpus = generate_corpus(6, seed=0)
+        words = sorted({form for s in corpus for u in (*s.context, s.reference)
+                        for _, form in normalize(tokenize(u, ENGLISH), ENGLISH)})
+        drawn = EmbeddingTable(dim=4, seed=3)
+        rows = [[w, *(repr(float(x)) for x in drawn.vector(w))] for w in words]
+        header = f"{len(words)} 4\n"
+        plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+        plain.write_text(header + "".join(" ".join(r) + "\n" for r in rows))
+        spaced.write_text(header + "".join(" ".join(r) + " \n" for r in rows))
+        tables = [load_embeddings(path) for path in (plain, spaced)]
+        assert tables[0].vectors.keys() == tables[1].vectors.keys() == set(words)
+        for w in words:
+            assert tables[1].vector(w).tobytes() == tables[0].vector(w).tobytes()
+        outputs = [tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"]
+        for table, out in zip(tables, outputs):
+            save_labeled_corpus(label_corpus(corpus, "soft", table, ENGLISH), out)
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
     def test_load_embeddings_count_mismatch(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("3 3\nalpha 1 0 0\n", encoding="utf-8")
@@ -487,8 +513,11 @@ class TestEmbeddingTable:
         ("1 2\na 1 nan\n", 2, "non-finite"),
         ("2 0\na\nb\n", 1, "dimension must be >= 1"),
         (b"2 1\na 1\n\xff\xfe 2\n", 3, "not UTF-8"),
+        ("2 1\na 1\n\nb 2\n", 3, "expected token plus 1 values"),
+        ("1 1\n \t \n", 2, "expected token plus 1 values"),
     ], ids=["non-numeric value", "non-numeric header", "repeated token",
-            "nan value", "zero dimension", "not utf-8"])
+            "nan value", "zero dimension", "not utf-8", "blank line",
+            "whitespace-only line"])
     def test_load_embeddings_names_file_and_line(self, tmp_path, text, where, what):
         path = tmp_path / "vec.txt"
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))

@@ -207,9 +207,8 @@ class TestPickupRatio:
         items = [({"a"}, frozenset()), ({"a"}, frozenset({"a"}))]
         assert pickup_ratio(items, "any") == 1.0
 
-    def test_all_excluded_is_an_error(self):
-        with pytest.raises(MetricError):
-            pickup_ratio([({"a"}, frozenset())], "any")
+    def test_all_excluded_is_none(self):
+        assert pickup_ratio([({"a"}, frozenset())], "any") is None
 
     def test_bad_mode(self):
         with pytest.raises(MetricError):

@@ -110,6 +110,24 @@ class TestModelConfig:
         with pytest.raises(ModelError, match="^picker_hidden widths must be >= 1"):
             tiny_config(picker_widths=widths)
 
+    @pytest.mark.parametrize("name,value", [
+        ("vocab_size", 40.0), ("d_model", 8.0), ("num_layers", 1.0),
+        ("num_heads", True), ("ffn_dim", "16"), ("picker_arity", 3.0),
+        ("rel_pos_buckets", 8.0), ("rel_pos_max_distance", 16.0), ("seed", 5.0),
+    ])
+    def test_integer_settings_must_be_integers(self, name, value):
+        with pytest.raises(ModelError, match=f"^{name} must be integral, not {value!r}"):
+            tiny_config(**{name: value})
+
+    @pytest.mark.parametrize("widths", [(6.0, 3), (6, 3.0), (False, 3)])
+    def test_picker_widths_must_be_integers(self, widths):
+        with pytest.raises(ModelError, match="^picker_widths must be integral"):
+            tiny_config(picker_widths=widths)
+
+    def test_numpy_integers_accepted(self):
+        cfg = tiny_config(d_model=np.int64(8), picker_widths=(np.int32(6), 3))
+        assert cfg.d_model == 8
+
     def test_dict_round_trip(self):
         cfg = tiny_config()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
@@ -595,4 +613,20 @@ class TestCheckpoint:
                          + payload)
         with pytest.raises(ModelError,
                            match=re.escape(f"{path}: malformed manifest (")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", [
+        "d_model", "num_layers", "vocab_size", "rel_pos_buckets", "picker_widths"])
+    def test_float_integer_setting_names_file_and_field(self, params, tmp_path, name):
+        # 8.0 passes every range check; numpy refused it later, naming nothing
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        header, _, payload = path.read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        value = manifest["config"][name]
+        manifest["config"][name] = (
+            [float(w) for w in value] if name == "picker_widths" else float(value))
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        with pytest.raises(ModelError, match=re.escape(
+                f"{path}: malformed manifest (ModelError: {name} must be ")):
             load_checkpoint(path)
