@@ -35,7 +35,7 @@ from .corpus import (
     write_jsonl,
 )
 from .encoding import DEFAULT_MAX_LEN, build_input, pad
-from .labeling import BIO_TAGS
+from .labeling import BIO_TAGS, PICKER_ARITY
 from .model import DecoderCache, ModelParameters, decode_forward, encode, picker_forward
 
 DEFAULT_BEAM_SIZE = 8
@@ -208,11 +208,10 @@ def beam_search(
     input_ids: list[int],
     beam_size: int = DEFAULT_BEAM_SIZE,
     max_len: int = MAX_DECODE_LEN_CAP,
-    length_penalty: float = 1.0,
     nbest: int = 1,
 ) -> list[BeamHypothesis]:
     """The nbest best hypotheses for one input, best first (see _search)."""
-    return _search(params, [input_ids], beam_size, max_len, length_penalty, nbest)[0]
+    return _search(params, [input_ids], beam_size, max_len, 1.0, nbest)[0]
 
 
 def default_max_decode_len(
@@ -302,7 +301,7 @@ def predict_picker_tags(
 ) -> list[list[str]]:
     """Per-context-utterance BIO tags from the picker head (hard mode) by
     argmax over classes; words truncated away are tagged O."""
-    if params.config.picker_arity != 3:
+    if params.config.picker_arity != PICKER_ARITY["hard"]:
         raise InferenceError("tag prediction requires a hard-mode (arity 3) picker")
     input_ids, (turn, word) = build_input(sample, vocab, cfg, input_max_len)
     with no_grad():

@@ -33,6 +33,7 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 LABEL_MODES = ("soft", "hard")
 BIO_TAGS = ("O", "B", "I")
+PICKER_ARITY = {"soft": 1, "hard": len(BIO_TAGS)}  # picker outputs per position
 BIO_TO_CLASS = {"O": 0, "B": 1, "I": 2}
 
 
@@ -63,7 +64,7 @@ class EmbeddingTable:
             digest = hashlib.blake2b(
                 token.encode("utf-8"), digest_size=8, salt=str(self.seed).encode()[:16]
             ).digest()
-            rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+            rng = np.random.default_rng(int.from_bytes(digest, "little"))
             vec = self._drawn[token] = rng.standard_normal(self.dim)
             vec.flags.writeable = False  # every caller shares it
         return vec

@@ -96,8 +96,13 @@ class ModelConfig:
         return ModelConfig(**data)
 
 
+# the projections of every attention sublayer, in listing order
+ATTN_PROJECTIONS = ("wq", "wk", "wv", "wo")
+
+
 def _tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Canonical (name, shape) listing; fixes parameter and payload order."""
+    """Canonical (name, shape) listing; fixes parameter and payload order,
+    and so the order of the initial draws."""
     d, f, h = cfg.d_model, cfg.ffn_dim, cfg.num_heads
     shapes: list[tuple[str, tuple[int, ...]]] = [
         ("embedding", (cfg.vocab_size, d)),
@@ -105,35 +110,15 @@ def _tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("enc_rel_bias", (cfg.rel_pos_buckets, h)),
         ("dec_rel_bias", (cfg.rel_pos_buckets, h)),
     ]
-    for i in range(cfg.num_layers):
-        shapes += [
-            (f"enc{i}.norm1", (d,)),
-            (f"enc{i}.attn.wq", (d, d)),
-            (f"enc{i}.attn.wk", (d, d)),
-            (f"enc{i}.attn.wv", (d, d)),
-            (f"enc{i}.attn.wo", (d, d)),
-            (f"enc{i}.norm2", (d,)),
-            (f"enc{i}.ffn.w1", (d, f)),
-            (f"enc{i}.ffn.w2", (f, d)),
-        ]
-    shapes.append(("enc_final_norm", (d,)))
-    for i in range(cfg.num_layers):
-        shapes += [
-            (f"dec{i}.norm1", (d,)),
-            (f"dec{i}.self.wq", (d, d)),
-            (f"dec{i}.self.wk", (d, d)),
-            (f"dec{i}.self.wv", (d, d)),
-            (f"dec{i}.self.wo", (d, d)),
-            (f"dec{i}.norm2", (d,)),
-            (f"dec{i}.cross.wq", (d, d)),
-            (f"dec{i}.cross.wk", (d, d)),
-            (f"dec{i}.cross.wv", (d, d)),
-            (f"dec{i}.cross.wo", (d, d)),
-            (f"dec{i}.norm3", (d,)),
-            (f"dec{i}.ffn.w1", (d, f)),
-            (f"dec{i}.ffn.w2", (f, d)),
-        ]
-    shapes.append(("dec_final_norm", (d,)))
+    for stack, sublayers in (("enc", ("attn", "ffn")), ("dec", ("self", "cross", "ffn"))):
+        for i in range(cfg.num_layers):
+            for k, sublayer in enumerate(sublayers, 1):  # pre-norm: norm{k} first
+                shapes.append((f"{stack}{i}.norm{k}", (d,)))
+                if sublayer == "ffn":
+                    shapes += [(f"{stack}{i}.ffn.w1", (d, f)), (f"{stack}{i}.ffn.w2", (f, d))]
+                else:
+                    shapes += [(f"{stack}{i}.{sublayer}.{w}", (d, d)) for w in ATTN_PROJECTIONS]
+        shapes.append((f"{stack}_final_norm", (d,)))
     widths = (cfg.d_model, *cfg.picker_widths)
     for j in range(len(cfg.picker_widths)):
         shapes.append((f"picker.w{j}", (widths[j], widths[j + 1])))
@@ -142,8 +127,9 @@ def _tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def is_weight_matrix(name: str, shape: tuple[int, ...]) -> bool:
-    """Tensors eligible for decoupled weight decay: 2-D projection weights,
-    excluding embeddings, relative-bias tables, norms, and biases."""
+    """Tensors eligible for decoupled weight decay, and the ones that
+    init_parameters draws Glorot normal: 2-D projection weights, excluding
+    the embedding, relative-bias tables, norms, and biases."""
     if len(shape) != 2:
         return False
     return name != "embedding" and not name.endswith("_rel_bias")
@@ -167,20 +153,17 @@ class ModelParameters:
 
 
 def init_parameters(cfg: ModelConfig) -> ModelParameters:
-    """Seed-deterministic scaled random initialization; biases zero."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    """Seed-deterministic draws in listing order; Glorot normal where
+    is_weight_matrix holds, biases zero."""
+    rng = np.random.default_rng(cfg.seed)
     tensors: dict[str, Tensor] = {}
     for name, shape in _tensor_shapes(cfg):
         if len(shape) == 1:  # the picker biases start at zero, norm scales at one
             data = np.zeros(shape) if name.startswith("picker.") else np.ones(shape)
-        elif name == "embedding":
-            data = rng.standard_normal(shape)
-        elif name.endswith("_rel_bias"):
-            data = rng.standard_normal(shape) * 0.1
-        else:
-            fan_in, fan_out = shape[0], shape[1]
-            std = math.sqrt(2.0 / (fan_in + fan_out))
-            data = rng.standard_normal(shape) * std
+        elif is_weight_matrix(name, shape):
+            data = rng.standard_normal(shape) * math.sqrt(2.0 / (shape[0] + shape[1]))
+        else:  # N(0, 1) for the embedding, 0.1 N(0, 1) for the bias tables
+            data = rng.standard_normal(shape) * (1.0 if name == "embedding" else 0.1)
         tensors[name] = parameter(data)
     return ModelParameters(cfg, tensors)
 
@@ -278,7 +261,7 @@ def _rel_bias(table: Tensor, q_len: int, k_len: int, bidirectional: bool,
 
 
 def _attn_weights(params: ModelParameters, prefix: str) -> dict[str, Tensor]:
-    return {k: params[f"{prefix}.{k}"] for k in ("wq", "wk", "wv", "wo")}
+    return {k: params[f"{prefix}.{k}"] for k in ATTN_PROJECTIONS}
 
 
 def _key_mask_bias(mask: np.ndarray) -> np.ndarray:

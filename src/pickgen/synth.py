@@ -115,7 +115,7 @@ def generate_corpus(
         raise ValueError(f"templates must be one or more indices in "
                          f"0..{len(TEMPLATES) - 1}, not {list(templates)}")
     selected = TEMPLATES if templates is None else tuple(TEMPLATES[i] for i in templates)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     samples = []
     for i in range(size):
         template = selected[int(rng.integers(len(selected)))]

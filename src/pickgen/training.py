@@ -23,7 +23,7 @@ from .encoding import (
     collate,
     encode_sample,
 )
-from .labeling import LABEL_MODES, LabeledSample
+from .labeling import LABEL_MODES, PICKER_ARITY, LabeledSample
 from .model import (
     ModelConfig,
     ModelParameters,
@@ -223,7 +223,7 @@ def subsample(corpus: list, fraction: float, seed: int) -> list:
     n = len(corpus)
     # guard against float dust pushing an exact product over the ceiling
     k = max(1, math.ceil(fraction * n - 1e-9))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     chosen = sorted(rng.choice(n, size=k, replace=False).tolist())
     return [corpus[i] for i in chosen]
 
@@ -267,10 +267,9 @@ def _as_items(corpus, cfg: TrainConfig):
 
 
 def _validate_model_cfg(cfg: TrainConfig, model_cfg: ModelConfig) -> None:
-    if cfg.label_mode == "soft" and model_cfg.picker_arity != 1:
-        raise TrainingError("soft labels need picker_arity 1")
-    if cfg.label_mode == "hard" and model_cfg.picker_arity != 3:
-        raise TrainingError("hard labels need picker_arity 3")
+    arity = PICKER_ARITY.get(cfg.label_mode)
+    if arity is not None and model_cfg.picker_arity != arity:
+        raise TrainingError(f"{cfg.label_mode} labels need picker_arity {arity}")
 
 
 def _train_step(state: TrainState, samples: list[EncodedSample], epoch: int,
@@ -325,13 +324,9 @@ def train(
     ]
     params = init_parameters(model_cfg)
     state = TrainState.fresh(params)
-    shuffle_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
-    )
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     dropout_rng = (
-        np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2,)))
-        )
+        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
         if model_cfg.dropout > 0.0
         else None
     )
@@ -374,12 +369,13 @@ def write_loss_log(rows, path: str) -> None:
 def make_model_config(
     vocab_size: int, label_mode: str, seed: int = 0, **overrides
 ) -> ModelConfig:
-    """Toy-scale model config whose picker arity matches the label mode.
+    """Toy-scale model config whose picker arity is the label mode's
+    PICKER_ARITY ("none" trains no picker and keeps the hard arity).
 
     picker_hidden overrides the hidden widths of the picker head; the
     output arity is appended automatically.
     """
-    arity = 1 if label_mode == "soft" else 3
+    arity = PICKER_ARITY.get(label_mode, PICKER_ARITY["hard"])
     hidden = tuple(overrides.pop("picker_hidden", ModelConfig.picker_widths[:-1]))
     defaults = dict(
         vocab_size=vocab_size,

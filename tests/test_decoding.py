@@ -255,12 +255,10 @@ class TestBeamMechanics:
     def test_extreme_length_penalty_rejected(self, penalty):
         # 64 ** 1000 overflows a float, 64 ** -1000 underflows to 0
         with pytest.raises(InferenceError, match="length_penalty"):
-            beam_search(toy_params(0), [4, 5, 3], beam_size=2, max_len=64,
-                        length_penalty=penalty)
+            _search(toy_params(0), [[4, 5, 3]], 2, 64, penalty, 1)[0]
 
     def test_large_penalty_accepted_when_normalizers_fit(self):
-        hyps = beam_search(toy_params(0), [4, 5, 3], beam_size=2, max_len=4,
-                           length_penalty=100.0)
+        hyps = _search(toy_params(0), [[4, 5, 3]], 2, 4, 100.0, 1)[0]
         assert hyps and all(np.isfinite(h.score(100.0)) for h in hyps)
 
 
@@ -371,8 +369,7 @@ class TestAgainstReferenceBeam:
         params["lm_head"].data[:] = 0.0
         for penalty in (0.0, 0.5, 1.0, 2.0):
             for nbest in (1, 4):
-                got = beam_search(params, [4, 5, 3], 4, max_len=10,
-                                  length_penalty=penalty, nbest=nbest)
+                got = _search(params, [[4, 5, 3]], 4, 10, penalty, nbest)[0]
                 want = reference_beam_search(params, [4, 5, 3], 4, 10, penalty,
                                              nbest)
                 assert [h.ids for h in got] == [h.ids for h in want]
@@ -409,7 +406,7 @@ class TestEarlyStop:
         params = eos_raised_params(seed, raise_by)
         batched = _search(params, inputs, beam, max_len, penalty, nbest)
         for input_ids, in_batch in zip(inputs, batched):
-            got = beam_search(params, input_ids, beam, max_len, penalty, nbest)
+            got = _search(params, [input_ids], beam, max_len, penalty, nbest)[0]
             want = reference_beam_search(params, input_ids, beam, max_len,
                                          penalty, nbest)
             for hyps in (got, in_batch):
@@ -441,8 +438,7 @@ class TestEarlyStop:
             return Tensor(logits)
 
         monkeypatch.setattr(decoding, "decode_forward", fake_decode_forward)
-        hyps = beam_search(toy_params(0, vocab_size=9), [4, 5, 3], 2, max_len=3,
-                           length_penalty=0.0)
+        hyps = _search(toy_params(0, vocab_size=9), [[4, 5, 3]], 2, 3, 0.0, 1)[0]
         assert [h.ids for h in hyps] == [(SOS_ID, UNK_ID, EOS_ID)]
         assert hyps[0].logp == -np.log(2.0)
 

@@ -152,6 +152,26 @@ class TestInitParameters:
         listed = [(n, tuple(t.data.shape)) for n, t in p.named_tensors()]
         assert listed == _tensor_shapes(cfg)
 
+    def test_listing_is_pinned(self):
+        # the listing orders the checkpoint payload and the initial draws
+        d, attn, up, down = (8,), (8, 8), (8, 16), (16, 8)
+        assert _tensor_shapes(tiny_config(picker_widths=(4, 3))) == [
+            ("embedding", (12, 8)), ("lm_head", (8, 12)),
+            ("enc_rel_bias", (8, 2)), ("dec_rel_bias", (8, 2)),
+            ("enc0.norm1", d), ("enc0.attn.wq", attn), ("enc0.attn.wk", attn),
+            ("enc0.attn.wv", attn), ("enc0.attn.wo", attn),
+            ("enc0.norm2", d), ("enc0.ffn.w1", up), ("enc0.ffn.w2", down),
+            ("enc_final_norm", d),
+            ("dec0.norm1", d), ("dec0.self.wq", attn), ("dec0.self.wk", attn),
+            ("dec0.self.wv", attn), ("dec0.self.wo", attn),
+            ("dec0.norm2", d), ("dec0.cross.wq", attn), ("dec0.cross.wk", attn),
+            ("dec0.cross.wv", attn), ("dec0.cross.wo", attn),
+            ("dec0.norm3", d), ("dec0.ffn.w1", up), ("dec0.ffn.w2", down),
+            ("dec_final_norm", d),
+            ("picker.w0", (8, 4)), ("picker.b0", (4,)),
+            ("picker.w1", (4, 3)), ("picker.b1", (3,)),
+        ]
+
     def test_biases_zero_norms_one(self, params):
         assert (params["picker.b0"].data == 0.0).all()
         assert (params["enc0.norm1"].data == 1.0).all()
@@ -179,6 +199,8 @@ class TestIsWeightMatrix:
             ("enc0.norm1", (8,), False),
             ("dec0.cross.wq", (8, 8), True),
             ("enc_final_norm", (8,), False),
+            ("enc0.ffn.w1", (8, 16), True),
+            ("dec0.ffn.w2", (16, 8), True),
         ],
     )
     def test_cases(self, name, shape, expected):
