@@ -121,8 +121,7 @@ def align_labels(
     class / score 0; padding is handled at collate time.
     """
     turn, word = first
-    rows = labels.tags if labels.tags is not None else labels.scores
-    soft = labels.mode == "soft"
+    rows, soft = labels.rows, labels.mode == "soft"
     out: list[float] = []
     for row in (rows[turn][word:], *rows[turn + 1 :]):
         out += [float(v) if soft else float(BIO_TO_CLASS[v]) for v in row]

@@ -34,7 +34,7 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 LABEL_MODES = ("soft", "hard")
 BIO_TAGS = ("O", "B", "I")
 PICKER_ARITY = {"soft": 1, "hard": len(BIO_TAGS)}  # picker outputs per position
-BIO_TO_CLASS = {"O": 0, "B": 1, "I": 2}
+BIO_TO_CLASS = {tag: k for k, tag in enumerate(BIO_TAGS)}
 
 
 class LabelError(ValueError):
@@ -61,9 +61,10 @@ class EmbeddingTable:
     def vector(self, token: str) -> np.ndarray:
         vec = self.vectors.get(token, self._drawn.get(token))
         if vec is None:
-            digest = hashlib.blake2b(
-                token.encode("utf-8"), digest_size=8, salt=str(self.seed).encode()[:16]
-            ).digest()
+            salt = str(self.seed).encode()
+            if len(salt) > 16:  # blake2b's limit; a digest keeps every digit
+                salt = hashlib.blake2b(salt, digest_size=16).digest()
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, salt=salt).digest()
             rng = np.random.default_rng(int.from_bytes(digest, "little"))
             vec = self._drawn[token] = rng.standard_normal(self.dim)
             vec.flags.writeable = False  # every caller shares it
@@ -116,25 +117,25 @@ class ClueTokenSet:
 
 @dataclass(frozen=True)
 class PickerLabels:
-    """Per-context-word supervision: BIO tags (hard) or soft scores."""
+    """One row per context utterance, one value per word: BIO tags when the
+    mode is hard, scores in [0,1] when soft. tags and scores are read-only
+    views, the rows in their own mode and None in the other."""
 
     mode: str
-    tags: tuple[tuple[str, ...], ...] | None = None
-    scores: tuple[tuple[float, ...], ...] | None = None
+    rows: tuple[tuple, ...]
 
     def __post_init__(self):
         if self.mode not in LABEL_MODES:
             raise LabelError(f"unknown label mode {self.mode!r}")
         if self.mode == "soft":
-            if self.scores is None or self.tags is not None:
-                raise LabelError("soft labels carry scores only")
-            for row in self.scores:
-                if any(not 0.0 <= s <= 1.0 for s in row):
-                    raise LabelError("soft scores must lie in [0,1]")
+            for row in self.rows:
+                try:
+                    if any(not 0.0 <= s <= 1.0 for s in row):
+                        raise LabelError("soft scores must lie in [0,1]")
+                except TypeError:  # a value that is not a number
+                    raise LabelError("soft scores must lie in [0,1]") from None
         else:
-            if self.tags is None or self.scores is not None:
-                raise LabelError(f"{self.mode} labels carry tags only")
-            for row in self.tags:
+            for row in self.rows:
                 prev = "O"
                 for tag in row:
                     if tag not in BIO_TAGS:
@@ -143,16 +144,20 @@ class PickerLabels:
                         raise LabelError("I tag must follow B or I")
                     prev = tag
 
+    @property
+    def tags(self) -> tuple[tuple[str, ...], ...] | None:
+        return self.rows if self.mode == "hard" else None
+
+    @property
+    def scores(self) -> tuple[tuple[float, ...], ...] | None:
+        return self.rows if self.mode == "soft" else None
+
     def marked(self) -> tuple[tuple[bool, ...], ...]:
         """Per context word, whether it is marked important: a tag other
         than O, or a score above 0.5."""
-        if self.tags is not None:
-            return tuple(tuple(tag != "O" for tag in row) for row in self.tags)
-        return tuple(tuple(score > 0.5 for score in row) for row in self.scores)
-
-    def per_utterance_lengths(self) -> tuple[int, ...]:
-        rows = self.tags if self.tags is not None else self.scores
-        return tuple(len(r) for r in rows)
+        if self.mode == "hard":
+            return tuple(tuple(tag != "O" for tag in row) for row in self.rows)
+        return tuple(tuple(score > 0.5 for score in row) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -260,8 +265,7 @@ def label_sample(
     if sample.reference is None:
         raise LabelError(f"sample {sample.id!r}: labels require a reference")
     clues = extract_clue_tokens(sample.reference, sample.incomplete, cfg)
-    tag_rows: list[tuple[str, ...]] = []
-    score_rows: list[tuple[float, ...]] = []
+    rows: list[tuple] = []
     for utterance in sample.context:
         words = tokenize(utterance, cfg)
         surviving = normalize(words, cfg)
@@ -270,17 +274,13 @@ def label_sample(
             scores = np.zeros(len(words))
             for (surface_idx, _), value in zip(surviving, soft_labels(d)):
                 scores[surface_idx] = value
-            score_rows.append(tuple(float(s) for s in scores))
+            rows.append(tuple(float(s) for s in scores))
         else:
             bits = [0] * len(words)
             for surface_idx, form in surviving:
                 bits[surface_idx] = int(form in clues.tokens)
-            tag_rows.append(tuple(to_bio(bits)))
-    if mode == "soft":
-        labels = PickerLabels("soft", scores=tuple(score_rows))
-    else:
-        labels = PickerLabels("hard", tags=tuple(tag_rows))
-    return LabeledSample(sample, labels)
+            rows.append(tuple(to_bio(bits)))
+    return LabeledSample(sample, PickerLabels(mode, tuple(rows)))
 
 
 def label_corpus(
@@ -299,12 +299,9 @@ def label_corpus(
 
 def labeled_to_record(labeled: LabeledSample) -> dict:
     record = sample_to_record(labeled.sample)
-    labels: dict = {"mode": labeled.labels.mode}
-    if labeled.labels.tags is not None:
-        labels["tags"] = [list(row) for row in labeled.labels.tags]
-    else:
-        labels["scores"] = [list(row) for row in labeled.labels.scores]
-    record["labels"] = labels
+    mode, rows = labeled.labels.mode, labeled.labels.rows
+    key = "scores" if mode == "soft" else "tags"
+    record["labels"] = {"mode": mode, key: [list(row) for row in rows]}
     return record
 
 
@@ -335,12 +332,9 @@ def _parse_labels(raw, where: str) -> PickerLabels:
     if not isinstance(raw, dict) or "mode" not in raw:
         raise LabelError(f"{where}: 'labels' must be an object with 'mode'")
     mode = raw["mode"]
+    key, cast = ("scores", float) if mode == "soft" else ("tags", str)
     try:
-        if mode == "soft":
-            scores = tuple(tuple(float(s) for s in row) for row in raw["scores"])
-            return PickerLabels("soft", scores=scores)
-        tags = tuple(tuple(str(t) for t in row) for row in raw["tags"])
-        return PickerLabels(mode, tags=tags)
+        return PickerLabels(mode, tuple(tuple(cast(v) for v in row) for row in raw[key]))
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers LabelError
         raise LabelError(f"{where}: bad labels ({exc})") from exc
 
@@ -350,13 +344,13 @@ def alignment_problem(
 ) -> str | None:
     """Why the label rows do not match the sample's context utterances word
     for word, or None when they do."""
-    lengths = labels.per_utterance_lengths()
-    if len(lengths) != len(sample.context):
-        return f"{len(lengths)} label rows for {len(sample.context)} context utterances"
-    for k, (utterance, n) in enumerate(zip(sample.context, lengths)):
+    rows = labels.rows
+    if len(rows) != len(sample.context):
+        return f"{len(rows)} label rows for {len(sample.context)} context utterances"
+    for k, (utterance, row) in enumerate(zip(sample.context, rows)):
         words = len(tokenize(utterance, cfg))
-        if words != n:
-            return f"utterance {k} has {words} words but {n} labels"
+        if words != len(row):
+            return f"utterance {k} has {words} words but {len(row)} labels"
     return None
 
 

@@ -85,7 +85,6 @@ class TrainState:
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
     step: int = 0
-    epoch: int = 0
     skipped_steps: int = 0
     epoch_losses: dict[str, float] = field(default_factory=dict)
 
@@ -141,32 +140,31 @@ def joint_loss(lp: Tensor, lg: Tensor, picker_weight: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # Optimization
 
-def clip_gradients(
-    grads: dict[str, np.ndarray], max_norm: float
-) -> tuple[dict[str, np.ndarray], float]:
-    """Scale gradients in place so their global L2 norm is at most max_norm;
-    no two of them may share memory. A norm whose squares overflow while
-    every gradient is finite is taken again over g / max|g|, and such
-    gradients are divided by max|g| before they are scaled, so that neither
-    step's factor is subnormal or zero even when the norm itself is inf."""
+def clip_gradients(grads: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], float]:
+    """Scale gradients in place so their global L2 norm is at most GRAD_CLIP;
+    no two of them may share memory. Non-finite gradients come back as they
+    were, with their non-finite norm, for optimizer_step to skip. A norm
+    whose squares overflow while every gradient is finite is taken again
+    over g / max|g|, and such gradients are divided by max|g| before they
+    are scaled, so that neither step's factor is subnormal or zero even
+    when the norm itself is inf."""
     with np.errstate(over="ignore"):
         total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if not math.isfinite(total) and all(np.isfinite(g).all() for g in grads.values()):
-        top = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
-        squares = sum(float(((g / top) ** 2).sum()) for g in grads.values())
-        total = top * math.sqrt(squares)
-        if 0.0 < max_norm < total:
-            scale = max_norm / math.sqrt(squares)
+    if math.isfinite(total):
+        if total > GRAD_CLIP:
+            scale = GRAD_CLIP / total
             for g in grads.values():
-                g /= top
                 g *= scale
         return grads, total
-    if max_norm <= 0.0 or total <= max_norm or total == 0.0:
+    if not all(np.isfinite(g).all() for g in grads.values()):
         return grads, total
-    scale = max_norm / total
+    top = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+    squares = sum(float(((g / top) ** 2).sum()) for g in grads.values())
+    scale = GRAD_CLIP / math.sqrt(squares)
     for g in grads.values():
+        g /= top
         g *= scale
-    return grads, total
+    return grads, top * math.sqrt(squares)
 
 
 def optimizer_step(
@@ -286,7 +284,7 @@ def _train_step(state: TrainState, samples: list[EncodedSample], epoch: int,
         preds = picker_forward(enc, params)
         lp = picker_loss(preds, batch.picker_targets, batch.input_mask)
         loss, lp_value = joint_loss(lp, lg, cfg.picker_weight), lp.item()
-    grads, _ = clip_gradients(backward(loss, params), GRAD_CLIP)
+    grads, _ = clip_gradients(backward(loss, params))
     state = optimizer_step(state, grads, cfg)
     return epoch, state.step, lp_value, lg.item(), loss.item()
 
@@ -339,7 +337,6 @@ def train(
             samples = [encoded[i] for i in order[lo : lo + cfg.batch_size]]
             rows.append(_train_step(state, samples, epoch, cfg, use_picker, dropout_rng))
             sums = [s + loss for s, loss in zip(sums, rows[-1][2:])]
-        state.epoch = epoch
         names = ("picker", "generator", "joint")
         state.epoch_losses = {k: s / len(starts) for k, s in zip(names, sums)}
     log_path = checkpoint_path = None

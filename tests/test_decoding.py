@@ -653,7 +653,7 @@ class TestPredictPickerTags:
         incomplete = cfg.joiner.join(letters[i % 4] for i in range(n_inc))
         sample = DialogueSample(context, incomplete, incomplete, "0")
         vocab = build_vocab([sample], 100, cfg)
-        enc = encode_sample(sample, vocab, cfg, PickerLabels("hard", tags=tuple(tags)),
+        enc = encode_sample(sample, vocab, cfg, PickerLabels("hard", tuple(tags)),
                             max_len)
         assert len(enc.input_ids) <= max_len
         targets = [0 if t == IGNORE_MARK else int(t) for t in enc.picker_targets]

@@ -156,25 +156,25 @@ class TestAlignLabels:
     # layout of one two-word turn and a one-word incomplete utterance:
     # w0 w1 [X1] u [X2] </s>
     def test_hard_identity_alignment(self):
-        labels = PickerLabels("hard", tags=(("B", "O"),))
+        labels = PickerLabels("hard", (("B", "O"),))
         out = align_labels(labels, (0, 0), 6)
         assert out == [1.0, 0.0, IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
     def test_soft_identity_alignment(self):
-        labels = PickerLabels("soft", scores=((0.9, 0.2),))
+        labels = PickerLabels("soft", ((0.9, 0.2),))
         out = align_labels(labels, (0, 0), 6)
         assert out == [0.9, 0.2, IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
     def test_truncated_start(self):
         # turn 0 dropped, the first word of turn 1 too: w2 [X1] u [X2] </s>
-        labels = PickerLabels("hard", tags=(("B", "I"), ("O", "B")))
+        labels = PickerLabels("hard", (("B", "I"), ("O", "B")))
         out = align_labels(labels, (1, 1), 5)
         assert out == [1.0, IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
     def test_incomplete_head_dropped(self):
         # both words of the only turn and the incomplete head are gone:
         # [X1] u2 [X2] </s>
-        labels = PickerLabels("soft", scores=((0.9, 0.2),))
+        labels = PickerLabels("soft", ((0.9, 0.2),))
         out = align_labels(labels, (0, 3), 4)
         assert out == [IGNORE_MARK, 0.0, IGNORE_MARK, IGNORE_MARK]
 
@@ -211,7 +211,7 @@ class TestEncodeSample:
     def test_label_word_count_mismatch_names_utterance(self):
         sample = DialogueSample(("a b", "c"), "u", "a u", "0")
         vocab = build_vocab([sample], 100, ENGLISH)
-        labels = PickerLabels("hard", tags=(("B", "O"), ("O", "O")))
+        labels = PickerLabels("hard", (("B", "O"), ("O", "O")))
         with pytest.raises(EncodingError, match="utterance 1"):
             encode_sample(sample, vocab, ENGLISH, labels=labels)
 
@@ -220,7 +220,7 @@ class TestEncodeSample:
         sample = DialogueSample((" ".join(words),), "u v", "w0 u v", "long")
         vocab = build_vocab([sample], 1000, ENGLISH)
         tags = tuple("B" if i % 3 == 0 else "O" for i in range(600))
-        labels = PickerLabels("hard", tags=(tags,))
+        labels = PickerLabels("hard", (tags,))
         enc = encode_sample(sample, vocab, ENGLISH, labels, max_len=512)
         assert len(enc.input_ids) == 512
         dropped = 600 + 1 + 2 + 2 - 512
@@ -234,7 +234,7 @@ class TestEncodeSample:
     def test_label_row_count_mismatch(self):
         sample = DialogueSample(("a b", "c"), "u", "a u", "0")
         vocab = build_vocab([sample], 100, ENGLISH)
-        labels = PickerLabels("hard", tags=(("B", "O"),))
+        labels = PickerLabels("hard", (("B", "O"),))
         with pytest.raises(EncodingError, match="label rows"):
             encode_sample(sample, vocab, ENGLISH, labels=labels)
 

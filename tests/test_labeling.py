@@ -248,7 +248,7 @@ class TestLabelSample:
         sample = DialogueSample(
             ("one two", "three"), "u", "one three", "0")
         labeled = label_sample(sample, "hard", EmbeddingTable(), ENGLISH)
-        assert labeled.labels.per_utterance_lengths() == (2, 1)
+        assert tuple(map(len, labeled.labels.rows)) == (2, 1)
 
     def test_hard_matches_set_membership_oracle_on_synth(self):
         corpus = generate_corpus(50, seed=7)
@@ -341,24 +341,24 @@ class TestHardLabelsBySetMembership:
 class TestPickerLabelsValidation:
     def test_i_after_o_rejected(self):
         with pytest.raises(LabelError):
-            PickerLabels("hard", tags=(("O", "I"),))
+            PickerLabels("hard", (("O", "I"),))
 
     def test_i_after_b_allowed(self):
-        PickerLabels("hard", tags=(("B", "I", "I"),))
+        PickerLabels("hard", (("B", "I", "I"),))
 
     def test_soft_range_checked(self):
         with pytest.raises(LabelError):
-            PickerLabels("soft", scores=((1.5,),))
+            PickerLabels("soft", ((1.5,),))
 
     def test_mode_field_consistency(self):
         with pytest.raises(LabelError):
-            PickerLabels("soft", tags=(("O",),))
+            PickerLabels("soft", (("O",),))
         with pytest.raises(LabelError):
-            PickerLabels("hard", scores=((0.5,),))
+            PickerLabels("hard", ((0.5,),))
 
     def test_unknown_mode(self):
         with pytest.raises(LabelError):
-            PickerLabels("fuzzy", tags=(("O",),))
+            PickerLabels("fuzzy", (("O",),))
 
 
 class TestLabeledIO:
@@ -455,6 +455,18 @@ class TestEmbeddingTable:
         b = EmbeddingTable(seed=1).vector("tour")
         assert not np.array_equal(a, b)
 
+    def test_every_seed_digit_salts_the_hash(self):
+        # past blake2b's 16-byte salt, every digit of the seed still counts
+        long_seeds = (10**16, 10**16 + 7, 10**17, 2**64 - 1)
+        vectors = [EmbeddingTable(dim=3, seed=s).vector("zebra").tobytes()
+                   for s in long_seeds]
+        assert len(set(vectors)) == len(long_seeds)
+        # seeds below 10**16 keep the vectors they always drew
+        assert EmbeddingTable(dim=3, seed=0).vector("zebra").tolist() == [
+            -0.9746198957795161, -0.3615954482380844, 0.2566898989445145]
+        assert EmbeddingTable(dim=3, seed=12345).vector("zebra").tolist() == [
+            0.7317386582596492, 1.7528494315729268, -1.1314881573835287]
+
     def test_known_vectors_win(self):
         vec = np.array([1.0, 2.0])
         emb = EmbeddingTable({"tour": vec}, dim=2)
@@ -541,8 +553,8 @@ class TestDensityAndImportantSet:
         assert important_token_set(labeled, ENGLISH) == frozenset({"paramor"})
 
     def test_marked_rule_is_tags_other_than_o_or_scores_above_half(self):
-        hard = PickerLabels("hard", tags=(("B", "I", "O"), ("O", "B")))
-        soft = PickerLabels("soft", scores=((0.5, 0.51, 1.0), (0.0, 0.2)))
+        hard = PickerLabels("hard", (("B", "I", "O"), ("O", "B")))
+        soft = PickerLabels("soft", ((0.5, 0.51, 1.0), (0.0, 0.2)))
         assert hard.marked() == ((True, True, False), (False, True))
         assert soft.marked() == ((False, True, True), (False, False))
         sample = DialogueSample(("a b c", "d e"), "u", "r", "0")

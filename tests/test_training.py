@@ -174,7 +174,7 @@ class TestClipGradients:
     def test_norm_above_cap_scales(self):
         grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}
         arrays = list(grads.values())
-        clipped, total = clip_gradients(grads, 1.0)
+        clipped, total = clip_gradients(grads)
         assert list(clipped.values()) == arrays  # scaled in place
         assert all(a is b for a, b in zip(clipped.values(), arrays))
         assert total == pytest.approx(5.0)
@@ -184,25 +184,13 @@ class TestClipGradients:
 
     def test_norm_below_cap_untouched(self):
         grads = {"a": np.array([0.3])}
-        clipped, total = clip_gradients(grads, 1.0)
+        clipped, total = clip_gradients(grads)
         assert clipped is grads
         assert total == pytest.approx(0.3)
 
-    def test_infinite_cap_never_clips(self):
-        grads = {"a": np.array([1e300, -1e300])}
-        clipped, total = clip_gradients(grads, math.inf)
-        assert clipped is grads
-        assert total == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-12)
-        np.testing.assert_array_equal(clipped["a"], [1e300, -1e300])
-
-    def test_zero_cap_disables(self):
-        grads = {"a": np.array([100.0])}
-        clipped, _ = clip_gradients(grads, 0.0)
-        assert clipped is grads
-
     def test_zero_gradient(self):
         grads = {"a": np.zeros(3)}
-        clipped, total = clip_gradients(grads, 1.0)
+        clipped, total = clip_gradients(grads)
         assert total == 0.0
         assert clipped is grads
 
@@ -211,7 +199,7 @@ class TestClipGradients:
         grads = {"a": np.array([1e200, 1e200]), "b": np.array([3.0])}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            clipped, total = clip_gradients(grads, 1.0)
+            clipped, total = clip_gradients(grads)
         assert total == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-12)
         norm = math.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
         assert norm == pytest.approx(1.0, rel=1e-12)
@@ -223,15 +211,21 @@ class TestClipGradients:
         grads = {"a": np.array([1.5e308, 1.5e308])}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            clipped, total = clip_gradients(grads, 1.0)
+            clipped, total = clip_gradients(grads)
         assert total == math.inf
         np.testing.assert_allclose(clipped["a"], [math.sqrt(0.5)] * 2, rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_gradient_keeps_a_non_finite_norm(self, bad):
-        # cap 0: the norm alone, without scaling by a non-finite factor
-        _, total = clip_gradients({"a": np.array([1e200, bad])}, 0.0)
+        # no factor is applied: 1 / inf would turn inf into nan and warn, and
+        # 1 / nan would turn every finite entry into nan
+        grads = {"a": np.array([1e200, bad]), "b": np.array([1.0])}
+        before = {n: g.tobytes() for n, g in grads.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped, total = clip_gradients(grads)
         assert not math.isfinite(total)
+        assert {n: g.tobytes() for n, g in clipped.items()} == before
 
 
 class TestOptimizerStep:
@@ -504,6 +498,25 @@ class TestTrainLoop:
         names = list(init_parameters(mcfg).named_tensors())
         assert len(alive) == 4 and len(refs) == 4 * len(names)
         assert alive == [0, 0, 0, 0]
+
+    def test_step_with_an_inf_gradient_is_skipped_without_warning(self, monkeypatch):
+        data, vocab, mcfg = _tiny_setup()
+        samples = [encode_sample(item.sample, vocab, ENGLISH, labels=item.labels)
+                   for item in data]
+        state = TrainState.fresh(init_parameters(mcfg))
+        before = {n: t.data.tobytes() for n, t in state.params.named_tensors()}
+
+        def inf_backward(loss, params):
+            grads = model_backward(loss, params)
+            next(iter(grads.values())).flat[0] = math.inf
+            return grads
+
+        monkeypatch.setattr(training_module, "backward", inf_backward)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            training_module._train_step(state, samples, 1, TrainConfig(), True, None)
+        assert state.skipped_steps == 1 and state.step == 0
+        assert {n: t.data.tobytes() for n, t in state.params.named_tensors()} == before
 
     def test_different_seed_differs(self):
         data, vocab, mcfg = _tiny_setup()
