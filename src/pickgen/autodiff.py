@@ -230,6 +230,15 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True), along axis 0 of a transposed copy for 64
+    or more rows of at most 32, on which numpy's last-axis max is slow. A row
+    whose maximum is both +0.0 and -0.0 may get the other zero: exp is 1."""
+    if x.shape[-1] > 32 or x.size < 64 * x.shape[-1]:
+        return x.max(axis=-1, keepdims=True)
+    return x.reshape(-1, x.shape[-1]).T.copy().max(axis=0).reshape(*x.shape[:-1], 1)
+
+
 def _project(a: Tensor, w: Tensor) -> np.ndarray:
     """a @ w for a (..., d_in) operand and a (d_in, d_out) weight, as one GEMM
     over the rows of every leading axis."""
@@ -304,7 +313,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         logits = logits + per_head
     if mask is not None:
         logits = logits + mask
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e = np.exp(logits - _row_max(logits))
     p = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):

@@ -43,7 +43,7 @@ MAX_DECODE_LEN_CAP = 64
 # Samples encoded and decoded together when restoring a corpus. A round's
 # decoder state (keys, values and logits of every live hypothesis) grows
 # with it: restoring restore_synth's 120 held-out samples at beam 8, a
-# round's traced peak is 4.6 MB at 16 against 8.4 MB at 32, for about 3%
+# round's traced peak is 3.9 MB at 16 against 7.4 MB at 32, for about 3%
 # more time per round. At 32 the rounds, not training, set the peak RSS of
 # a process that trains and then restores.
 RESTORE_CHUNK = 16

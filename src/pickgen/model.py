@@ -11,6 +11,7 @@ unidirectional in the decoder, none on cross attention).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -182,21 +183,26 @@ class DecoderCache:
     Decoder rows are the search's hypotheses, or in teacher forcing the
     batch rows (a fresh cache per call); source[r] is the encoder row that
     row r decodes, non-decreasing over r. Self-attention keys and values are held
-    per decoder row, cross-attention ones once per encoder row.
+    per decoder row; cross-attention ones and the key-mask bias, which the
+    first call builds, once per encoder row; the query grid once per reorder,
+    which each step after the first must follow (np.arange(R) keeps all rows).
     """
 
     source: np.ndarray  # (R,)
     length: int = 0  # decoder positions held
-    self_kv: list = field(default_factory=list)  # per layer, (R, T, d_model) tensors
+    self_kv: list = field(default_factory=list)  # per layer, (R, T or T + 1, d_model) tensors
     cross_kv: list = field(default_factory=list)  # per layer, (S, L, d_model) tensors
+    key_bias: np.ndarray | None = None  # (S, 1, 1, L)
+    grid: tuple | None = None  # _query_grid(source, S)
 
     def reorder(self, rows: np.ndarray) -> None:
         """Keep decoder rows `rows` (repeats allowed), in that order; their
-        sources must stay non-decreasing."""
-        self.source = self.source[rows]
-        self.self_kv = [
-            (Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv
-        ]
+        sources must stay non-decreasing. Held keys and values get room for a step."""
+        self.source, self.grid = self.source[rows], None
+        for kv in self.self_kv:
+            for x in kv:  # constants of the search, given new arrays
+                held, x.data = x.data, np.empty((len(rows), self.length + 1, x.shape[2]))
+                x.data[:, :-1] = held[rows, :self.length]
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +255,15 @@ def relative_position_bucket(
     return buckets
 
 
-def _rel_bias(table: Tensor, q_len: int, k_len: int, bidirectional: bool,
-              cfg: ModelConfig, offset: int = 0) -> Tensor:
-    """Bias for queries at positions offset..offset+q_len-1 over keys at
-    0..k_len-1."""
-    positions = np.arange(k_len)[None, :] - np.arange(offset, offset + q_len)[:, None]
-    idx = relative_position_bucket(
-        positions, bidirectional, cfg.rel_pos_buckets, cfg.rel_pos_max_distance
-    )
-    return table.lookup(idx)  # (Lq, Lk, H)
+@functools.lru_cache(maxsize=256)
+def _rel_buckets(q_len: int, k_len: int, offset: int, bidirectional: bool,
+                 num_buckets: int, max_distance: int) -> np.ndarray:
+    """(Lq, Lk) bias-table rows for queries at positions offset..offset+q_len-1
+    over keys at 0..k_len-1: one read-only view of the q_len + k_len - 1
+    offsets' buckets per argument tuple."""
+    line = relative_position_bucket(np.arange(1 - q_len - offset, k_len - offset),
+                                    bidirectional, num_buckets, max_distance)
+    return np.lib.stride_tricks.sliding_window_view(line, k_len)[::-1]
 
 
 def _attn_weights(params: ModelParameters, prefix: str) -> dict[str, Tensor]:
@@ -294,7 +300,8 @@ def encode(
     mask = np.asarray(mask, dtype=np.float64)
     x = _dropout(embed(input_ids, params), cfg.dropout, dropout_rng)
     length = x.shape[1]
-    rel = _rel_bias(params["enc_rel_bias"], length, length, True, cfg)
+    rel = params["enc_rel_bias"].lookup(_rel_buckets(
+        length, length, 0, True, cfg.rel_pos_buckets, cfg.rel_pos_max_distance))
     key_bias = _key_mask_bias(mask)
     for i in range(cfg.num_layers):
         h = _rmsnorm(x, params[f"enc{i}.norm1"])
@@ -337,19 +344,31 @@ def _self_attention(
     keys and values too."""
     q, k, v = (h @ weights[name] for name in ("wq", "wk", "wv"))
     if cache.length:
-        # only the search reaches this, under no_grad: held keys are constants
-        old_k, old_v = cache.self_kv[layer]
-        k = Tensor(np.concatenate([old_k.data, k.data], axis=1))
-        v = Tensor(np.concatenate([old_v.data, v.data], axis=1))
-        cache.self_kv[layer] = (k, v)
+        # only the search reaches this, under no_grad; reorder left room here
+        for new, held in zip((k, v), cache.self_kv[layer]):
+            held.data[:, cache.length:] = new.data
+        k, v = cache.self_kv[layer]
     else:
         cache.self_kv.append((k, v))
     return attention(q, k, v, cfg.num_heads, rel, causal_bias)
 
 
+def _query_grid(source: np.ndarray, sources: int) -> tuple:
+    """(members, back): members[s, j] is the decoder row in slot j of encoder
+    row s (unused slots read row 0), and back[r] is row r's place in
+    members.ravel(); both None when decoder row r decodes encoder row r."""
+    slot = np.arange(len(source)) - np.searchsorted(source, source)
+    width = int(slot.max()) + 1
+    if width == 1 and len(source) == sources:
+        return None, None
+    members = np.zeros((sources, width), dtype=np.int64)
+    members[source, slot] = np.arange(len(source))
+    return members, source * width + slot
+
+
 def _cross_attention(
     cache: DecoderCache, layer: int, h: Tensor, enc: EncoderOutput,
-    weights: dict[str, Tensor], cfg: ModelConfig, key_bias: np.ndarray,
+    weights: dict[str, Tensor], cfg: ModelConfig,
 ) -> Tensor:
     """Attention of the decoder rows over their encoder rows' keys, before
     the out-projection. The rows decoding one encoder row become the query
@@ -358,21 +377,11 @@ def _cross_attention(
     if not cache.length:
         cache.cross_kv.append((enc.hidden @ weights["wk"], enc.hidden @ weights["wv"]))
     k, v = cache.cross_kv[layer]
-    rows, t, d = h.shape
-    sources = enc.hidden.shape[0]
-    slot = np.arange(rows) - np.searchsorted(cache.source, cache.source)
-    width = int(slot.max()) + 1
-    direct = width == 1 and rows == sources  # decoder row r decodes encoder row r
-    q = h
-    if not direct:
-        # (source, slot) -> decoder row; unused slots read row 0 and are dropped
-        members = np.zeros((sources, width), dtype=np.int64)
-        members[cache.source, slot] = np.arange(rows)
-        q = h.lookup(members).reshape(sources, width * t, d)
-    out = attention(q @ weights["wq"], k, v, cfg.num_heads, None, key_bias)
-    if direct:
-        return out
-    return out.reshape(sources * width, t, d).lookup(cache.source * width + slot)
+    members, back = cache.grid
+    _, t, d = h.shape
+    q = h if members is None else h.lookup(members).reshape(len(members), -1, d)
+    out = attention(q @ weights["wq"], k, v, cfg.num_heads, None, cache.key_bias)
+    return out if members is None else out.reshape(-1, t, d).lookup(back)
 
 
 def decode_forward(
@@ -386,20 +395,27 @@ def decode_forward(
     attention over unmasked encoder positions.
 
     The ids are the next ids of the cache's rows, at the positions after
-    those it holds, and the cache grows by them. Without a cache they are
-    whole prefixes of the encoder's rows (teacher forcing), decoded from a
-    fresh cache.
+    those it holds (one per row once it holds any), and the cache grows by
+    them. Without a cache they are whole prefixes of the encoder's rows
+    (teacher forcing), decoded from a fresh cache.
     """
     cfg = params.config
     ids = np.asarray(decoder_input_ids, dtype=np.int64)
     if cache is None:
         cache = DecoderCache(source=np.arange(enc.hidden.shape[0]))
     past = cache.length
+    if not past:
+        cache.key_bias = _key_mask_bias(enc.mask)
+    elif cache.self_kv[0][0].shape[1] == past:
+        raise ModelError("a cached decoding step must follow DecoderCache.reorder")
+    if cache.grid is None:
+        cache.grid = _query_grid(cache.source, enc.hidden.shape[0])
     y = _dropout(embed(ids, params), cfg.dropout, dropout_rng)
     t = y.shape[1]
-    rel = _rel_bias(params["dec_rel_bias"], t, past + t, False, cfg, past)
-    self_bias = _causal_bias(t, past + t)
-    cross_bias = _key_mask_bias(enc.mask)
+    rel = params["dec_rel_bias"].lookup(_rel_buckets(
+        t, past + t, past, False, cfg.rel_pos_buckets, cfg.rel_pos_max_distance))
+    # a single query sees every key: its causal bias would be all zeros
+    self_bias = None if t == 1 else _causal_bias(t, past + t)
     for i in range(cfg.num_layers):
         h = _rmsnorm(y, params[f"dec{i}.norm1"])
         weights = _attn_weights(params, f"dec{i}.self")
@@ -407,7 +423,7 @@ def decode_forward(
         y = _residual(y, a, weights["wo"], cfg.dropout, dropout_rng)
         h = _rmsnorm(y, params[f"dec{i}.norm2"])
         weights = _attn_weights(params, f"dec{i}.cross")
-        a = _cross_attention(cache, i, h, enc, weights, cfg, cross_bias)
+        a = _cross_attention(cache, i, h, enc, weights, cfg)
         y = _residual(y, a, weights["wo"], cfg.dropout, dropout_rng)
         h = _rmsnorm(y, params[f"dec{i}.norm3"])
         f = relu_matmul(h, params[f"dec{i}.ffn.w1"])

@@ -1,16 +1,17 @@
 """Independent reference implementations used to check derived behavior.
 
 These deliberately avoid the library's own code paths: the attention
-oracle splits heads into separate arrays before it attends, the backward
-oracle walks a graph without using it up, the decoding oracles re-run the
-decoder from a fresh cache over every whole prefix of one unpadded input
-(teacher forcing, as in training), and the beam oracles build and sort
-every candidate in Python or enumerate every decodable output; the cosine
-oracle scores one pair at a time, with its own norms; the n-gram
-oracles enumerate n-grams positionally instead of via Counter arithmetic,
-and the per-metric evaluate recounts every sample for every metric.
-weighted_sum, the one graph node here, is how tests start a backward with
-a chosen upstream gradient.
+oracle splits heads into separate arrays before it attends and shifts
+rows by numpy's plain last-axis max, the backward oracle walks a graph
+without using it up, the decoding oracles re-run the decoder from a fresh
+cache over every whole prefix of one unpadded input (teacher forcing, as
+in training), and the beam oracles build and sort every candidate in
+Python or enumerate every decodable output; the cosine oracle scores one
+pair at a time, with its own norms; the n-gram oracles enumerate n-grams
+positionally instead of via Counter arithmetic, and the per-metric
+evaluate recounts every sample for every metric. weighted_sum, the one
+graph node here, is how tests start a backward with a chosen upstream
+gradient.
 """
 
 import math

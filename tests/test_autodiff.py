@@ -27,6 +27,7 @@ from pickgen.autodiff import (
     relu_matmul,
     residual,
 )
+from pickgen.model import MASK_NEG
 
 RNG = np.random.default_rng(1234)
 EPS = 1e-6
@@ -386,6 +387,54 @@ class TestAttention:
         t = parameter(values["bias"])
         weighted_sum(self._run(values, bias=t)).backward()
         assert np.isfinite(t.grad).all()
+
+
+class TestRowMaximum:
+    """attention shifts each row by its maximum, which it takes from a
+    transposed copy when there are many short rows; outputs and gradients
+    equal those of numpy's plain last-axis maximum bit for bit, on values
+    with ties, both zeros, masked rows, NaN and infinities."""
+
+    SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, MASK_NEG, np.nan, np.inf, -np.inf])
+    # (B, Lq, Lk): one query and one key (few rows, then many), one query
+    # (decoder self attention, at 128 rows), one key, decoder cross
+    # attention, a training encoder, and rows too long for the copy
+    ATTENTION_SHAPES = [(2, 1, 1), (128, 1, 1), (128, 1, 8), (3, 5, 1), (16, 8, 15),
+                        (12, 23, 23), (4, 4, 40)]
+    HEADS = 4
+
+    @classmethod
+    def draw(cls, rng, shape, share):
+        # values rounded to one decimal tie often; `share` of them are special
+        x = rng.standard_normal(shape).round(1)
+        pick = rng.random(shape) < share
+        x[pick] = rng.choice(cls.SPECIAL, size=int(pick.sum()))
+        return x
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(ATTENTION_SHAPES), seed=st.integers(0, 2**32 - 1),
+           share=st.sampled_from([0.0, 0.1, 0.6, 1.0]), masked=st.booleans())
+    def test_attention_and_its_gradients(self, shape, seed, share, masked):
+        rng = np.random.default_rng(seed)
+        b, lq, lk = shape
+        values = {"q": self.draw(rng, (b, lq, 8), share / 4),
+                  "k": self.draw(rng, (b, lk, 8), share / 4),
+                  "v": rng.standard_normal((b, lk, 8)),
+                  "bias": self.draw(rng, (lq, lk, self.HEADS), share)}
+        mask = self.draw(rng, (b, self.HEADS, lq, lk), share)
+        if masked:  # whole rows of MASK_NEG
+            mask[rng.random((b, self.HEADS, lq)) < 0.3] = MASK_NEG
+        g = rng.standard_normal((b, lq, 8))
+        tensors = {n: parameter(a.copy()) for n, a in values.items()}
+        with np.errstate(all="ignore"):
+            out = attention(tensors["q"], tensors["k"], tensors["v"], self.HEADS,
+                            tensors["bias"], mask)
+            weighted_sum(out, g).backward()
+            want_out, want_grads = per_head_attention(
+                *(values[n] for n in ("q", "k", "v")), self.HEADS, values["bias"], mask, g)
+        assert np.array_equal(out.data, want_out, equal_nan=True)
+        for name, want in zip(("q", "k", "v", "bias"), want_grads):
+            assert np.array_equal(tensors[name].grad, want, equal_nan=True), name
 
 
 class TestCrossEntropy:

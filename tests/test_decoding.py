@@ -22,7 +22,7 @@ from oracles import (
     next_log_probs,
     reference_beam_search,
 )
-from pickgen import decoding
+from pickgen import decoding, model
 from pickgen.autodiff import Tensor, log_softmax, no_grad
 from pickgen.corpus import (
     EOS_ID,
@@ -63,6 +63,8 @@ from pickgen.labeling import BIO_TO_CLASS, EmbeddingTable, PickerLabels, label_c
 from pickgen.model import (
     DecoderCache,
     ModelConfig,
+    ModelError,
+    _query_grid,
     decode_forward,
     encode,
     init_parameters,
@@ -297,6 +299,8 @@ class TestDecoderCache:
                 cache.reorder(rows)
                 prefixes = prefixes[rows]
                 prefixes[:, step:] = rng.integers(3, 11, size=(len(rows), 14 - step))
+            elif step:
+                cache.reorder(np.arange(len(cache.source)))  # every row kept
             with no_grad():
                 logits = decode_forward(enc, prefixes[:, step:step + 1], params,
                                         cache=cache)
@@ -306,6 +310,50 @@ class TestDecoderCache:
                                       [tuple(prefixes[row, :step + 1])])[0]
                 assert np.abs(got[row] - want).max() <= 1e-12, (step, row)
 
+    def test_reorder_gathers_rows_with_room_for_one_step(self):
+        # a step without a reorder since the last one is refused; after
+        # reorder(rows), each layer holds old[rows] bit for bit with one free
+        # position; the next step fills exactly that position, and both
+        # layers share one query grid, equal to its recomputation from source
+        params = init_parameters(ModelConfig(
+            vocab_size=11, d_model=8, num_layers=2, num_heads=2, ffn_dim=16,
+            picker_widths=(4, 3), rel_pos_buckets=8, rel_pos_max_distance=6,
+            dropout=0.0, seed=5))
+        rng = np.random.default_rng(5)
+        ids = rng.integers(3, 11, size=(3, 6))
+        prefixes = rng.integers(3, 11, size=(5, 4))
+        cache = DecoderCache(source=np.array([0, 0, 1, 2, 2]))
+        with no_grad():
+            enc = encode(ids, np.ones((3, 6)), params)
+            for step in range(3):
+                if step:
+                    cache.reorder(np.arange(5))
+                decode_forward(enc, prefixes[:, step:step + 1], params, cache=cache)
+            with pytest.raises(ModelError, match="must follow DecoderCache.reorder"):
+                decode_forward(enc, prefixes[:, 3:4], params, cache=cache)
+            old = [[x.data.copy() for x in kv] for kv in cache.self_kv]
+            rows = np.array([1, 1, 1, 3, 4, 4])
+            cache.reorder(rows)
+            for kv, was in zip(cache.self_kv, old):
+                for x, w in zip(kv, was):
+                    assert x.shape == (6, 4, 8)
+                    assert x.data[:, :3].tobytes() == w[rows].tobytes()
+            with mock.patch.object(model, "_query_grid", wraps=model._query_grid) as grid:
+                decode_forward(enc, prefixes[rows, 3:4], params, cache=cache)
+        assert grid.call_count == 1 and cache.length == 4
+        for kv, was in zip(cache.self_kv, old):
+            for x, w in zip(kv, was):
+                assert x.shape == (6, 4, 8)
+                assert x.data[:, :3].tobytes() == w[rows].tobytes()
+        source = cache.source.tolist()
+        assert source == [0, 0, 0, 2, 2, 2]
+        slots = [source[:r].count(source[r]) for r in range(6)]
+        members, back = cache.grid
+        want = np.zeros((3, 3), dtype=np.int64)  # unused slots read row 0
+        want[source, slots] = np.arange(6)
+        assert members.tolist() == want.tolist()
+        assert back.tolist() == [3 * s + j for s, j in zip(source, slots)]
+        assert _query_grid(np.arange(3), 3) == (None, None)
 
     def test_rows_as_many_as_inputs_but_regrouped(self):
         # three decoder rows over three encoder rows, decoding inputs 0, 0
